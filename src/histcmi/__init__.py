@@ -4,13 +4,10 @@ from .causal import Skeleton, pc_stable_skeleton, precision_recall
 from .citest import CITestResult, chi2_critical, citest_chi2, citest_sc
 from .complexity import ScoreBreakdown, log_regret, model_cost, neg_log_likelihood, total_score
 from .data_model import (
-    Bin,
     BinSet,
     Grid,
-    IntervalBin,
     Labeling,
     MixedColumn,
-    SingletonBin,
     assign_labels,
     build_grid,
     detect_discrete_points,
@@ -37,10 +34,10 @@ from .histmd import FitConfig, FitResult, FitTrace, greedy_fit, init_discretizat
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bin", "BinSet", "CandidateCuts", "CITestResult", "Dataset", "DegenerateColumnError",
+    "BinSet", "CandidateCuts", "CITestResult", "Dataset", "DegenerateColumnError",
     "EstimateResult", "FitConfig", "FitResult", "FitTrace", "Grid", "InputError",
-    "IntervalBin", "Labeling", "LabelingError", "MixedColumn", "ModelError",
-    "ScenarioSpec", "ScoreBreakdown", "SingletonBin", "Skeleton", "VariableGroup",
+    "Labeling", "LabelingError", "MixedColumn", "ModelError",
+    "ScenarioSpec", "ScoreBreakdown", "Skeleton", "VariableGroup",
     "assign_labels", "build_grid", "candidate_cuts", "chi2_critical", "citest_chi2",
     "citest_sc", "cmi_estimate", "continuous_entropy_terms", "detect_discrete_points",
     "generate", "greedy_fit", "ground_truth", "init_discretization", "log_regret",

@@ -87,6 +87,9 @@ def read_csv_dataset(path: str) -> Dataset:
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     names = tuple(rows[0])
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InputError(f"{path}: duplicate column names {repeated}")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
     except ValueError as e:

@@ -86,17 +86,13 @@ def neg_log_likelihood(grid) -> float:
     for v in vols:
         if v.size and v.min() <= 0:
             raise ModelError("cell with non-positive volume")
-    n = grid.n
-    total = 0.0
-    if not grid.counts:
+    if len(grid.counts) == 0:
         return 0.0
-    cells = np.array(list(grid.counts.keys()), dtype=np.int64).reshape(len(grid.counts), len(vols))
-    counts = np.fromiter(grid.counts.values(), dtype=np.float64, count=len(grid.counts))
+    counts = grid.counts.astype(np.float64)
     log_v = np.zeros(len(counts))
     for j, v in enumerate(vols):
-        log_v += np.log2(v)[cells[:, j]]
-    total = -np.sum(counts * (np.log2(counts) - math.log2(n) - log_v))
-    return float(total)
+        log_v += np.log2(v)[grid.cells[:, j]]
+    return float(-np.sum(counts * (np.log2(counts) - math.log2(grid.n) - log_v)))
 
 
 @dataclass(frozen=True)

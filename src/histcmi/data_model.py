@@ -5,7 +5,12 @@ boolean mask marking the values treated as discrete atoms.  A discretization
 of one variable is a :class:`BinSet`: one singleton bin per atom (volume 1)
 plus consecutive half-open interval bins partitioning the continuous range
 (volume = width).  A joint model over several variables is the Cartesian
-product of per-dimension bin sets, held as a sparse :class:`Grid`.
+product of per-dimension bin sets, held as a sparse :class:`Grid`: an array
+of occupied cells and an array of their row counts.
+
+Every joint cell is named by one int64 id from :func:`cell_ids`, the single
+mixed-radix encoding of the package.  It refuses to wrap: ids that would
+pass int64 are first compacted to their order-preserving ranks.
 """
 
 from __future__ import annotations
@@ -68,33 +73,6 @@ def detect_discrete_points(column, t: int = 5, name: str = "") -> MixedColumn:
     return MixedColumn(values=values, discrete_mask=mask, name=name)
 
 
-@dataclass(frozen=True)
-class SingletonBin:
-    point: float
-
-    @property
-    def volume(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class IntervalBin:
-    lo: float
-    hi: float
-    closed_right: bool = False
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise InputError(f"interval [{self.lo}, {self.hi}) has no width")
-
-    @property
-    def volume(self) -> float:
-        return self.hi - self.lo
-
-
-Bin = SingletonBin | IntervalBin
-
-
 def degenerate_width(x: float) -> float:
     """Smallest representable positive width around x (one ULP at max(|x|, 1))."""
     return float(np.spacing(max(abs(x), 1.0)))
@@ -138,14 +116,6 @@ class BinSet:
     @property
     def n_bins(self) -> int:
         return self.n_singletons + self.n_intervals
-
-    @property
-    def bins(self) -> list[Bin]:
-        out: list[Bin] = [SingletonBin(float(p)) for p in self.singletons]
-        b = self.boundaries
-        for i in range(self.n_intervals):
-            out.append(IntervalBin(float(b[i]), float(b[i + 1]), closed_right=i == self.n_intervals - 1))
-        return out
 
     @property
     def volumes(self) -> np.ndarray:
@@ -224,13 +194,58 @@ class Labeling:
         return self.labels.shape[1]
 
 
+# every cell id must stay below this to fit in int64
+_ID_LIMIT = 2 ** 63
+
+
+def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
+    """Encode each label row as one int64 id, first column most significant.
+
+    Column j holds labels in [0, radices[j]).  Ids order like the rows do
+    lexicographically, so equal rows share an id and distinct rows never do.
+    Before the next column would carry an id past int64, the running ids are
+    replaced by their ranks, which keeps their order: the ids then stop being
+    the plain mixed-radix value but sort and compare exactly as it would.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[1] != len(radices):
+        raise InputError("labels must be an (n, k) matrix with one radix per column")
+    ids = np.zeros(len(labels), dtype=np.int64)
+    span = 1  # every running id lies in [0, span)
+    for j, r in enumerate(radices):
+        r = int(r)
+        col = labels[:, j]
+        if col.size and (col.min() < 0 or col.max() >= r):
+            raise InputError(f"labels of column {j} outside [0, {r})")
+        if span * r > _ID_LIMIT:
+            distinct, ids = np.unique(ids, return_inverse=True)
+            span = len(distinct)
+            if span * r > _ID_LIMIT:
+                raise InputError("too many distinct cells to encode in int64")
+        ids = ids * r + col
+        span *= r
+    return ids
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Cartesian product of per-dimension bin sets with sparse cell counts."""
+    """Cartesian product of per-dimension bin sets with sparse cell counts.
+
+    ``cells`` holds one row of per-dimension bin indices per occupied cell,
+    in lexicographic order, and ``counts`` the number of rows in each; cells
+    not listed are empty.
+    """
 
     dims: tuple[BinSet, ...]
-    counts: dict[tuple[int, ...], int]
+    cells: np.ndarray   # (m, k) int64
+    counts: np.ndarray  # (m,) int64
     n: int
+
+    def __post_init__(self):
+        self.cells.setflags(write=False)
+        self.counts.setflags(write=False)
+        if self.cells.shape != (len(self.counts), len(self.dims)):
+            raise InputError("grid needs one cell row of every dimension per count")
 
     @property
     def K(self) -> int:
@@ -239,22 +254,18 @@ class Grid:
             k *= d.n_bins
         return k
 
-    def cell_volume(self, cell: tuple[int, ...]) -> float:
-        v = 1.0
-        for d, idx in zip(self.dims, cell):
-            v *= d.volumes[idx]
-        return v
-
 
 def build_grid(labelings: list[np.ndarray], bins: list[BinSet]) -> Grid:
-    """Count rows per joint cell; cells absent from the map have count 0."""
+    """Count rows per occupied joint cell of the per-dimension labelings."""
     if not labelings:
         raise InputError("need at least one labeled dimension")
     n = len(labelings[0])
     for lab in labelings:
         if len(lab) != n:
             raise InputError("labelings disagree on sample size")
-    mat = np.column_stack(labelings)
-    cells, counts = np.unique(mat, axis=0, return_counts=True)
-    count_map = {tuple(int(v) for v in row): int(c) for row, c in zip(cells, counts)}
-    return Grid(dims=tuple(bins), counts=count_map, n=n)
+    mat = np.column_stack(labelings).astype(np.int64, copy=False)
+    ids = cell_ids(mat, [b.n_bins for b in bins])
+    # any row of a cell spells that cell, so the sort need not be stable
+    order = np.argsort(ids)
+    first = np.flatnonzero(np.diff(ids[order], prepend=-1))
+    return Grid(dims=tuple(bins), cells=mat[order[first]], counts=np.diff(first, append=n), n=n)

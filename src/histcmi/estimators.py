@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import Grid, detect_discrete_points
+from .data_model import Grid, cell_ids, detect_discrete_points
 from .errors import InputError, ModelError
 from .histmd import FitConfig, FitResult, greedy_fit
 
@@ -54,16 +54,9 @@ class EstimateResult:
 
 
 def _flat_ids(labels: np.ndarray) -> np.ndarray:
-    """Mixed-radix encoding of label rows into single integers."""
-    if labels.shape[1] == 0:
-        return np.zeros(len(labels), dtype=np.int64)
-    flat = np.zeros(len(labels), dtype=np.int64)
-    stride = 1
-    for j in range(labels.shape[1]):
-        col = labels[:, j]
-        flat += col * stride
-        stride *= int(col.max()) + 1
-    return flat
+    """Ids of label rows that sort with the last column most significant."""
+    radices = labels.max(axis=0, initial=0) + 1
+    return cell_ids(labels[:, ::-1], radices[::-1])
 
 
 def plugin_entropy(labels: np.ndarray) -> float:
@@ -101,10 +94,10 @@ def continuous_entropy_terms(grid: Grid, groups: Mapping[str, Sequence[int]]) ->
     the volume terms sum to zero because each row's per-dimension volumes
     appear exactly twice with each sign.
     """
-    if not grid.counts:
+    if len(grid.counts) == 0:
         raise InputError("empty grid")
-    cells = np.array(list(grid.counts.keys()), dtype=np.int64)
-    counts = np.fromiter(grid.counts.values(), dtype=np.float64, count=len(grid.counts))
+    cells = grid.cells
+    counts = grid.counts.astype(np.float64)
     n = grid.n
     log_vols = []
     for j, d in enumerate(grid.dims):

@@ -23,6 +23,7 @@ from .data_model import (
     assign_labels,
     binset_from_cuts,
     build_grid,
+    cell_ids,
     degenerate_width,
 )
 from .errors import InputError
@@ -146,18 +147,18 @@ def _score_state(columns, binsets, labels) -> ScoreBreakdown:
 
 
 def _other_cell_info(state: FitState, j: int, rows: np.ndarray):
-    """Flatten the fixed cells of all dimensions but j for the given rows."""
-    k = len(state.binsets)
-    others = [d for d in range(k) if d != j]
-    flat = np.zeros(rows.sum() if rows.dtype == bool else len(rows), dtype=np.int64)
-    log2_vol = np.zeros(len(flat))
-    stride = 1
+    """Labels, bin counts and summed log2 volumes of every dimension but j.
+
+    Label columns run from the last such dimension to the first, so cell ids
+    of them sort with the highest dimension most significant.
+    """
+    others = [d for d in range(len(state.binsets)) if d != j]
+    labels = state.labels[rows]
+    log2_vol = np.zeros(len(labels))
     for d in others:
-        lab = state.labels[rows, d]
-        flat += lab * stride
-        stride *= state.binsets[d].n_bins
-        log2_vol += np.log2(state.binsets[d].volumes)[lab]
-    return flat, log2_vol, stride  # stride ends as prod of other bin counts
+        log2_vol += np.log2(state.binsets[d].volumes)[labels[:, d]]
+    others.reverse()
+    return labels[:, others], [state.binsets[d].n_bins for d in others], log2_vol
 
 
 def refine_dimension(j: int, state: FitState, config: FitConfig) -> RefineResult:
@@ -177,16 +178,17 @@ def refine_dimension(j: int, state: FitState, config: FitConfig) -> RefineResult
                                  [binset.boundaries[-1]]])
     cell_idx = initial_cell_indices(column.values[cont], boundaries)
 
-    flat, log2_vol, K_other = _other_cell_info(state, j, cont)
-    _, compact = np.unique(flat, return_inverse=True)
+    other_labels, other_radices, log2_vol = _other_cell_info(state, j, cont)
+    K_other = math.prod(other_radices)
+    _, compact = np.unique(cell_ids(other_labels, other_radices), return_inverse=True)
 
     # rows in this dimension's singleton bins: no cut can move them
     fixed_nll = 0.0
     disc = column.discrete_mask
     if disc.any():
-        atom_lab = state.labels[disc, j]
-        oflat, olog2v, _ = _other_cell_info(state, j, disc)
-        pair = atom_lab * K_other + oflat
+        olabels, _, olog2v = _other_cell_info(state, j, disc)
+        pair = cell_ids(np.column_stack([state.labels[disc, j], olabels]),
+                        [binset.n_bins, *other_radices])
         _, counts = np.unique(pair, return_counts=True)
         c = counts.astype(np.float64)
         fixed_nll = float(-np.sum(c * np.log2(c)) + disc.sum() * math.log2(n) + olog2v.sum())

@@ -70,6 +70,13 @@ class TestEstimate:
         code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
         assert code == 2
 
+    def test_duplicate_header_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "dup.csv"
+        p.write_text("A,A,B\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert code == 2
+        assert "duplicate column names ['A']" in err
+
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(["estimate"], capsys)  # missing positional
         assert code == 1

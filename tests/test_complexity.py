@@ -131,7 +131,8 @@ class TestNegLogLikelihood:
             n_bins = 1
 
         grid, _ = _single_interval_grid([0.0, 1.0], width=2.0)
-        broken = type(grid)(dims=(BrokenBins(),), counts={(0,): 2}, n=2)
+        broken = type(grid)(dims=(BrokenBins(),), cells=np.zeros((1, 1), dtype=np.int64),
+                            counts=np.array([2]), n=2)
         with pytest.raises(ModelError):
             neg_log_likelihood(broken)
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,7 @@ from hypothesis import strategies as st
 from histcmi import (
     BinSet,
     InputError,
-    IntervalBin,
     LabelingError,
-    SingletonBin,
     assign_labels,
     build_grid,
     detect_discrete_points,
@@ -63,20 +63,10 @@ class TestDetectDiscretePoints:
 
 
 class TestBins:
-    def test_volume_law(self):
-        assert SingletonBin(3.7).volume == 1.0
-        assert IntervalBin(1.0, 3.5).volume == 2.5
-
-    def test_interval_needs_width(self):
-        with pytest.raises(InputError):
-            IntervalBin(2.0, 2.0)
-
     def test_binset_volumes_match_bins(self):
         col = detect_discrete_points([0.0] * 6 + [0.1, 0.4, 0.9, 1.3], t=5)
         bs = binset_from_cuts(col, 0.1, 1.3, np.array([0.5, 0.7]), np.array([0.5]))
-        assert [type(b).__name__ for b in bs.bins] == ["SingletonBin", "IntervalBin", "IntervalBin"]
         assert bs.volumes == pytest.approx([1.0, 0.4, 0.8])
-        assert bs.bins[-1].closed_right and not bs.bins[-2].closed_right
 
     def test_chosen_cuts_must_be_candidates(self):
         col = detect_discrete_points([0.1, 0.4, 0.9], t=5)
@@ -137,11 +127,13 @@ class TestGrid:
         labs = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
         grid = build_grid(labs, [self._discrete_binset(2)] * 2)
         assert grid.K == 4
-        assert sorted(grid.counts.values()) == [1, 1, 1, 1]
+        assert grid.cells.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert grid.counts.tolist() == [1, 1, 1, 1]
 
     def test_single_dimension_single_cell(self):
         grid = build_grid([np.zeros(9, dtype=int)], [self._discrete_binset(1)])
-        assert grid.counts == {(0,): 9}
+        assert grid.cells.tolist() == [[0]]
+        assert grid.counts.tolist() == [9]
 
     def test_K_is_product_of_bin_counts(self):
         labs = [np.zeros(5, dtype=int)] * 3
@@ -159,5 +151,40 @@ class TestGrid:
         a = np.array([r[0] for r in rows])
         b = np.array([r[1] for r in rows])
         grid = build_grid([a, b], [self._discrete_binset(3), self._discrete_binset(4)])
-        assert sum(grid.counts.values()) == len(rows)
+        assert grid.counts.sum() == len(rows)
         assert grid.K == 12
+
+    def test_label_outside_its_bins_rejected(self):
+        with pytest.raises(InputError):
+            build_grid([np.array([0, 2])], [self._discrete_binset(2)])
+
+    def test_cell_ids_past_int64_stay_distinct(self):
+        # 47**12 > 2**63: the first row is 2**64 in base 47 (most significant
+        # digit first), which a wrapping encoding would merge with the zero row
+        wrap = [7, 21, 33, 4, 41, 43, 23, 16, 26, 40, 3, 25]
+        rows = np.array([wrap, [0] * 12, [46] * 12, wrap])
+        grid = build_grid(list(rows.T), [self._discrete_binset(47)] * 12)
+        assert grid.cells.tolist() == [[0] * 12, wrap, [46] * 12]
+        assert grid.counts.tolist() == [1, 2, 1]
+        assert grid.counts.sum() == grid.n == 4
+
+    @staticmethod
+    @st.composite
+    def _label_matrices(draw):
+        # build_grid reads only n_bins, so bin counts can reach 2**40 with no
+        # bins behind them and products past 2**63 are common
+        radices = draw(st.lists(st.integers(1, 3) | st.integers(1, 2 ** 40), min_size=1, max_size=6))
+        n = draw(st.integers(1, 40))
+        # small labels recur, so rows collide; large ones reach every radix
+        cols = [draw(st.lists(st.integers(0, min(r - 1, 2)) | st.integers(0, r - 1),
+                              min_size=n, max_size=n)) for r in radices]
+        return radices, np.array(cols, dtype=np.int64).T
+
+    @settings(max_examples=100, deadline=None)
+    @given(_label_matrices())
+    def test_matches_row_sort_reference(self, case):
+        radices, mat = case
+        grid = build_grid(list(mat.T), [SimpleNamespace(n_bins=r) for r in radices])
+        cells, counts = np.unique(mat, axis=0, return_counts=True)
+        assert np.array_equal(grid.cells, cells)
+        assert np.array_equal(grid.counts, counts)

@@ -37,6 +37,13 @@ class TestPluginEntropy:
         assert plugin_entropy(labels) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5623, abs=1e-4)
 
+    def test_rows_past_int64_ids_stay_distinct(self):
+        # 47**12 > 2**63 and the first row is 2**64 in base 47, least
+        # significant digit first: a wrapping encoding merges it with row two
+        labels = np.array([[25, 3, 40, 26, 16, 23, 43, 41, 4, 33, 21, 7],
+                           [0] * 12, [46] * 12])
+        assert plugin_entropy(labels) == pytest.approx(math.log(3), abs=1e-12)
+
     def test_empty_projection_is_zero(self):
         assert plugin_entropy(np.empty((7, 0), dtype=int)) == 0.0
 

@@ -201,7 +201,8 @@ class TestGreedyFit:
         fit = greedy_fit(cols, FitConfig())
         rebuilt = build_grid(
             [assign_labels(c, b) for c, b in zip(cols, fit.binsets)], fit.binsets)
-        assert rebuilt.counts == fit.grid.counts
+        assert np.array_equal(rebuilt.cells, fit.grid.cells)
+        assert np.array_equal(rebuilt.counts, fit.grid.counts)
         assert rebuilt.K == fit.grid.K
 
     def test_labeling_matches_binsets(self):
