@@ -25,10 +25,6 @@ class Skeleton:
         return tuple(sorted((a, b))) in self.edges
 
 
-def _independent(result) -> bool:
-    return bool(result.independent) if hasattr(result, "independent") else bool(result)
-
-
 def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skeleton:
     """Level-wise edge removal over the complete graph on the dataset's variables.
 
@@ -69,7 +65,7 @@ def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skelet
                     if cond in tested:
                         continue
                     tested.add(cond)
-                    if _independent(ci_test(dataset, a, b, cond)):
+                    if ci_test(dataset, a, b, cond):
                         adj[a].discard(b)
                         adj[b].discard(a)
                         sepsets[(a, b)] = cond

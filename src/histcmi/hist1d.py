@@ -9,7 +9,10 @@ model cost) is smallest.
 
 The same solver also handles the conditional case used by the joint fit: the
 per-segment likelihood then aggregates counts across the fixed cells of all
-other dimensions.
+other dimensions.  Those counts enter through one numpy kernel,
+``_xlogx_segment_sums``, which touches per cell only the segments that can
+hold two or more of its rows.  The recursion over interval counts is the
+MDL-histogram DP of Kontkanen & Myllymäki (AISTATS 2007).
 """
 
 from __future__ import annotations
@@ -22,13 +25,6 @@ import numpy as np
 from .complexity import log_regret, model_cost
 from .data_model import MixedColumn, binset_from_cuts
 from .errors import DegenerateColumnError, InputError
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 def bin_budget(n: int, factor: float, base: float = math.e) -> int:
@@ -75,35 +71,23 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> CandidateCuts:
     return CandidateCuts(boundaries=boundaries)
 
 
-if _HAVE_NUMBA:
+def _xlogx_segment_sums(P):
+    """G[i, j] = sum over rows of P of c·log2(c), with c = row[j] - row[i] where c >= 2.
 
-    @njit(cache=True)
-    def _xlogx_segment_sums(P):  # pragma: no cover - compiled
-        n_cells, n_bounds = P.shape
-        G = np.zeros((n_bounds, n_bounds))
-        for o in range(n_cells):
-            row = P[o]
-            top = row[n_bounds - 1]
-            for i in range(n_bounds - 1):
-                pi = row[i]
-                if top - pi < 2.0:
-                    break  # prefix is nondecreasing: later i give even less
-                for j in range(i + 1, n_bounds):
-                    c = row[j] - pi
-                    if c >= 2.0:
-                        G[i, j] += c * np.log2(c)
-        return G
-
-else:  # pragma: no cover - exercised only without numba
-
-    def _xlogx_segment_sums(P):
-        n_bounds = P.shape[1]
-        G = np.zeros((n_bounds, n_bounds))
-        for row in P:
-            c = row[None, :] - row[:, None]
-            np.maximum(c, 1.0, out=c)
-            G += c * np.log2(c)
-        return G
+    Each row is a nondecreasing prefix count, so c >= 2 needs row[i] <= row[-1] - 2
+    and row[j] >= 2: a row adds only into G[:i_end, j_start:], and exactly 0
+    everywhere else.
+    """
+    n_bounds = P.shape[1]
+    G = np.zeros((n_bounds, n_bounds))
+    for row in P:
+        i_end = np.searchsorted(row, row[-1] - 2.0, side="right")
+        j_start = np.searchsorted(row, 2.0, side="left")
+        c = row[None, j_start:] - row[:i_end, None]
+        np.maximum(c, 1.0, out=c)
+        c *= np.log2(c)
+        G[:i_end, j_start:] += c
+    return G
 
 
 @dataclass(frozen=True)
@@ -180,14 +164,17 @@ def solve_segmentation(
     cost[(jj > ii) & (seg_n == 0)] = 0.0
 
     # f[j] = best data cost of covering [b_0, b_j) with m segments
+    # Only splits i >= m - 1 can end m - 1 nonempty segments; a column with no
+    # finite candidate gets f = inf and an unused back pointer.
     f = cost[0].copy()
     back: list[np.ndarray] = [np.zeros(B + 1, dtype=np.int64)]
     best_f_at_end = [f[B]]
+    cand = np.empty_like(cost)
+    cols = np.arange(B + 1)
     for m in range(2, m_cap + 1):
-        cand = f[:, None] + cost
-        cand[: m - 1, :] = np.inf
-        arg = np.argmin(cand, axis=0)
-        f = cand[arg, np.arange(B + 1)]
+        np.add(f[m - 1:, None], cost[m - 1:], out=cand[m - 1:])
+        arg = np.argmin(cand[m - 1:], axis=0) + (m - 1)
+        f = cand[arg, cols]
         back.append(arg)
         best_f_at_end.append(f[B])
 

@@ -129,8 +129,12 @@ def _initial_binset(column: MixedColumn, config: FitConfig, n: int) -> BinSet:
     )
 
 
-def init_discretization(columns: list[MixedColumn], config: FitConfig) -> tuple[Grid, list[BinSet]]:
-    """Single-interval-plus-atoms starting model for every dimension."""
+def init_discretization(columns: list[MixedColumn],
+                        config: FitConfig) -> tuple[Grid, list[BinSet], np.ndarray]:
+    """Single-interval-plus-atoms starting model for every dimension.
+
+    Returns its grid, its bin sets and the (n, k) label matrix the grid counts.
+    """
     if not columns:
         raise InputError("empty dataset")
     n = columns[0].n
@@ -138,12 +142,12 @@ def init_discretization(columns: list[MixedColumn], config: FitConfig) -> tuple[
         raise InputError("columns disagree on sample size")
     binsets = [_initial_binset(c, config, n) for c in columns]
     labels = [assign_labels(c, b) for c, b in zip(columns, binsets)]
-    return build_grid(labels, binsets), binsets
+    return build_grid(labels, binsets), binsets, np.column_stack(labels)
 
 
-def _score_state(columns, binsets, labels) -> ScoreBreakdown:
+def _score_state(binsets, labels) -> tuple[Grid, ScoreBreakdown]:
     grid = build_grid([labels[:, j] for j in range(labels.shape[1])], binsets)
-    return total_score(grid, binsets)
+    return grid, total_score(grid, binsets)
 
 
 def _other_cell_info(state: FitState, j: int, rows: np.ndarray):
@@ -229,8 +233,7 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     if not columns:
         raise InputError("empty dataset")
 
-    grid, binsets = init_discretization(columns, config)
-    labels = np.column_stack([assign_labels(c, b) for c, b in zip(columns, binsets)])
+    grid, binsets, labels = init_discretization(columns, config)
     state = FitState(columns=list(columns), binsets=list(binsets), labels=labels,
                      total_bits=total_score(grid, binsets).total)
     trace = FitTrace(init_score=state.total_bits)
@@ -250,7 +253,8 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
         before = state.total_bits
         state.binsets[j] = cand.binset
         state.labels[:, j] = assign_labels(state.columns[j], cand.binset)
-        after = _score_state(state.columns, state.binsets, state.labels).total
+        grid, score = _score_state(state.binsets, state.labels)
+        after = score.total
         if abs(after - cand.total_bits) > 1e-6:
             raise AssertionError(
                 f"refinement score {cand.total_bits} disagrees with rebuilt score {after}")
@@ -261,7 +265,6 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     else:
         trace.converged = False
 
-    final_grid = build_grid([state.labels[:, j] for j in range(len(columns))], state.binsets)
     labeling = Labeling(labels=state.labels.copy(),
                         bin_counts=tuple(b.n_bins for b in state.binsets))
-    return FitResult(grid=final_grid, binsets=list(state.binsets), labeling=labeling, trace=trace)
+    return FitResult(grid=grid, binsets=list(state.binsets), labeling=labeling, trace=trace)

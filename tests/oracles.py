@@ -33,15 +33,39 @@ def multinomial_regret(n: int, K: int) -> float:
     return total
 
 
-def exhaustive_best_total(column, cand, K_max: int) -> float:
-    """Minimum total score over every interior-cut subset with < K_max cuts."""
+def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
+    """Direct loops: G[i, j] = sum over rows of c·log2(c), c = row[j] - row[i], where c >= 2."""
+    n_bounds = P.shape[1]
+    G = np.zeros((n_bounds, n_bounds))
+    for row in P:
+        top = row[n_bounds - 1]
+        for i in range(n_bounds - 1):
+            pi = row[i]
+            if top - pi < 2.0:
+                break  # prefix is nondecreasing: later i give even less
+            for j in range(i + 1, n_bounds):
+                c = row[j] - pi
+                if c >= 2.0:
+                    G[i, j] += c * math.log2(c)
+    return G
+
+
+def exhaustive_best_total(column, cand, K_max: int, others=()) -> float:
+    """Minimum total score over every interior-cut subset with < K_max cuts.
+
+    ``others`` holds (column, bin set) pairs of further dimensions kept fixed;
+    the score is then that of the joint grid, with the cut column first.
+    """
     interior = cand.interior
     lo, hi = float(cand.boundaries[0]), float(cand.boundaries[-1])
+    fixed_labels = [assign_labels(c, b) for c, b in others]
+    fixed_binsets = [b for _, b in others]
     best = np.inf
     for r in range(0, K_max):
         for subset in combinations(range(len(interior)), r):
             bs = binset_from_cuts(column, lo, hi, interior, interior[list(subset)])
-            labs = assign_labels(column, bs)
-            total = total_score(build_grid([labs], [bs]), [bs]).total
+            labs = [assign_labels(column, bs), *fixed_labels]
+            binsets = [bs, *fixed_binsets]
+            total = total_score(build_grid(labs, binsets), binsets).total
             best = min(best, total)
     return float(best)

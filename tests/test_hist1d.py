@@ -12,9 +12,9 @@ from histcmi import (
     optimal_histogram_1d,
     total_score,
 )
-from histcmi.hist1d import bin_budget
+from histcmi.hist1d import _xlogx_segment_sums, bin_budget
 
-from oracles import exhaustive_best_total
+from oracles import exhaustive_best_total, xlogx_segment_sums
 
 
 def _total_of(col, binset):
@@ -31,6 +31,38 @@ class TestBinBudget:
 
     def test_floor_at_one(self):
         assert bin_budget(1, 20.0) == 1
+
+
+def _prefix_rows(counts):
+    counts = np.asarray(counts, dtype=np.float64).reshape(len(counts), -1)
+    P = np.zeros((counts.shape[0], counts.shape[1] + 1))
+    np.cumsum(counts, axis=1, out=P[:, 1:])
+    return P
+
+
+class TestSegmentSums:
+    def test_matches_brute_force_on_random_prefix_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            B = int(rng.integers(1, 40))
+            rate = float(rng.choice([0.05, 0.3, 1.0, 6.0]))
+            P = _prefix_rows(rng.poisson(rate, size=(int(rng.integers(1, 6)), B)))
+            assert np.array_equal(_xlogx_segment_sums(P), xlogx_segment_sums(P))
+
+    def test_small_totals_flat_rows_and_no_rows(self):
+        B = 7
+        rows = [np.zeros(B),                     # total 0
+                np.eye(B)[3],                    # total 1
+                np.eye(B)[0] + np.eye(B)[6],     # total 2, at both ends
+                2 * np.eye(B)[4],                # total 2, one cell
+                np.full(B, 5.0),                 # no flat stretch
+                9 * np.eye(B)[6]]                # flat until the last cell
+        P = _prefix_rows(rows)
+        G = _xlogx_segment_sums(P)
+        assert np.array_equal(G, xlogx_segment_sums(P))
+        assert G[0, B] == pytest.approx(2 + 2 + 35 * math.log2(35) + 9 * math.log2(9))
+        for no_mass in (P[:2], P[:0]):
+            assert np.array_equal(_xlogx_segment_sums(no_mass), np.zeros((B + 1, B + 1)))
 
 
 class TestCandidateCuts:

@@ -19,6 +19,8 @@ from histcmi import (
 from histcmi.data_model import binset_from_cuts
 from histcmi.histmd import FitState
 
+from oracles import exhaustive_best_total
+
 
 def _state(cols, binsets, config=None):
     labels = np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
@@ -48,24 +50,26 @@ class TestInitDiscretization:
     def test_two_continuous_dims_single_cell(self):
         rng = np.random.default_rng(0)
         cols = [detect_discrete_points(rng.normal(size=100), 5) for _ in range(2)]
-        grid, binsets = init_discretization(cols, FitConfig())
+        grid, binsets, _ = init_discretization(cols, FitConfig())
         assert grid.K == 1
         assert all(b.n_intervals == 1 and b.n_singletons == 0 for b in binsets)
 
     def test_atoms_plus_remainder(self):
         vals = np.concatenate([np.repeat([1.0, 2.0, 3.0], 6), np.linspace(0, 5, 30)])
         col = detect_discrete_points(vals, 5)
-        _, binsets = init_discretization([col], FitConfig())
+        _, binsets, _ = init_discretization([col], FitConfig())
         assert binsets[0].n_singletons == 3
         assert binsets[0].n_intervals == 1
         assert binsets[0].n_bins == 4
 
     def test_purely_discrete_dim(self):
         col = detect_discrete_points(np.repeat([0.0, 1.0, 2.0], 10), 5)
-        grid, binsets = init_discretization([col], FitConfig())
+        grid, binsets, labels = init_discretization([col], FitConfig())
         assert binsets[0].n_bins == 3
         assert binsets[0].n_intervals == 0
         assert grid.K == 3
+        assert labels.shape == (30, 1)
+        assert np.array_equal(labels[:, 0], assign_labels(col, binsets[0]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
@@ -77,7 +81,7 @@ class TestRefineDimension:
         rng = np.random.default_rng(4)
         col = detect_discrete_points(rng.normal(size=600), 5)
         cfg = FitConfig()
-        _, binsets = init_discretization([col], cfg)
+        _, binsets, _ = init_discretization([col], cfg)
         res = refine_dimension(0, _state([col], binsets, cfg), cfg)
         unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
         assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
@@ -95,7 +99,7 @@ class TestRefineDimension:
         cfg = FitConfig(k_max_factor=3 / math.log(n))
         assert cfg.k_max(n) == 3
         fit1 = greedy_fit([cols[1]], cfg)
-        _, binsets = init_discretization(cols, cfg)
+        _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
         binsets[1] = fit1.binsets[0]
         res = refine_dimension(0, _state(cols, binsets, cfg), cfg)
@@ -111,7 +115,7 @@ class TestRefineDimension:
         y = np.sign(x) + 0.3 * rng.normal(size=n)
         cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
         cfg = FitConfig()
-        _, binsets = init_discretization(cols, cfg)
+        _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
         candx = binsets[0].candidate_cuts
         cut0 = candx[np.argmin(np.abs(candx))]
@@ -128,11 +132,41 @@ class TestRefineDimension:
         s_unc = total_score(build_grid([labs[:, 0], labs[:, 1]], alt), alt).total
         assert res.total_bits < s_unc - 1e-9
 
+    def test_conditional_dp_matches_exhaustive_search(self):
+        # dimension 0 is re-cut against the fixed cells of dimension 1, which is
+        # continuous with chosen cuts, purely discrete, or mixed
+        rng = np.random.default_rng(8)
+        cfg = FitConfig(k_init_factor=2.0, k_max_factor=0.8)
+        for trial in range(6):
+            n = int(rng.integers(50, 120))
+            x = np.concatenate([rng.normal(size=n), np.full(int(rng.integers(0, 10)), 0.25)])
+            noise = rng.normal(size=len(x))
+            y = [x + noise, rng.integers(0, 3, len(x)).astype(float),
+                 np.where(noise > 0.5, 2.0, x + noise)][trial % 3]
+            cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
+            _, binsets, _ = init_discretization(cols, cfg)
+            if binsets[1].n_intervals:
+                cand_y = candidate_cuts(cols[1], 6)
+                binsets[1] = binset_from_cuts(cols[1], float(cand_y.boundaries[0]),
+                                              float(cand_y.boundaries[-1]), cand_y.interior,
+                                              cand_y.interior[[1, 3]])
+            n_total = cols[0].n
+            cand_x = candidate_cuts(cols[0], cfg.k_init(n_total))
+            assert len(cand_x.interior) <= 10
+            res = refine_dimension(0, _state(cols, binsets, cfg), cfg)
+            best = exhaustive_best_total(cols[0], cand_x, cfg.k_max(n_total),
+                                         others=[(cols[1], binsets[1])])
+            assert res.total_bits == pytest.approx(best, abs=1e-9)
+            chosen = [res.binset, binsets[1]]
+            labs = [assign_labels(c, b) for c, b in zip(cols, chosen)]
+            assert total_score(build_grid(labs, chosen), chosen).total == pytest.approx(
+                res.total_bits, abs=1e-9)
+
     def test_degenerate_dimension_returned_unchanged(self):
         col_disc = detect_discrete_points(np.repeat([0.0, 1.0], 20), 5)
         col_cont = detect_discrete_points(np.random.default_rng(1).normal(size=40), 5)
         cfg = FitConfig()
-        _, binsets = init_discretization([col_disc, col_cont], cfg)
+        _, binsets, _ = init_discretization([col_disc, col_cont], cfg)
         state = _state([col_disc, col_cont], binsets, cfg)
         res = refine_dimension(0, state, cfg)
         assert res.binset is binsets[0]
@@ -150,7 +184,7 @@ class TestRefineDimension:
         for m in (2, 4):
             z = rng.integers(0, m, size=n).astype(float)
             cols = [detect_discrete_points(x, 5), detect_discrete_points(z, 5)]
-            _, binsets = init_discretization(cols, cfg)
+            _, binsets, _ = init_discretization(cols, cfg)
             ops[m] = refine_dimension(0, _state(cols, binsets, cfg), cfg).ops
         assert ops[4] == 2 * ops[2]
 
