@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import chdtri
 
 from .complexity import log_regret
 from .errors import InputError
 from .estimators import EstimateResult, VariableGroup, cmi_estimate
-from .histmd import FitConfig
+from .histmd import FitConfig, FitResult
 
 _LN2 = math.log(2.0)
 
@@ -29,22 +28,14 @@ _LN2 = math.log(2.0)
 def chi2_critical(alpha: float, df: int) -> float:
     """(1-alpha) quantile of the chi-squared distribution with df degrees of freedom.
 
-    Inverts the regularized lower incomplete gamma function by bracketed
-    root-finding to an absolute tolerance of 1e-10.
+    ``scipy.special.chdtri`` inverts the upper tail directly, which keeps
+    ``scipy.optimize`` out of the import path.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
-    target = 1.0 - alpha
-
-    def cdf_gap(q):
-        return gammainc(df / 2.0, q / 2.0) - target
-
-    hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
-    while cdf_gap(hi) <= 0.0:
-        hi *= 2.0
-    return float(brentq(cdf_gap, 0.0, hi, xtol=1e-10))
+    return float(chdtri(df, alpha))
 
 
 @dataclass(frozen=True)
@@ -66,11 +57,15 @@ def citest_chi2(
     z: VariableGroup | None = None,
     alpha: float = 0.01,
     config: FitConfig | None = None,
+    fit: FitResult | None = None,
 ) -> CITestResult:
-    """Chi-squared-corrected CI test: independent iff max{0, I_n - chi2/2n} = 0."""
+    """Chi-squared-corrected CI test: independent iff max{0, I_n - chi2/2n} = 0.
+
+    ``fit`` reuses a joint fit of the same data, as in :func:`cmi_estimate`.
+    """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    est = cmi_estimate(dataset, x, y, z, config)
+    est = cmi_estimate(dataset, x, y, z, config, fit=fit)
     df = (est.dom_x - 1) * (est.dom_y - 1) * est.dom_z
     if df == 0:
         # a constant is independent of everything
@@ -93,14 +88,16 @@ def citest_sc(
     y: VariableGroup,
     z: VariableGroup | None = None,
     config: FitConfig | None = None,
+    fit: FitResult | None = None,
 ) -> CITestResult:
     """Stochastic-complexity-corrected CI test (quotient-NML regret difference).
 
     The correction [log R(n,K_XZ) + log R(n,K_YZ) - log R(n,K_XYZ) - log R(n,K_Z)]/n
     should always be negative; if it ever evaluates positive it is clamped to
-    zero and flagged rather than silently trusted.
+    zero and flagged rather than silently trusted.  ``fit`` reuses a joint fit
+    of the same data, as in :func:`cmi_estimate`.
     """
-    est = cmi_estimate(dataset, x, y, z, config)
+    est = cmi_estimate(dataset, x, y, z, config, fit=fit)
     n = est.n
     k_xz = est.dom_x * est.dom_z
     k_yz = est.dom_y * est.dom_z

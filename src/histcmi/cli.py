@@ -19,6 +19,7 @@ import numpy as np
 
 from .causal import pc_stable_skeleton, precision_recall
 from .citest import citest_chi2, citest_sc
+from .data_model import Labeling
 from .datagen import (
     RNG_NAME,
     SCENARIOS,
@@ -30,8 +31,8 @@ from .datagen import (
     true_network_edges,
 )
 from .errors import InputError
-from .estimators import VariableGroup, cmi_estimate
-from .histmd import FitConfig
+from .estimators import VariableGroup, cmi_estimate, fit_columns
+from .histmd import FitConfig, FitResult
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 SCHEMA_VERSION = 1
@@ -114,17 +115,21 @@ def _split_names(arg: str | None) -> tuple[str, ...]:
     return tuple(s for s in (arg or "").split(",") if s)
 
 
+def _stack_columns(dataset: Dataset, names) -> np.ndarray:
+    for name in names:
+        if name not in dataset.names:
+            raise InputError(f"unknown column {name!r}; have {list(dataset.names)}")
+    return np.column_stack([dataset.column(c) for c in names])
+
+
 def _select_groups(dataset: Dataset, xs, ys, zs):
     """Project the dataset onto the selected columns and build X/Y/Z groups.
 
     A column may be selected more than once (e.g. --x A --y A for
     self-information); every selection becomes its own fitted dimension.
     """
-    for name in (*xs, *ys, *zs):
-        if name not in dataset.names:
-            raise InputError(f"unknown column {name!r}; have {list(dataset.names)}")
     picked = list(xs) + list(ys) + list(zs)
-    sub = np.column_stack([dataset.column(c) for c in picked])
+    sub = _stack_columns(dataset, picked)
     x = VariableGroup("X", tuple(range(len(xs))))
     y = VariableGroup("Y", tuple(range(len(xs), len(xs) + len(ys))))
     z = VariableGroup("Z", tuple(range(len(xs) + len(ys), len(picked))))
@@ -191,13 +196,48 @@ def cmd_citest(args) -> RunReport:
                      args.seed, results, time.perf_counter() - t0)
 
 
+def _with_labels(fit: FitResult, dtype) -> FitResult:
+    labeling = Labeling(fit.labeling.labels.astype(dtype), fit.labeling.bin_counts)
+    return dataclasses.replace(fit, labeling=labeling)
+
+
 def make_ci_test(config: FitConfig, method: str, alpha: float):
-    """CI-test closure for the skeleton search: ci(dataset, a, b, cond) -> result."""
+    """CI-test closure for the skeleton search: ci(dataset, a, b, cond) -> bool.
+
+    The joint fit depends only on the set of tested columns, so the closure
+    fits each sorted column set once and reuses that fit for every
+    (a, b | cond) split of it.  Its cache belongs to one dataset, held by
+    reference and matched by identity, and to one set size: PC-stable tests
+    the sets of one size at one level only, so a new dataset or a new size
+    clears it.  Cached labels are kept in the narrowest integer type and
+    widened back to int64 on reuse.
+    """
+    fits: dict[tuple[str, ...], FitResult] = {}
+    fits_of, fits_size = None, 0
+
     def ci(dataset: Dataset, a: str, b: str, cond) -> bool:
-        sub, x, y, z, _ = _select_groups(dataset, (a,), (b,), tuple(cond))
+        nonlocal fits_of, fits_size
+        cond = tuple(cond)
+        names = (a, b, *cond)
+        if len(set(names)) != len(names):
+            raise InputError(f"CI test columns must be distinct, got {names}")
+        key = tuple(sorted(names))
+        sub = _stack_columns(dataset, key)
+        if dataset is not fits_of or len(key) != fits_size:
+            fits.clear()
+            fits_of, fits_size = dataset, len(key)
+        fit = fits.get(key)
+        if fit is None:
+            fit = fit_columns(sub, config)
+            fits[key] = _with_labels(fit, np.min_scalar_type(fit.labeling.labels.max()))
+        else:
+            fit = _with_labels(fit, np.int64)
+        x = VariableGroup("X", (key.index(a),))
+        y = VariableGroup("Y", (key.index(b),))
+        z = VariableGroup("Z", tuple(key.index(c) for c in cond))
         if method == "chi2":
-            return citest_chi2(sub, x, y, z, alpha=alpha, config=config).independent
-        return citest_sc(sub, x, y, z, config=config).independent
+            return citest_chi2(sub, x, y, z, alpha=alpha, config=config, fit=fit).independent
+        return citest_sc(sub, x, y, z, config=config, fit=fit).independent
     return ci
 
 

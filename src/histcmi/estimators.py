@@ -138,6 +138,13 @@ def _domain_size(binsets, dims) -> int:
     return size
 
 
+def fit_columns(data: np.ndarray, config: FitConfig) -> FitResult:
+    """Joint histogram of every column of the (n, k) array ``data``."""
+    columns = [detect_discrete_points(data[:, j], t=config.t, name=str(j))
+               for j in range(data.shape[1])]
+    return greedy_fit(columns, config)
+
+
 def cmi_estimate(
     dataset,
     x: VariableGroup,
@@ -150,6 +157,7 @@ def cmi_estimate(
 
     ``dataset`` is an (n, k) float array.  One joint histogram is fitted over
     all dimensions; pass ``fit`` to reuse an existing fit of the same data.
+    A fit whose row or column count differs from ``dataset`` is rejected.
     """
     config = config or FitConfig()
     data = np.asarray(dataset, dtype=np.float64)
@@ -159,9 +167,10 @@ def cmi_estimate(
     _check_groups(data.shape[1], x, y, z)
 
     if fit is None:
-        columns = [detect_discrete_points(data[:, j], t=config.t, name=str(j))
-                   for j in range(data.shape[1])]
-        fit = greedy_fit(columns, config)
+        fit = fit_columns(data, config)
+    elif (fit.labeling.n, fit.labeling.k) != data.shape:
+        raise InputError(f"fit of {fit.labeling.n} rows x {fit.labeling.k} columns "
+                         f"does not match data of shape {data.shape}")
     labels = fit.labeling.labels
     n = fit.labeling.n
 

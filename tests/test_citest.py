@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as scipy_chi2
 
+import histcmi
 from histcmi import (
     InputError,
     ScenarioSpec,
@@ -41,6 +46,17 @@ class TestChi2Critical:
                 chi2_critical(alpha, 3)
         with pytest.raises(InputError):
             chi2_critical(0.05, 0)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize alone took most of the package import time
+    src = str(Path(histcmi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, histcmi; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestChi2Test:

@@ -4,8 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from histcmi import ScenarioSpec, VariableGroup, cmi_estimate, generate
-from histcmi.cli import main, read_csv_dataset
+from histcmi import (
+    FitConfig,
+    InputError,
+    ScenarioSpec,
+    VariableGroup,
+    cmi_estimate,
+    generate,
+    pc_stable_skeleton,
+)
+from histcmi import cli, estimators
+from histcmi.cli import main, make_ci_test, read_csv_dataset
 
 
 def run(argv, capsys):
@@ -171,3 +180,81 @@ class TestDiscover:
         assert code == 0
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert lines[0] == "node_a,node_b"
+
+
+def _count_fits(monkeypatch) -> list:
+    calls = []
+    real = estimators.greedy_fit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(estimators, "greedy_fit", counted)
+    return calls
+
+
+def _skeleton_run(dataset, ci):
+    """Verdicts in call order, the edges and the separating sets of one skeleton."""
+    verdicts = []
+
+    def recorded(ds, a, b, cond):
+        verdicts.append(((a, b, tuple(cond)), ci(ds, a, b, cond)))
+        return verdicts[-1][1]
+    skel = pc_stable_skeleton(dataset, recorded)
+    return verdicts, sorted(skel.edges), sorted(skel.separating_sets.items())
+
+
+class TestCiTestFitReuse:
+    @pytest.mark.parametrize("method", ["chi2", "sc"])
+    def test_memoized_closure_matches_a_fresh_fit_per_test(self, method, monkeypatch):
+        config = FitConfig()
+        datasets = [generate(ScenarioSpec("network", 2000, seed)) for seed in (5, 6)]
+
+        def fresh(ds, a, b, cond):
+            return make_ci_test(config, method, 0.01)(ds, a, b, cond)
+        expected = [_skeleton_run(ds, fresh) for ds in datasets]
+
+        calls = _count_fits(monkeypatch)
+        ci = make_ci_test(config, method, 0.01)
+        for ds, want in zip(datasets, expected):
+            before = len(calls)
+            got = _skeleton_run(ds, ci)
+            assert got == want
+            # one fit per distinct sorted column set, none carried over datasets
+            sets = {tuple(sorted((a, b, *cond))) for (a, b, cond), _ in got[0]}
+            assert len(calls) - before == len(sets) < len(got[0])
+
+    def test_fits_do_not_leak_across_datasets(self, monkeypatch):
+        first = generate(ScenarioSpec("network", 500, 1))
+        second = generate(ScenarioSpec("network", 500, 2))
+        calls = _count_fits(monkeypatch)
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        for ds in (first, second, first):
+            ci(ds, "A", "B", ("C",))
+            ci(ds, "B", "C", ("A",))
+        assert len(calls) == 3
+
+    def test_cache_hit_hands_out_int64_labels_of_the_fresh_fit(self, monkeypatch):
+        ds = generate(ScenarioSpec("network", 1000, 3))
+        fits = []
+        real = cli.citest_chi2
+
+        def spy(*args, **kwargs):
+            fits.append(kwargs["fit"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "citest_chi2", spy)
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        ci(ds, "A", "C", ("B",))
+        ci(ds, "B", "C", ("A",))  # same column set: reused
+        make_ci_test(FitConfig(), "chi2", 0.01)(ds, "B", "C", ("A",))
+        reused, fresh = fits[1].labeling.labels, fits[2].labeling.labels
+        assert fits[0].labeling.labels.dtype == reused.dtype == np.int64
+        assert np.array_equal(reused, fresh)
+        assert fits[1].grid is fits[0].grid  # the second test reused the first fit
+
+    def test_repeated_column_rejected(self):
+        ds = generate(ScenarioSpec("network", 200, 1))
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        for a, b, cond in (("A", "A", ()), ("A", "B", ("A",)), ("A", "B", ("C", "C"))):
+            with pytest.raises(InputError, match="distinct"):
+                ci(ds, a, b, cond)

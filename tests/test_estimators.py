@@ -113,6 +113,14 @@ class TestCmiEstimate:
         assert again.value == first.value
         assert again.fit is first.fit
 
+    def test_mismatched_fit_rejected(self):
+        ds = generate(ScenarioSpec("exp5", 400, 6))
+        fit = cmi_estimate(ds.data, X, Y, Z).fit
+        with pytest.raises(InputError, match="does not match"):
+            cmi_estimate(ds.data[:, :2], X, Y, fit=fit)
+        with pytest.raises(InputError, match="does not match"):
+            cmi_estimate(ds.data[:300], X, Y, Z, fit=fit)
+
     def test_permutation_invariance(self):
         ds = generate(ScenarioSpec("exp5", 500, 4))
         est = cmi_estimate(ds.data, X, Y, Z)
