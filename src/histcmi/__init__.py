@@ -6,7 +6,6 @@ from .complexity import ScoreBreakdown, log_regret, model_cost, neg_log_likeliho
 from .data_model import (
     BinSet,
     Grid,
-    Labeling,
     MixedColumn,
     assign_labels,
     build_grid,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinSet", "CandidateCuts", "CITestResult", "Dataset", "DegenerateColumnError",
     "EstimateResult", "FitConfig", "FitResult", "FitTrace", "Grid", "InputError",
-    "Labeling", "LabelingError", "MixedColumn", "ModelError",
+    "LabelingError", "MixedColumn", "ModelError",
     "ScenarioSpec", "ScoreBreakdown", "Skeleton", "VariableGroup",
     "assign_labels", "build_grid", "candidate_cuts", "chi2_critical", "citest_chi2",
     "citest_sc", "cmi_estimate", "continuous_entropy_terms", "detect_discrete_points",

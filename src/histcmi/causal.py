@@ -21,9 +21,6 @@ class Skeleton:
     edges: set[tuple[str, str]]  # sorted pairs
     separating_sets: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
 
 def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skeleton:
     """Level-wise edge removal over the complete graph on the dataset's variables.

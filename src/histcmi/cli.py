@@ -19,7 +19,6 @@ import numpy as np
 
 from .causal import pc_stable_skeleton, precision_recall
 from .citest import citest_chi2, citest_sc
-from .data_model import Labeling
 from .datagen import (
     RNG_NAME,
     SCENARIOS,
@@ -62,14 +61,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--imax", type=int, default=5, help="max greedy iterations")
     p.add_argument("--kinit-factor", type=float, default=20.0)
     p.add_argument("--kmax-factor", type=float, default=5.0)
-    p.add_argument("--log-base-k", choices=["e", "2", "10"], default="e",
-                   help="base of the log in the K_init/K_max budgets")
 
 
 def _config_from(args) -> FitConfig:
-    base = {"e": "natural", "2": "2", "10": "10"}[args.log_base_k]
     return FitConfig(i_max=args.imax, t=args.t, k_init_factor=args.kinit_factor,
-                     k_max_factor=args.kmax_factor, log_base_for_k=base)
+                     k_max_factor=args.kmax_factor)
 
 
 def _config_echo(config: FitConfig, **extra) -> dict:
@@ -196,11 +192,6 @@ def cmd_citest(args) -> RunReport:
                      args.seed, results, time.perf_counter() - t0)
 
 
-def _with_labels(fit: FitResult, dtype) -> FitResult:
-    labeling = Labeling(fit.labeling.labels.astype(dtype), fit.labeling.bin_counts)
-    return dataclasses.replace(fit, labeling=labeling)
-
-
 def make_ci_test(config: FitConfig, method: str, alpha: float):
     """CI-test closure for the skeleton search: ci(dataset, a, b, cond) -> bool.
 
@@ -209,8 +200,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     (a, b | cond) split of it.  Its cache belongs to one dataset, held by
     reference and matched by identity, and to one set size: PC-stable tests
     the sets of one size at one level only, so a new dataset or a new size
-    clears it.  Cached labels are kept in the narrowest integer type and
-    widened back to int64 on reuse.
+    clears it.
     """
     fits: dict[tuple[str, ...], FitResult] = {}
     fits_of, fits_size = None, 0
@@ -228,10 +218,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
             fits_of, fits_size = dataset, len(key)
         fit = fits.get(key)
         if fit is None:
-            fit = fit_columns(sub, config)
-            fits[key] = _with_labels(fit, np.min_scalar_type(fit.labeling.labels.max()))
-        else:
-            fit = _with_labels(fit, np.int64)
+            fit = fits[key] = fit_columns(sub, config)
         x = VariableGroup("X", (key.index(a),))
         y = VariableGroup("Y", (key.index(b),))
         z = VariableGroup("Z", tuple(key.index(c) for c in cond))

@@ -169,31 +169,6 @@ def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """Discretized dataset: per-row bin indices for every dimension."""
-
-    labels: np.ndarray  # (n, k) int64
-    bin_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        self.labels.setflags(write=False)
-        if self.labels.ndim != 2:
-            raise InputError("labels must be an (n, k) matrix")
-        for j, kj in enumerate(self.bin_counts):
-            col = self.labels[:, j]
-            if col.size and (col.min() < 0 or col.max() >= kj):
-                raise InputError(f"labels of dimension {j} outside [0, {kj})")
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.labels.shape[1]
-
-
 # every cell id must stay below this to fit in int64
 _ID_LIMIT = 2 ** 63
 

@@ -55,7 +55,7 @@ class EstimateResult:
 
 def _flat_ids(labels: np.ndarray) -> np.ndarray:
     """Ids of label rows that sort with the last column most significant."""
-    radices = labels.max(axis=0, initial=0) + 1
+    radices = labels.max(axis=0, initial=0).astype(np.int64) + 1
     return cell_ids(labels[:, ::-1], radices[::-1])
 
 
@@ -131,11 +131,8 @@ def _check_groups(k: int, x: VariableGroup, y: VariableGroup, z: VariableGroup):
         raise InputError("X and Y must be non-empty")
 
 
-def _domain_size(binsets, dims) -> int:
-    size = 1
-    for d in dims:
-        size *= binsets[d].n_bins
-    return size
+def _domain_size(grid: Grid, dims) -> int:
+    return math.prod(grid.dims[d].n_bins for d in dims)
 
 
 def fit_columns(data: np.ndarray, config: FitConfig) -> FitResult:
@@ -168,11 +165,11 @@ def cmi_estimate(
 
     if fit is None:
         fit = fit_columns(data, config)
-    elif (fit.labeling.n, fit.labeling.k) != data.shape:
-        raise InputError(f"fit of {fit.labeling.n} rows x {fit.labeling.k} columns "
-                         f"does not match data of shape {data.shape}")
-    labels = fit.labeling.labels
-    n = fit.labeling.n
+    elif fit.labels.shape != data.shape:
+        raise InputError(f"fit of shape {fit.labels.shape} does not match data of shape "
+                         f"{data.shape}")
+    labels = fit.labels
+    n = len(labels)
 
     groups = {
         "xz": x.dims + z.dims,
@@ -193,10 +190,10 @@ def cmi_estimate(
     return EstimateResult(
         value=value,
         h_xz=h["xz"], h_yz=h["yz"], h_xyz=h["xyz"], h_z=h["z"],
-        dom_x=_domain_size(fit.binsets, x.dims),
-        dom_y=_domain_size(fit.binsets, y.dims),
-        dom_z=_domain_size(fit.binsets, z.dims),
+        dom_x=_domain_size(fit.grid, x.dims),
+        dom_y=_domain_size(fit.grid, y.dims),
+        dom_z=_domain_size(fit.grid, z.dims),
         n=n,
-        bins_per_dim=tuple(b.n_bins for b in fit.binsets),
+        bins_per_dim=tuple(b.n_bins for b in fit.grid.dims),
         fit=fit,
     )

@@ -27,11 +27,11 @@ from .data_model import MixedColumn, binset_from_cuts
 from .errors import DegenerateColumnError, InputError
 
 
-def bin_budget(n: int, factor: float, base: float = math.e) -> int:
-    """ceil(factor · log_base(n)), floored at 1."""
+def bin_budget(n: int, factor: float) -> int:
+    """ceil(factor · ln(n)), floored at 1."""
     if n < 1:
         raise InputError("sample size must be >= 1")
-    return max(1, math.ceil(factor * math.log(n) / math.log(base)))
+    return max(1, math.ceil(factor * math.log(n)))
 
 
 @dataclass(frozen=True)
@@ -151,17 +151,15 @@ def solve_segmentation(
     else:
         Q = np.zeros(B + 1)
 
-    # cost[i, j] = code length of rows falling in [b_i, b_j), all other cells pooled
-    with np.errstate(divide="ignore", invalid="ignore"):
-        width = boundaries[None, :] - boundaries[:, None]
-        log2w = np.log2(width, where=width > 0, out=np.full_like(width, np.nan))
+    # cost[i, j] = code length of rows falling in [b_i, b_j), all other cells pooled;
+    # boundaries increase strictly, so width > 0 exactly where j > i, and an
+    # empty segment costs exactly 0 since its G, row count and Q difference are 0
+    width = boundaries[None, :] - boundaries[:, None]
+    segment = width > 0
+    log2w = np.log2(width, where=segment, out=np.zeros_like(width))
     seg_n = C[None, :] - C[:, None]
     cost = -G + seg_n * (math.log2(n_total) + log2w) + (Q[None, :] - Q[:, None])
-    ii, jj = np.indices(cost.shape)
-    cost[jj <= ii] = np.inf
-    np.nan_to_num(cost, copy=False, nan=np.inf, posinf=np.inf, neginf=-np.inf)
-    # empty segments cost exactly 0 regardless of width
-    cost[(jj > ii) & (seg_n == 0)] = 0.0
+    cost[~segment] = np.inf
 
     # f[j] = best data cost of covering [b_0, b_j) with m segments
     # Only splits i >= m - 1 can end m - 1 nonempty segments; a column with no

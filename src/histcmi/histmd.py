@@ -18,7 +18,6 @@ from .complexity import ScoreBreakdown, model_cost, total_score
 from .data_model import (
     BinSet,
     Grid,
-    Labeling,
     MixedColumn,
     assign_labels,
     binset_from_cuts,
@@ -28,8 +27,6 @@ from .data_model import (
 )
 from .errors import InputError
 from .hist1d import bin_budget, candidate_cuts, initial_cell_indices, solve_segmentation
-
-_BASES = {"natural": math.e, "2": 2.0, "10": 10.0}
 
 # accepted refinements must beat the current score by this many bits, so
 # float noise can never masquerade as an improvement
@@ -44,7 +41,6 @@ class FitConfig:
     t: int = 5
     k_init_factor: float = 20.0
     k_max_factor: float = 5.0
-    log_base_for_k: str = "natural"
 
     def __post_init__(self):
         if self.i_max < 1:
@@ -53,14 +49,12 @@ class FitConfig:
             raise InputError("t must be >= 2")
         if self.k_max_factor > self.k_init_factor:
             raise InputError("k_max_factor must not exceed k_init_factor")
-        if self.log_base_for_k not in _BASES:
-            raise InputError(f"log_base_for_k must be one of {sorted(_BASES)}")
 
     def k_init(self, n: int) -> int:
-        return bin_budget(n, self.k_init_factor, _BASES[self.log_base_for_k])
+        return bin_budget(n, self.k_init_factor)
 
     def k_max(self, n: int) -> int:
-        return bin_budget(n, self.k_max_factor, _BASES[self.log_base_for_k])
+        return bin_budget(n, self.k_max_factor)
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,11 @@ class RefineResult:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The grid (bins in ``grid.dims``), the read-only (n, k) label matrix in
+    the narrowest integer type that holds it, and the trace of one fit."""
+
     grid: Grid
-    binsets: list[BinSet]
-    labeling: Labeling
+    labels: np.ndarray
     trace: FitTrace
 
 
@@ -265,6 +261,6 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     else:
         trace.converged = False
 
-    labeling = Labeling(labels=state.labels.copy(),
-                        bin_counts=tuple(b.n_bins for b in state.binsets))
-    return FitResult(grid=grid, binsets=list(state.binsets), labeling=labeling, trace=trace)
+    labels = state.labels.astype(np.min_scalar_type(state.labels.max()))
+    labels.setflags(write=False)
+    return FitResult(grid=grid, labels=labels, trace=trace)

@@ -114,7 +114,7 @@ def test_criterion_05_volume_cancellation():
         zg = VariableGroup("Z", tuple(dims[split[-1]:]) if k > 2 else ())
         fit = greedy_fit([detect_discrete_points(data[:, j], 5) for j in range(k)],
                          FitConfig())
-        labels = fit.labeling.labels
+        labels = fit.labels
         groups = {"xz": xg.dims + zg.dims, "yz": yg.dims + zg.dims,
                   "xyz": xg.dims + yg.dims + zg.dims, "z": zg.dims}
         plug = {s: plugin_entropy(labels[:, d]) for s, d in groups.items()}

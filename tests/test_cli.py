@@ -234,7 +234,7 @@ class TestCiTestFitReuse:
             ci(ds, "B", "C", ("A",))
         assert len(calls) == 3
 
-    def test_cache_hit_hands_out_int64_labels_of_the_fresh_fit(self, monkeypatch):
+    def test_cache_hit_hands_out_the_cached_fit(self, monkeypatch):
         ds = generate(ScenarioSpec("network", 1000, 3))
         fits = []
         real = cli.citest_chi2
@@ -247,10 +247,10 @@ class TestCiTestFitReuse:
         ci(ds, "A", "C", ("B",))
         ci(ds, "B", "C", ("A",))  # same column set: reused
         make_ci_test(FitConfig(), "chi2", 0.01)(ds, "B", "C", ("A",))
-        reused, fresh = fits[1].labeling.labels, fits[2].labeling.labels
-        assert fits[0].labeling.labels.dtype == reused.dtype == np.int64
+        assert fits[1] is fits[0]  # the second test reused the first fit
+        reused, fresh = fits[1].labels, fits[2].labels
+        assert reused.dtype == fresh.dtype
         assert np.array_equal(reused, fresh)
-        assert fits[1].grid is fits[0].grid  # the second test reused the first fit
 
     def test_repeated_column_rejected(self):
         ds = generate(ScenarioSpec("network", 200, 1))

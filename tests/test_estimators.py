@@ -44,6 +44,11 @@ class TestPluginEntropy:
                            [0] * 12, [46] * 12])
         assert plugin_entropy(labels) == pytest.approx(math.log(3), abs=1e-12)
 
+    def test_narrow_labels_at_their_dtype_maximum(self):
+        # the radix 255 + 1 must not wrap to 0 in uint8
+        labels = np.array([[255], [0]], dtype=np.uint8)
+        assert plugin_entropy(labels) == pytest.approx(math.log(2), abs=1e-12)
+
     def test_empty_projection_is_zero(self):
         assert plugin_entropy(np.empty((7, 0), dtype=int)) == 0.0
 
@@ -80,7 +85,7 @@ class TestCmiEstimate:
         rng = np.random.default_rng(0)
         a = np.concatenate([np.repeat(2.0, 40), rng.normal(size=200)])
         est = cmi_estimate(np.column_stack([a, a]), X, Y)
-        h0 = plugin_entropy(est.fit.labeling.labels[:, 0])
+        h0 = plugin_entropy(est.fit.labels[:, 0])
         assert est.value == pytest.approx(h0, abs=1e-12)
         assert est.value >= 0.0
 
@@ -133,7 +138,7 @@ class TestCmiEstimate:
         # plug-in I(X;Y) <= I(X; Y u Z) on one shared discretization
         ds = generate(ScenarioSpec("exp4", 800, 5))
         cols = [detect_discrete_points(ds.data[:, j], 5) for j in range(3)]
-        labels = greedy_fit(cols, FitConfig()).labeling.labels
+        labels = greedy_fit(cols, FitConfig()).labels
         i_xy = (plugin_entropy(labels[:, [0]]) + plugin_entropy(labels[:, [1]])
                 - plugin_entropy(labels[:, [0, 1]]))
         i_x_yz = (plugin_entropy(labels[:, [0]]) + plugin_entropy(labels[:, [1, 2]])

@@ -25,10 +25,6 @@ class TestBinBudget:
     def test_default_candidate_budget_at_1000(self):
         assert bin_budget(1000, 20.0) == 139  # ceil(20 ln 1000)
 
-    def test_other_bases(self):
-        assert bin_budget(1000, 20.0, base=10.0) == 60
-        assert bin_budget(1000, 20.0, base=2.0) == 200
-
     def test_floor_at_one(self):
         assert bin_budget(1, 20.0) == 1
 

@@ -42,8 +42,6 @@ class TestFitConfig:
             FitConfig(i_max=0)
         with pytest.raises(InputError):
             FitConfig(k_init_factor=2.0, k_max_factor=5.0)
-        with pytest.raises(InputError):
-            FitConfig(log_base_for_k="7")
 
 
 class TestInitDiscretization:
@@ -101,7 +99,7 @@ class TestRefineDimension:
         fit1 = greedy_fit([cols[1]], cfg)
         _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
-        binsets[1] = fit1.binsets[0]
+        binsets[1] = fit1.grid.dims[0]
         res = refine_dimension(0, _state(cols, binsets, cfg), cfg)
         unc = optimal_histogram_1d(cols[0], candidate_cuts(cols[0], cfg.k_init(n)), 3)
         assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
@@ -234,7 +232,7 @@ class TestGreedyFit:
         cols = [detect_discrete_points(v, 5) for v in vals]
         fit = greedy_fit(cols, FitConfig())
         rebuilt = build_grid(
-            [assign_labels(c, b) for c, b in zip(cols, fit.binsets)], fit.binsets)
+            [assign_labels(c, b) for c, b in zip(cols, fit.grid.dims)], list(fit.grid.dims))
         assert np.array_equal(rebuilt.cells, fit.grid.cells)
         assert np.array_equal(rebuilt.counts, fit.grid.counts)
         assert rebuilt.K == fit.grid.K
@@ -243,6 +241,7 @@ class TestGreedyFit:
         rng = np.random.default_rng(6)
         cols = [detect_discrete_points(rng.normal(size=200), 5) for _ in range(2)]
         fit = greedy_fit(cols, FitConfig())
-        for j, (c, b) in enumerate(zip(cols, fit.binsets)):
-            assert np.array_equal(fit.labeling.labels[:, j], assign_labels(c, b))
-        assert fit.labeling.bin_counts == tuple(b.n_bins for b in fit.binsets)
+        for j, (c, b) in enumerate(zip(cols, fit.grid.dims)):
+            assert np.array_equal(fit.labels[:, j], assign_labels(c, b))
+        assert fit.labels.dtype == np.min_scalar_type(fit.labels.max())
+        assert not fit.labels.flags.writeable
