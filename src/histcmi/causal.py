@@ -30,12 +30,15 @@ def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skelet
     At level l, each remaining edge (A,B) is tested against all size-l subsets
     of the frozen adj(A)\\{B} and adj(B)\\{A} (duplicates tested once) and is
     removed on the first independence verdict, recording the separating set.
+    ``max_level`` (default: no limit) is the largest conditioning-set size tested.
     """
     names = list(dataset.names) if hasattr(dataset, "names") else list(dataset)
     if len(names) < 2:
         raise InputError("need at least two variables")
     if len(set(names)) != len(names):
         raise InputError("variable names must be unique")
+    if max_level is not None and max_level < 0:
+        raise InputError(f"max_level must be >= 0, got {max_level}")
     nodes = tuple(sorted(names))
 
     adj: dict[str, set[str]] = {a: set(nodes) - {a} for a in nodes}

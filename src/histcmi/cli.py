@@ -284,6 +284,8 @@ def run_estimation_benchmark(scenario: str, ns: list[int], reps: int, seed: int,
     with task_index enumerating the (n, rep) grid row-major, so they are
     order-independent and safe to run in parallel.
     """
+    if reps < 1:
+        raise InputError(f"reps must be >= 1, got {reps}")
     extra = {"k": k} if k is not None else {}
     truth = ground_truth(ScenarioSpec(id=scenario, n=max(ns), seed=0, extra=extra))
     if truth is None:
@@ -358,54 +360,41 @@ def build_parser() -> _Parser:
     common_io = {"--out": dict(default=None, help="output path (default stdout)"),
                  "--format": dict(choices=["json", "csv"], default="json")}
 
-    def add(name, func, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, func):
+        p = sub.add_parser(name)
         p.set_defaults(func=func)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--k", type=int, default=None, help="scenario parameter (exp6)")
         return p
 
-    for name, func in (("estimate", cmd_estimate), ("citest", cmd_citest)):
-        p = add(name, func)
-        p.add_argument("data", help="CSV path or scenario id")
+    estimate, citest, discover = (add("estimate", cmd_estimate), add("citest", cmd_citest),
+                                  add("discover", cmd_discover))
+    for p in (estimate, citest, discover):
+        p.add_argument("data", help="CSV path or scenario id (e.g. exp1, network)")
+    for p in (estimate, citest):
         p.add_argument("--x", help="comma-separated X columns")
         p.add_argument("--y", help="comma-separated Y columns")
         p.add_argument("--z", help="comma-separated Z columns (may be empty)")
-        p.add_argument("--n", type=int, default=1000, help="rows when data is a scenario id")
-        p.add_argument("--k", type=int, default=None, help="scenario parameter (exp6)")
-        p.add_argument("--seed", type=int, default=0)
+    for p in (citest, discover):
         p.add_argument("--alpha", type=float, default=0.01)
         p.add_argument("--test", choices=["chi2", "sc"], default="chi2")
+    discover.add_argument("--max-level", type=int, default=None)
+
+    datagen = add("datagen", cmd_datagen)
+    datagen.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
+    datagen.add_argument("--out", default=None)
+    for p in (estimate, citest, discover, datagen):
+        p.add_argument("--n", type=int, default=1000, help="rows drawn from a scenario id")
+
+    benchmark = add("benchmark", cmd_benchmark)
+    benchmark.add_argument("scenario")
+    benchmark.add_argument("--n", default="1000",
+                           help="'1000', '200,400' or '100..1000[..step]'")
+    benchmark.add_argument("--reps", type=int, default=100)
+    for p in (estimate, citest, discover, benchmark):
         _add_config_flags(p)
         for flag, kw in common_io.items():
             p.add_argument(flag, **kw)
-
-    p = add("discover", cmd_discover)
-    p.add_argument("data", help="CSV path or scenario id (e.g. network)")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--test", choices=["chi2", "sc"], default="chi2")
-    p.add_argument("--max-level", type=int, default=None)
-    _add_config_flags(p)
-    for flag, kw in common_io.items():
-        p.add_argument(flag, **kw)
-
-    p = add("datagen", cmd_datagen)
-    p.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None, help="scenario parameter (exp6)")
-    p.add_argument("--out", default=None)
-
-    p = add("benchmark", cmd_benchmark)
-    p.add_argument("scenario")
-    p.add_argument("--n", default="1000", help="'1000', '200,400' or '100..1000[..step]'")
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None)
-    _add_config_flags(p)
-    for flag, kw in common_io.items():
-        p.add_argument(flag, **kw)
 
     return parser
 

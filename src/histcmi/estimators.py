@@ -72,7 +72,7 @@ def plugin_entropy(labels: np.ndarray) -> float:
         raise InputError("plugin entropy of an empty sample is undefined")
     _, counts = np.unique(_flat_ids(labels), return_counts=True)
     p = counts / n
-    return float(-np.sum(p * np.log(p)))
+    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for one cell
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ for every allowed interval count m, the segmentation minimizing the data code
 length, then picks the m whose full two-part score (likelihood + regret +
 model cost) is smallest.
 
-The same solver also handles the conditional case used by the joint fit: the
-per-segment likelihood then aggregates counts across the fixed cells of all
-other dimensions.  Those counts enter through one numpy kernel,
-``_xlogx_segment_sums``, which touches per cell only the segments that can
-hold two or more of its rows.  The recursion over interval counts is the
-MDL-histogram DP of Kontkanen & Myllymäki (AISTATS 2007).
+The solver is conditional: the per-segment likelihood aggregates counts across
+the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
+is the case with no other dimension (``histmd.optimal_histogram_1d``).  Those
+counts enter through one numpy kernel, ``_xlogx_segment_sums``, which touches
+per cell only the segments that can hold two or more of its rows.  The
+recursion over interval counts is the MDL-histogram DP of Kontkanen &
+Myllymäki (AISTATS 2007).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import log_regret, model_cost
-from .data_model import MixedColumn, binset_from_cuts
+from .data_model import MixedColumn
 from .errors import DegenerateColumnError, InputError
 
 
@@ -93,7 +94,6 @@ def _xlogx_segment_sums(P):
 @dataclass(frozen=True)
 class SegmentationResult:
     cut_indices: np.ndarray  # chosen interior boundary indices, ascending
-    n_intervals: int
     total_bits: float
     ops: int  # work units spent on conditional segment costs
 
@@ -103,20 +103,21 @@ def solve_segmentation(
     boundaries: np.ndarray,
     cell_idx: np.ndarray,
     K_max: int,
-    n_singletons: int = 0,
-    fixed_nll_bits: float = 0.0,
-    const_model_cost_bits: float = 0.0,
-    K_other: int = 1,
-    other_cell_ids: np.ndarray | None = None,
-    other_log2_vol: np.ndarray | None = None,
+    n_singletons: int,
+    fixed_nll_bits: float,
+    const_model_cost_bits: float,
+    K_other: int,
+    other_cell_ids: np.ndarray,
+    other_log2_vol: np.ndarray,
 ) -> SegmentationResult:
     """Pick interval cuts minimizing the full joint code length.
 
     ``cell_idx`` holds the candidate-cell index of every continuous row of the
     dimension being cut; ``other_cell_ids``/``other_log2_vol`` describe the
-    fixed joint cell of all remaining dimensions for those same rows (omitted
-    in the unconditional case).  ``fixed_nll_bits`` carries the code length of
-    the rows in this dimension's singleton bins, which no cut can change.
+    fixed joint cell of all remaining dimensions for those same rows, as
+    compact ids in [0, max] and summed log2 volumes.  ``fixed_nll_bits``
+    carries the code length of the rows in this dimension's singleton bins,
+    which no cut can change.
 
     Ties between interval counts are broken toward fewer bins; ties between
     equal-cost predecessors keep the leftmost split.
@@ -125,17 +126,11 @@ def solve_segmentation(
     if K_max < 1:
         raise InputError("K_max must be >= 1")
     m_cap = min(K_max, B)
-    n_rows = len(cell_idx)
-
-    if other_cell_ids is None:
-        other_ids = np.zeros(n_rows, dtype=np.int64)
-        n_other = 1
-    else:
-        other_ids = other_cell_ids
-        n_other = int(other_ids.max()) + 1 if n_rows else 1
+    n_other = int(other_cell_ids.max(initial=0)) + 1
 
     # per-other-cell prefix counts over boundary positions
-    counts = np.bincount(other_ids * B + cell_idx, minlength=n_other * B).reshape(n_other, B)
+    counts = np.bincount(other_cell_ids * B + cell_idx,
+                         minlength=n_other * B).reshape(n_other, B)
     P = np.zeros((n_other, B + 1))
     np.cumsum(counts, axis=1, out=P[:, 1:])
 
@@ -145,11 +140,8 @@ def solve_segmentation(
     ops = int(len(P_act)) * (B + 1) * (B + 1)
 
     C = P.sum(axis=0)  # overall prefix counts
-    if other_log2_vol is not None and n_rows:
-        Q = np.zeros(B + 1)
-        Q[1:] = np.cumsum(np.bincount(cell_idx, weights=other_log2_vol, minlength=B))
-    else:
-        Q = np.zeros(B + 1)
+    Q = np.zeros(B + 1)  # prefix sums of the other cells' log2 volumes
+    Q[1:] = np.cumsum(np.bincount(cell_idx, weights=other_log2_vol, minlength=B))
 
     # cost[i, j] = code length of rows falling in [b_i, b_j), all other cells pooled;
     # boundaries increase strictly, so width > 0 exactly where j > i, and an
@@ -195,7 +187,6 @@ def solve_segmentation(
     cut_boundary_idx.reverse()
     return SegmentationResult(
         cut_indices=np.asarray(cut_boundary_idx, dtype=np.int64),
-        n_intervals=m_star,
         total_bits=float(totals[m_star - 1]),
         ops=ops,
     )
@@ -206,33 +197,3 @@ def initial_cell_indices(values: np.ndarray, boundaries: np.ndarray) -> np.ndarr
     idx = np.searchsorted(boundaries, values, side="right") - 1
     return np.clip(idx, 0, len(boundaries) - 2)
 
-
-def singleton_nll_bits(column: MixedColumn, n_total: int) -> float:
-    """Code length of the rows sitting in singleton bins (volume 1 each)."""
-    masked = column.values[column.discrete_mask]
-    if masked.size == 0:
-        return 0.0
-    _, counts = np.unique(masked, return_counts=True)
-    c = counts.astype(np.float64)
-    return float(-np.sum(c * (np.log2(c) - math.log2(n_total))))
-
-
-def optimal_histogram_1d(column: MixedColumn, cand: CandidateCuts, K_max: int):
-    """MDL-optimal bin set for a single column over the given candidate grid."""
-    unmasked = column.unmasked
-    cell_idx = initial_cell_indices(unmasked, cand.boundaries)
-    res = solve_segmentation(
-        n_total=column.n,
-        boundaries=cand.boundaries,
-        cell_idx=cell_idx,
-        K_max=K_max,
-        n_singletons=len(column.atoms),
-        fixed_nll_bits=singleton_nll_bits(column, column.n),
-    )
-    return binset_from_cuts(
-        column,
-        lo=float(cand.boundaries[0]),
-        hi=float(cand.boundaries[-1]),
-        candidate_cuts=cand.interior,
-        chosen_cuts=cand.boundaries[res.cut_indices],
-    )

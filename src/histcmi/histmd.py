@@ -26,7 +26,13 @@ from .data_model import (
     degenerate_width,
 )
 from .errors import InputError
-from .hist1d import bin_budget, candidate_cuts, initial_cell_indices, solve_segmentation
+from .hist1d import (
+    CandidateCuts,
+    bin_budget,
+    candidate_cuts,
+    initial_cell_indices,
+    solve_segmentation,
+)
 
 # accepted refinements must beat the current score by this many bits, so
 # float noise can never masquerade as an improvement
@@ -115,14 +121,14 @@ def _initial_binset(column: MixedColumn, config: FitConfig, n: int) -> BinSet:
             boundaries=np.array([x, x + degenerate_width(x)]),
             degenerate=True,
         )
-    cand = candidate_cuts(column, config.k_init(n))
-    return binset_from_cuts(
-        column,
-        lo=float(cand.boundaries[0]),
-        hi=float(cand.boundaries[-1]),
-        candidate_cuts=cand.interior,
-        chosen_cuts=np.empty(0),
-    )
+    return _uncut_binset(column, candidate_cuts(column, config.k_init(n)))
+
+
+def _uncut_binset(column: MixedColumn, cand: CandidateCuts) -> BinSet:
+    """The column's atoms plus one interval over ``cand``, with no cut chosen yet."""
+    return binset_from_cuts(column, lo=float(cand.boundaries[0]),
+                            hi=float(cand.boundaries[-1]),
+                            candidate_cuts=cand.interior, chosen_cuts=np.empty(0))
 
 
 def init_discretization(columns: list[MixedColumn],
@@ -161,8 +167,9 @@ def _other_cell_info(state: FitState, j: int, rows: np.ndarray):
     return labels[:, others], [state.binsets[d].n_bins for d in others], log2_vol
 
 
-def refine_dimension(j: int, state: FitState, config: FitConfig) -> RefineResult:
-    """Best re-cut of dimension j's intervals given the other dimensions' cells.
+def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
+    """Best re-cut of dimension j's intervals, into at most K_max, given the
+    other dimensions' cells.
 
     Dimensions without at least two distinct continuous values come back
     unchanged with the current score.
@@ -200,7 +207,7 @@ def refine_dimension(j: int, state: FitState, config: FitConfig) -> RefineResult
         n_total=n,
         boundaries=boundaries,
         cell_idx=cell_idx,
-        K_max=config.k_max(n),
+        K_max=K_max,
         n_singletons=binset.n_singletons,
         fixed_nll_bits=fixed_nll,
         const_model_cost_bits=const_cost,
@@ -218,6 +225,16 @@ def refine_dimension(j: int, state: FitState, config: FitConfig) -> RefineResult
     return RefineResult(new_binset, res.total_bits, res.ops)
 
 
+def optimal_histogram_1d(column: MixedColumn, cand: CandidateCuts, K_max: int) -> BinSet:
+    """MDL-optimal bin set for a single column over the given candidate grid:
+    the re-cut of a one-dimension fit that starts with no chosen cuts."""
+    binsets = [_uncut_binset(column, cand)]
+    labels = assign_labels(column, binsets[0])[:, None]
+    state = FitState(columns=[column], binsets=binsets, labels=labels,
+                     total_bits=_score_state(binsets, labels)[1].total)
+    return refine_dimension(0, state, K_max).binset
+
+
 def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> FitResult:
     """Learn a joint adaptive histogram over all columns.
 
@@ -233,12 +250,13 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     state = FitState(columns=list(columns), binsets=list(binsets), labels=labels,
                      total_bits=total_score(grid, binsets).total)
     trace = FitTrace(init_score=state.total_bits)
+    K_max = config.k_max(columns[0].n)
 
     for iteration in range(1, config.i_max + 1):
         best: tuple[int, RefineResult] | None = None
         ops = 0
         for j in range(len(columns)):
-            cand = refine_dimension(j, state, config)
+            cand = refine_dimension(j, state, K_max)
             ops += cand.ops
             if best is None or cand.total_bits < best[1].total_bits:
                 best = (j, cand)

@@ -59,6 +59,12 @@ class TestPCStableMechanics:
         # A-C cannot be removed without conditioning on B
         assert ("A", "C") in skel.edges
 
+    def test_negative_max_level_rejected(self):
+        def ci(*args):
+            raise AssertionError("no CI test may run")
+        with pytest.raises(InputError, match="max_level"):
+            pc_stable_skeleton(["A", "B", "C"], ci, max_level=-1)
+
     def test_needs_two_variables(self):
         with pytest.raises(InputError):
             pc_stable_skeleton(["A"], lambda *a: True)

@@ -92,6 +92,11 @@ class TestEstimate:
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 1
 
+    def test_test_and_alpha_are_not_estimate_options(self, capsys):
+        assert main(["estimate", "exp1", "--test", "sc"]) == cli.EXIT_USAGE
+        assert main(["estimate", "exp1", "--alpha", "0.7"]) == cli.EXIT_USAGE
+        capsys.readouterr()
+
     def test_scenario_id_with_roles_fallback(self, capsys):
         code, out, _ = run(["estimate", "exp1", "--n", "300", "--seed", "2"], capsys)
         assert code == 0
@@ -157,6 +162,13 @@ class TestBenchmark:
         code, _, _ = run(["benchmark", "exp1", "--n", "abc", "--reps", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_is_data_error(self, reps, capsys):
+        code, out, err = run(["benchmark", "exp1", "--n", "100", "--reps", reps], capsys)
+        assert code == 2
+        assert out == ""
+        assert "reps must be >= 1" in err
+
     def test_mse_decreases_with_n(self, capsys):
         code, out, _ = run(["benchmark", "exp4", "--n", "100,1000", "--reps", "5",
                             "--seed", "4"], capsys)
@@ -180,6 +192,13 @@ class TestDiscover:
         assert code == 0
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert lines[0] == "node_a,node_b"
+
+    def test_negative_max_level_is_data_error(self, capsys):
+        code, out, err = run(["discover", "network", "--n", "100", "--max-level", "-1"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "max_level must be >= 0" in err
 
 
 def _count_fits(monkeypatch) -> list:

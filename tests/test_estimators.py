@@ -29,7 +29,9 @@ class TestPluginEntropy:
         assert plugin_entropy(labels) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_single_label(self):
-        assert plugin_entropy(np.zeros(10, dtype=int)) == 0.0
+        h = plugin_entropy(np.zeros(10, dtype=int))
+        assert h == 0.0
+        assert math.copysign(1.0, h) == 1.0
 
     def test_three_one_split(self):
         labels = np.array([0, 0, 0, 1])
@@ -50,7 +52,9 @@ class TestPluginEntropy:
         assert plugin_entropy(labels) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_empty_projection_is_zero(self):
-        assert plugin_entropy(np.empty((7, 0), dtype=int)) == 0.0
+        h = plugin_entropy(np.empty((7, 0), dtype=int))
+        assert h == 0.0
+        assert math.copysign(1.0, h) == 1.0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InputError):

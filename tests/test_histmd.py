@@ -80,7 +80,7 @@ class TestRefineDimension:
         col = detect_discrete_points(rng.normal(size=600), 5)
         cfg = FitConfig()
         _, binsets, _ = init_discretization([col], cfg)
-        res = refine_dimension(0, _state([col], binsets, cfg), cfg)
+        res = refine_dimension(0, _state([col], binsets, cfg), cfg.k_max(600))
         unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
         assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
         labs = assign_labels(col, unc)
@@ -100,7 +100,7 @@ class TestRefineDimension:
         _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
         binsets[1] = fit1.grid.dims[0]
-        res = refine_dimension(0, _state(cols, binsets, cfg), cfg)
+        res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n))
         unc = optimal_histogram_1d(cols[0], candidate_cuts(cols[0], cfg.k_init(n)), 3)
         assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
 
@@ -120,7 +120,7 @@ class TestRefineDimension:
         binsets[0] = binset_from_cuts(cols[0], float(binsets[0].boundaries[0]),
                                       float(binsets[0].boundaries[-1]), candx,
                                       np.array([cut0]))
-        res = refine_dimension(1, _state(cols, binsets, cfg), cfg)
+        res = refine_dimension(1, _state(cols, binsets, cfg), cfg.k_max(n))
 
         unc = optimal_histogram_1d(cols[1], candidate_cuts(cols[1], cfg.k_init(n)),
                                    cfg.k_max(n))
@@ -151,7 +151,7 @@ class TestRefineDimension:
             n_total = cols[0].n
             cand_x = candidate_cuts(cols[0], cfg.k_init(n_total))
             assert len(cand_x.interior) <= 10
-            res = refine_dimension(0, _state(cols, binsets, cfg), cfg)
+            res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n_total))
             best = exhaustive_best_total(cols[0], cand_x, cfg.k_max(n_total),
                                          others=[(cols[1], binsets[1])])
             assert res.total_bits == pytest.approx(best, abs=1e-9)
@@ -166,7 +166,7 @@ class TestRefineDimension:
         cfg = FitConfig()
         _, binsets, _ = init_discretization([col_disc, col_cont], cfg)
         state = _state([col_disc, col_cont], binsets, cfg)
-        res = refine_dimension(0, state, cfg)
+        res = refine_dimension(0, state, cfg.k_max(40))
         assert res.binset is binsets[0]
         assert res.total_bits == state.total_bits
         assert res.ops == 0
@@ -183,7 +183,7 @@ class TestRefineDimension:
             z = rng.integers(0, m, size=n).astype(float)
             cols = [detect_discrete_points(x, 5), detect_discrete_points(z, 5)]
             _, binsets, _ = init_discretization(cols, cfg)
-            ops[m] = refine_dimension(0, _state(cols, binsets, cfg), cfg).ops
+            ops[m] = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n)).ops
         assert ops[4] == 2 * ops[2]
 
 
