@@ -400,7 +400,12 @@ def build_parser() -> _Parser:
 
 
 def _emit(args, payload):
-    out = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    out = sys.stdout
+    if getattr(args, "out", None):
+        try:
+            out = open(args.out, "w")
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}") from e
     try:
         if isinstance(payload, Dataset):
             write_csv_dataset(payload, out)

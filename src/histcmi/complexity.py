@@ -112,5 +112,5 @@ def total_score(grid, binsets) -> ScoreBreakdown:
     """Full two-part code length of (data, model): NLL + regret + model cost."""
     nll = neg_log_likelihood(grid)
     regret = log_regret(grid.n, grid.K)
-    cost = sum(model_cost(len(b.candidate_cuts), len(b.chosen_cuts)) for b in binsets)
+    cost = sum(model_cost(b.n_candidates, len(b.cuts)) for b in binsets)
     return ScoreBreakdown(neg_log_likelihood=nll, regret=regret, model_cost=cost)

@@ -4,9 +4,12 @@ A variable is represented by a :class:`MixedColumn`: its raw sample plus a
 boolean mask marking the values treated as discrete atoms.  A discretization
 of one variable is a :class:`BinSet`: one singleton bin per atom (volume 1)
 plus consecutive half-open interval bins partitioning the continuous range
-(volume = width).  A joint model over several variables is the Cartesian
-product of per-dimension bin sets, held as a sparse :class:`Grid`: an array
-of occupied cells and an array of their row counts.
+(volume = width).  It is the one record of that partition: the candidate
+grid of interval boundaries and the grid indices chosen as cuts, from which
+the edges, bin counts and the model cost's candidate count all derive.  A
+joint model over several variables is the Cartesian product of
+per-dimension bin sets, held as a sparse :class:`Grid`: an array of
+occupied cells and an array of their row counts.
 
 Every joint cell is named by one int64 id from :func:`cell_ids`, the single
 mixed-radix encoding of the package.  It refuses to wrap: ids that would
@@ -82,28 +85,39 @@ def degenerate_width(x: float) -> float:
 class BinSet:
     """Per-dimension partition: singleton bins first, then interval bins.
 
-    ``boundaries`` holds the interval edges (empty for a purely discrete
-    column); intervals are left-closed/right-open with the last one
-    right-closed, so every unmasked value has exactly one bin.
-    ``candidate_cuts`` is the pool of selectable interior cut positions this
-    partition was chosen from and ``chosen_cuts`` the selected subset.
+    ``grid`` is the equi-width candidate boundary array the intervals are cut
+    from (empty for a purely discrete column) and ``cuts`` the ascending
+    interior grid indices chosen as cuts, so the interval edges are
+    ``grid[[0, *cuts, -1]]``.  Intervals are left-closed/right-open with the
+    last one right-closed, so every unmasked value has exactly one bin.
     """
 
     singletons: np.ndarray
-    boundaries: np.ndarray
-    candidate_cuts: np.ndarray = field(default_factory=lambda: np.empty(0))
-    chosen_cuts: np.ndarray = field(default_factory=lambda: np.empty(0))
-    degenerate: bool = False
+    grid: np.ndarray
+    cuts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        for arr in (self.singletons, self.boundaries, self.candidate_cuts, self.chosen_cuts):
+        for arr in (self.singletons, self.grid, self.cuts):
             arr.setflags(write=False)
-        if self.boundaries.size == 1:
-            raise InputError("boundaries must be empty or have >= 2 entries")
-        if self.boundaries.size and not np.all(np.diff(self.boundaries) > 0):
-            raise InputError("interval boundaries must be strictly increasing")
-        if not np.all(np.isin(self.chosen_cuts, self.candidate_cuts)):
-            raise InputError("chosen cuts must come from the candidate set")
+        if self.grid.size == 1:
+            raise InputError("grid must be empty or have >= 2 entries")
+        if self.grid.size and not np.all(np.diff(self.grid) > 0):
+            raise InputError("grid must be strictly increasing")
+        if self.cuts.dtype.kind not in "iu":
+            raise InputError("cuts must be integer grid indices")
+        if self.cuts.size and (self.cuts[0] < 1 or self.cuts[-1] > len(self.grid) - 2
+                               or not np.all(np.diff(self.cuts) > 0)):
+            raise InputError("cuts must be ascending interior grid indices")
+
+    @property
+    def n_candidates(self) -> int:
+        """Selectable interior cut positions of the grid."""
+        return max(0, len(self.grid) - 2)
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        """Interval edges: the grid ends and the chosen cuts."""
+        return self.grid[[0, *self.cuts, -1]] if self.grid.size else self.grid
 
     @property
     def n_singletons(self) -> int:
@@ -111,7 +125,7 @@ class BinSet:
 
     @property
     def n_intervals(self) -> int:
-        return max(0, len(self.boundaries) - 1)
+        return len(self.cuts) + 1 if self.grid.size else 0
 
     @property
     def n_bins(self) -> int:
@@ -123,17 +137,10 @@ class BinSet:
         return np.concatenate([np.ones(self.n_singletons), np.diff(self.boundaries)])
 
 
-def binset_from_cuts(column: MixedColumn, lo: float, hi: float,
-                     candidate_cuts: np.ndarray, chosen_cuts: np.ndarray) -> BinSet:
-    """Assemble a BinSet for ``column`` from a chosen interior-cut subset."""
-    chosen = np.sort(np.asarray(chosen_cuts, dtype=np.float64))
-    boundaries = np.concatenate([[lo], chosen, [hi]])
-    return BinSet(
-        singletons=column.atoms,
-        boundaries=boundaries,
-        candidate_cuts=np.asarray(candidate_cuts, dtype=np.float64),
-        chosen_cuts=chosen,
-    )
+def _interval_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Interval [edges[i], edges[i+1]) of each value; the maximum folds into the last."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
 
 
 def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
@@ -162,9 +169,7 @@ def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
         b = bins.boundaries
         if vals.min() < b[0] or vals.max() > b[-1]:
             raise LabelingError("continuous value outside the interval range")
-        idx = np.searchsorted(b, vals, side="right") - 1
-        np.clip(idx, 0, bins.n_intervals - 1, out=idx)  # fold max value into last bin
-        labels[~mask] = bins.n_singletons + idx
+        labels[~mask] = bins.n_singletons + _interval_index(vals, b)
 
     return labels
 

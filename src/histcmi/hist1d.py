@@ -2,10 +2,12 @@
 
 The search space for one dimension is: fixed singleton bins for its detected
 atoms, plus interval bins obtained by choosing a subset of interior candidate
-boundaries from an equi-width grid over the continuous range.  The DP finds,
+boundaries from an equi-width grid over the continuous range
+(:func:`candidate_cuts` builds that grid as a boundary array).  The DP finds,
 for every allowed interval count m, the segmentation minimizing the data code
 length, then picks the m whose full two-part score (likelihood + regret +
-model cost) is smallest.
+model cost) is smallest.  It returns the chosen cuts as grid indices, which a
+``BinSet`` stores as they are.
 
 The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
@@ -35,31 +37,9 @@ def bin_budget(n: int, factor: float) -> int:
     return max(1, math.ceil(factor * math.log(n)))
 
 
-@dataclass(frozen=True)
-class CandidateCuts:
-    """Equi-width candidate boundaries spanning the unmasked range."""
-
-    boundaries: np.ndarray
-
-    def __post_init__(self):
-        self.boundaries.setflags(write=False)
-        if len(self.boundaries) < 2:
-            raise InputError("need at least two boundaries")
-        if not np.all(np.diff(self.boundaries) > 0):
-            raise InputError("boundaries must be strictly increasing")
-
-    @property
-    def K_init(self) -> int:
-        return len(self.boundaries) - 1
-
-    @property
-    def interior(self) -> np.ndarray:
-        """The selectable cut positions (everything but the two endpoints)."""
-        return self.boundaries[1:-1]
-
-
-def candidate_cuts(column: MixedColumn, K_init: int) -> CandidateCuts:
-    """Split the unmasked range into K_init equi-width cells (precision = range/K_init)."""
+def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
+    """Equi-width boundaries splitting the unmasked range into K_init cells
+    (precision = range/K_init): strictly increasing, at least two."""
     if K_init < 1:
         raise InputError("K_init must be >= 1")
     unmasked = column.unmasked
@@ -67,9 +47,7 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> CandidateCuts:
         raise DegenerateColumnError(
             f"column {column.name!r} has fewer than 2 distinct continuous values")
     lo, hi = float(unmasked.min()), float(unmasked.max())
-    boundaries = np.linspace(lo, hi, K_init + 1)
-    boundaries = np.unique(boundaries)  # collapse cells lost to float rounding
-    return CandidateCuts(boundaries=boundaries)
+    return np.unique(np.linspace(lo, hi, K_init + 1))  # collapse cells lost to float rounding
 
 
 def _xlogx_segment_sums(P):
@@ -190,10 +168,3 @@ def solve_segmentation(
         total_bits=float(totals[m_star - 1]),
         ops=ops,
     )
-
-
-def initial_cell_indices(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Candidate-grid cell of each value; the maximum folds into the last cell."""
-    idx = np.searchsorted(boundaries, values, side="right") - 1
-    return np.clip(idx, 0, len(boundaries) - 2)
-

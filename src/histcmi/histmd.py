@@ -10,7 +10,7 @@ re-cut helps or after ``i_max`` iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,20 +19,14 @@ from .data_model import (
     BinSet,
     Grid,
     MixedColumn,
+    _interval_index,
     assign_labels,
-    binset_from_cuts,
     build_grid,
     cell_ids,
     degenerate_width,
 )
 from .errors import InputError
-from .hist1d import (
-    CandidateCuts,
-    bin_budget,
-    candidate_cuts,
-    initial_cell_indices,
-    solve_segmentation,
-)
+from .hist1d import bin_budget, candidate_cuts, solve_segmentation
 
 # accepted refinements must beat the current score by this many bits, so
 # float noise can never masquerade as an improvement
@@ -53,6 +47,8 @@ class FitConfig:
             raise InputError("i_max must be >= 1")
         if self.t < 2:
             raise InputError("t must be >= 2")
+        if not all(math.isfinite(f) and f > 0 for f in (self.k_init_factor, self.k_max_factor)):
+            raise InputError("k_init_factor and k_max_factor must be finite and > 0")
         if self.k_max_factor > self.k_init_factor:
             raise InputError("k_max_factor must not exceed k_init_factor")
 
@@ -110,25 +106,16 @@ class FitResult:
 
 
 def _initial_binset(column: MixedColumn, config: FitConfig, n: int) -> BinSet:
+    """The column's atoms plus one interval with no cut chosen yet; a single
+    continuous value gets a one-ULP interval and no candidate cut."""
     unmasked = column.unmasked
     if unmasked.size == 0:
-        return BinSet(singletons=column.atoms, boundaries=np.empty(0))
+        return BinSet(column.atoms, np.empty(0))
     distinct = np.unique(unmasked)
     if len(distinct) < 2:
         x = float(distinct[0])
-        return BinSet(
-            singletons=column.atoms,
-            boundaries=np.array([x, x + degenerate_width(x)]),
-            degenerate=True,
-        )
-    return _uncut_binset(column, candidate_cuts(column, config.k_init(n)))
-
-
-def _uncut_binset(column: MixedColumn, cand: CandidateCuts) -> BinSet:
-    """The column's atoms plus one interval over ``cand``, with no cut chosen yet."""
-    return binset_from_cuts(column, lo=float(cand.boundaries[0]),
-                            hi=float(cand.boundaries[-1]),
-                            candidate_cuts=cand.interior, chosen_cuts=np.empty(0))
+        return BinSet(column.atoms, np.array([x, x + degenerate_width(x)]))
+    return BinSet(column.atoms, candidate_cuts(column, config.k_init(n)))
 
 
 def init_discretization(columns: list[MixedColumn],
@@ -176,14 +163,12 @@ def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
     """
     column = state.columns[j]
     binset = state.binsets[j]
-    if binset.degenerate or binset.n_intervals == 0 or len(binset.candidate_cuts) == 0:
+    if binset.n_candidates == 0:
         return RefineResult(binset, state.total_bits, 0)
 
     n = column.n
     cont = ~column.discrete_mask
-    boundaries = np.concatenate([[binset.boundaries[0]], binset.candidate_cuts,
-                                 [binset.boundaries[-1]]])
-    cell_idx = initial_cell_indices(column.values[cont], boundaries)
+    cell_idx = _interval_index(column.values[cont], binset.grid)
 
     other_labels, other_radices, log2_vol = _other_cell_info(state, j, cont)
     K_other = math.prod(other_radices)
@@ -200,12 +185,12 @@ def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
         c = counts.astype(np.float64)
         fixed_nll = float(-np.sum(c * np.log2(c)) + disc.sum() * math.log2(n) + olog2v.sum())
 
-    const_cost = sum(model_cost(len(b.candidate_cuts), len(b.chosen_cuts))
+    const_cost = sum(model_cost(b.n_candidates, len(b.cuts))
                      for d, b in enumerate(state.binsets) if d != j)
 
     res = solve_segmentation(
         n_total=n,
-        boundaries=boundaries,
+        boundaries=binset.grid,
         cell_idx=cell_idx,
         K_max=K_max,
         n_singletons=binset.n_singletons,
@@ -215,20 +200,13 @@ def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
         other_cell_ids=compact,
         other_log2_vol=log2_vol,
     )
-    new_binset = binset_from_cuts(
-        column,
-        lo=float(boundaries[0]),
-        hi=float(boundaries[-1]),
-        candidate_cuts=binset.candidate_cuts,
-        chosen_cuts=boundaries[res.cut_indices],
-    )
-    return RefineResult(new_binset, res.total_bits, res.ops)
+    return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 
 
-def optimal_histogram_1d(column: MixedColumn, cand: CandidateCuts, K_max: int) -> BinSet:
-    """MDL-optimal bin set for a single column over the given candidate grid:
-    the re-cut of a one-dimension fit that starts with no chosen cuts."""
-    binsets = [_uncut_binset(column, cand)]
+def optimal_histogram_1d(column: MixedColumn, grid: np.ndarray, K_max: int) -> BinSet:
+    """MDL-optimal bin set for a single column over the candidate boundary
+    ``grid``: the re-cut of a one-dimension fit that starts with no chosen cuts."""
+    binsets = [BinSet(column.atoms, grid)]
     labels = assign_labels(column, binsets[0])[:, None]
     state = FitState(columns=[column], binsets=binsets, labels=labels,
                      total_bits=_score_state(binsets, labels)[1].total)

@@ -9,8 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from histcmi import assign_labels, build_grid, total_score
-from histcmi.data_model import binset_from_cuts
+from histcmi import BinSet, assign_labels, build_grid, total_score
 
 
 def multinomial_regret(n: int, K: int) -> float:
@@ -50,20 +49,18 @@ def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
     return G
 
 
-def exhaustive_best_total(column, cand, K_max: int, others=()) -> float:
-    """Minimum total score over every interior-cut subset with < K_max cuts.
+def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
+    """Minimum total score over every subset of < K_max interior grid indices.
 
     ``others`` holds (column, bin set) pairs of further dimensions kept fixed;
     the score is then that of the joint grid, with the cut column first.
     """
-    interior = cand.interior
-    lo, hi = float(cand.boundaries[0]), float(cand.boundaries[-1])
     fixed_labels = [assign_labels(c, b) for c, b in others]
     fixed_binsets = [b for _, b in others]
     best = np.inf
     for r in range(0, K_max):
-        for subset in combinations(range(len(interior)), r):
-            bs = binset_from_cuts(column, lo, hi, interior, interior[list(subset)])
+        for subset in combinations(range(1, len(grid) - 1), r):
+            bs = BinSet(column.atoms, grid, np.array(subset, dtype=np.int64))
             labs = [assign_labels(column, bs), *fixed_labels]
             binsets = [bs, *fixed_binsets]
             total = total_score(build_grid(labs, binsets), binsets).total

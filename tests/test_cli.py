@@ -43,6 +43,13 @@ class TestDatagen:
         assert code == 2
         assert "unknown scenario" in err
 
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, _, err = run(["datagen", "exp1", "--n", "10", "--out", str(path)], capsys)
+        assert code == 2
+        assert "cannot write" in err
+        assert not path.exists()
+
 
 class TestEstimate:
     def test_self_information(self, tmp_path, capsys):
@@ -96,6 +103,15 @@ class TestEstimate:
         assert main(["estimate", "exp1", "--test", "sc"]) == cli.EXIT_USAGE
         assert main(["estimate", "exp1", "--alpha", "0.7"]) == cli.EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("factors", [["--kinit-factor", "nan"], ["--kinit-factor", "inf"],
+                                         ["--kinit-factor", "-3", "--kmax-factor", "-5"]],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_bin_budget_factor_is_data_error(self, factors, capsys):
+        code, out, err = run(["estimate", "exp1", "--n", "200", *factors], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite and > 0" in err
 
     def test_scenario_id_with_roles_fallback(self, capsys):
         code, out, _ = run(["estimate", "exp1", "--n", "300", "--seed", "2"], capsys)

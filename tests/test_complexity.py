@@ -16,7 +16,7 @@ from histcmi import (
     neg_log_likelihood,
     total_score,
 )
-from histcmi.data_model import binset_from_cuts, detect_discrete_points
+from histcmi.data_model import detect_discrete_points
 
 from oracles import multinomial_regret
 
@@ -80,7 +80,7 @@ class TestModelCost:
 def _single_interval_grid(values, width):
     col = detect_discrete_points(np.asarray(values, dtype=float), t=len(values) + 1)
     lo = float(min(values))
-    bs = binset_from_cuts(col, lo, lo + width, np.empty(0), np.empty(0))
+    bs = BinSet(col.atoms, np.array([lo, lo + width]))
     from histcmi import assign_labels
 
     return build_grid([assign_labels(col, bs)], [bs]), bs
@@ -89,7 +89,7 @@ def _single_interval_grid(values, width):
 class TestNegLogLikelihood:
     def test_purely_discrete_single_cell(self):
         col = detect_discrete_points([2.0] * 8, t=5)
-        bs = BinSet(singletons=np.array([2.0]), boundaries=np.empty(0))
+        bs = BinSet(np.array([2.0]), np.empty(0))
         grid = build_grid([np.zeros(8, dtype=int)], [bs])
         assert neg_log_likelihood(grid) == pytest.approx(0.0, abs=1e-12)
 
@@ -100,7 +100,7 @@ class TestNegLogLikelihood:
     def test_two_unit_bins_balanced(self):
         vals = [0.1, 0.2, 1.3, 1.4]
         col = detect_discrete_points(np.asarray(vals), t=9)
-        bs = binset_from_cuts(col, 0.0, 2.0, np.array([1.0]), np.array([1.0]))
+        bs = BinSet(col.atoms, np.array([0.0, 1.0, 2.0]), np.array([1]))
         from histcmi import assign_labels
 
         grid = build_grid([assign_labels(col, bs)], [bs])
@@ -114,7 +114,7 @@ class TestNegLogLikelihood:
             col = detect_discrete_points(vals, t=len(vals) + 1)
             lo, hi = float(vals.min()), float(vals.min()) + 6.0
             cut = lo + 1.5
-            bs = binset_from_cuts(col, lo, hi, np.array([cut]), np.array([cut]))
+            bs = BinSet(col.atoms, np.array([lo, cut, hi]), np.array([1]))
             from histcmi import assign_labels
 
             grid = build_grid([assign_labels(col, bs)], [bs])
@@ -140,7 +140,7 @@ class TestNegLogLikelihood:
 class TestTotalScore:
     def test_single_cell_discrete_model_is_free(self):
         col = detect_discrete_points([3.0] * 12, t=5)
-        bs = BinSet(singletons=np.array([3.0]), boundaries=np.empty(0))
+        bs = BinSet(np.array([3.0]), np.empty(0))
         grid = build_grid([np.zeros(12, dtype=int)], [bs])
         score = total_score(grid, [bs])
         assert score.neg_log_likelihood == pytest.approx(0.0, abs=1e-12)
@@ -158,8 +158,9 @@ class TestTotalScore:
         from histcmi import assign_labels
 
         totals = []
-        for cands in (np.array([1.0]), np.array([0.7, 1.0])):
-            bs = binset_from_cuts(col, 0.0, 2.0, cands, np.array([1.0]))
+        for cand, cuts in ((np.array([0.0, 1.0, 2.0]), [1]),
+                           (np.array([0.0, 0.7, 1.0, 2.0]), [2])):
+            bs = BinSet(col.atoms, cand, np.array(cuts))
             grid = build_grid([assign_labels(col, bs)], [bs])
             totals.append(total_score(grid, [bs]))
         assert totals[1].model_cost > totals[0].model_cost

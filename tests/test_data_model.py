@@ -13,7 +13,7 @@ from histcmi import (
     build_grid,
     detect_discrete_points,
 )
-from histcmi.data_model import binset_from_cuts, degenerate_width
+from histcmi.data_model import degenerate_width
 
 
 class TestDetectDiscretePoints:
@@ -65,13 +65,18 @@ class TestDetectDiscretePoints:
 class TestBins:
     def test_binset_volumes_match_bins(self):
         col = detect_discrete_points([0.0] * 6 + [0.1, 0.4, 0.9, 1.3], t=5)
-        bs = binset_from_cuts(col, 0.1, 1.3, np.array([0.5, 0.7]), np.array([0.5]))
+        bs = BinSet(col.atoms, np.array([0.1, 0.5, 0.7, 1.3]), np.array([1]))
         assert bs.volumes == pytest.approx([1.0, 0.4, 0.8])
+        assert bs.boundaries.tolist() == [0.1, 0.5, 1.3]
+        assert (bs.n_candidates, bs.n_intervals) == (2, 2)
 
-    def test_chosen_cuts_must_be_candidates(self):
+    @pytest.mark.parametrize("cuts", [[0], [3], [1, 1], [2, 1], [1.0]],
+                             ids=["first", "last", "repeated", "descending", "float"])
+    def test_chosen_cuts_must_be_candidates(self, cuts):
+        # only indices 1 and 2 name interior candidates of a 4-boundary grid
         col = detect_discrete_points([0.1, 0.4, 0.9], t=5)
         with pytest.raises(InputError):
-            binset_from_cuts(col, 0.1, 0.9, np.array([0.5]), np.array([0.6]))
+            BinSet(col.atoms, np.array([0.1, 0.4, 0.6, 0.9]), np.array(cuts))
 
     def test_degenerate_width_positive(self):
         for x in (0.0, 1.0, -3.4, 1e12):
@@ -85,7 +90,7 @@ class TestAssignLabels:
 
     def test_singleton_and_interval_assignment(self):
         col = self._column()
-        bs = binset_from_cuts(col, 0.2, 1.0, np.array([0.5]), np.array([0.5]))
+        bs = BinSet(col.atoms, np.array([0.2, 0.5, 1.0]), np.array([1]))
         labs = assign_labels(col, bs)
         assert labs[:5].tolist() == [0] * 5  # masked to singleton index
         # 0.2 -> first interval; 0.5 on the cut -> right cell; max 1.0 -> last (closed)
@@ -93,14 +98,14 @@ class TestAssignLabels:
 
     def test_value_outside_bins_raises(self):
         col = self._column()
-        bs = binset_from_cuts(col, 0.2, 1.0, np.array([0.5]), np.array([0.5]))
+        bs = BinSet(col.atoms, np.array([0.2, 0.5, 1.0]), np.array([1]))
         other = detect_discrete_points([0.1, 0.3], t=5)
         with pytest.raises(LabelingError):
             assign_labels(other, bs)
 
     def test_masked_value_without_singleton_raises(self):
         col = self._column()
-        bs = BinSet(singletons=np.array([9.0]), boundaries=np.array([0.2, 1.0]))
+        bs = BinSet(np.array([9.0]), np.array([0.2, 1.0]))
         with pytest.raises(LabelingError):
             assign_labels(col, bs)
 
@@ -109,8 +114,8 @@ class TestAssignLabels:
         vals = np.concatenate([np.full(7, 2.0), rng.uniform(0, 1, 40)])
         rng.shuffle(vals)
         col = detect_discrete_points(vals, t=5)
-        bs = binset_from_cuts(col, float(col.unmasked.min()), float(col.unmasked.max()),
-                              np.array([0.3, 0.6]), np.array([0.3, 0.6]))
+        grid = np.array([col.unmasked.min(), 0.3, 0.6, col.unmasked.max()])
+        bs = BinSet(col.atoms, grid, np.array([1, 2]))
         labs = assign_labels(col, bs)
         assert np.array_equal(labs, assign_labels(col, bs))  # idempotent
         perm = rng.permutation(len(vals))
@@ -121,7 +126,7 @@ class TestAssignLabels:
 class TestGrid:
     @staticmethod
     def _discrete_binset(n_bins):
-        return BinSet(singletons=np.arange(n_bins, dtype=float), boundaries=np.empty(0))
+        return BinSet(np.arange(n_bins, dtype=float), np.empty(0))
 
     def test_four_distinct_cells(self):
         labs = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]

@@ -176,9 +176,9 @@ class TestContinuousEntropyTerms:
         vals = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         col = detect_discrete_points(vals, 9)
         from histcmi import assign_labels, build_grid
-        from histcmi.data_model import binset_from_cuts
+        from histcmi.data_model import BinSet
 
-        bs = binset_from_cuts(col, 0.0, 2.0, np.empty(0), np.empty(0))
+        bs = BinSet(col.atoms, np.array([0.0, 2.0]))
         grid = build_grid([assign_labels(col, bs)], [bs])
         terms = continuous_entropy_terms(grid, {"g": (0,)})
         assert terms["g"].continuous == pytest.approx(math.log(2.0), abs=1e-12)

@@ -65,14 +65,12 @@ class TestCandidateCuts:
     def test_unit_range_four_cells(self):
         col = detect_discrete_points([0.0, 0.3, 0.7, 1.0], t=5)
         cand = candidate_cuts(col, 4)
-        assert cand.boundaries == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert cand.K_init == 4
-        assert cand.interior == pytest.approx([0.25, 0.5, 0.75])
+        assert cand == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_symmetric_range_two_cells(self):
         col = detect_discrete_points([-2.0, 1.0, 2.0], t=5)
         cand = candidate_cuts(col, 2)
-        assert cand.boundaries == pytest.approx([-2.0, 0.0, 2.0])
+        assert cand == pytest.approx([-2.0, 0.0, 2.0])
 
     def test_degenerate_column_rejected(self):
         col = detect_discrete_points([1.0, 1.0, 1.0, 4.0], t=3)
@@ -87,7 +85,7 @@ class TestOptimalHistogram1D:
         col = detect_discrete_points(rng.uniform(0, 1, 300), t=5)
         bs = optimal_histogram_1d(col, candidate_cuts(col, 20), K_max=5)
         assert bs.n_intervals == 1
-        assert bs.chosen_cuts.size == 0
+        assert bs.cuts.size == 0
 
     def test_two_separated_clusters_isolate_the_gap(self):
         rng = np.random.default_rng(0)
@@ -97,7 +95,7 @@ class TestOptimalHistogram1D:
         bs = optimal_histogram_1d(col, cand, K_max=5)
         assert bs.n_intervals == 3  # dense, empty middle, dense
         assert _total_of(col, bs) == pytest.approx(exhaustive_best_total(col, cand, 5), abs=1e-9)
-        lo_cut, hi_cut = bs.chosen_cuts
+        lo_cut, hi_cut = cand[bs.cuts]
         assert 0.9 < lo_cut < 1.6 and 8.5 < hi_cut < 9.1
 
     def test_k_max_one_forces_single_bin(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from histcmi import (
+    BinSet,
     FitConfig,
     InputError,
     assign_labels,
@@ -16,7 +17,6 @@ from histcmi import (
     refine_dimension,
     total_score,
 )
-from histcmi.data_model import binset_from_cuts
 from histcmi.histmd import FitState
 
 from oracles import exhaustive_best_total
@@ -42,6 +42,10 @@ class TestFitConfig:
             FitConfig(i_max=0)
         with pytest.raises(InputError):
             FitConfig(k_init_factor=2.0, k_max_factor=5.0)
+        for k_init, k_max in [(math.nan, 5.0), (math.inf, 5.0), (20.0, math.nan),
+                              (20.0, math.inf), (-3.0, -5.0), (0.0, 0.0), (20.0, 0.0)]:
+            with pytest.raises(InputError):
+                FitConfig(k_init_factor=k_init, k_max_factor=k_max)
 
 
 class TestInitDiscretization:
@@ -82,7 +86,7 @@ class TestRefineDimension:
         _, binsets, _ = init_discretization([col], cfg)
         res = refine_dimension(0, _state([col], binsets, cfg), cfg.k_max(600))
         unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
-        assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
+        assert np.array_equal(res.binset.cuts, unc.cuts)
         labs = assign_labels(col, unc)
         assert res.total_bits == pytest.approx(
             total_score(build_grid([labs], [unc]), [unc]).total, abs=1e-6)
@@ -102,7 +106,7 @@ class TestRefineDimension:
         binsets[1] = fit1.grid.dims[0]
         res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n))
         unc = optimal_histogram_1d(cols[0], candidate_cuts(cols[0], cfg.k_init(n)), 3)
-        assert np.array_equal(res.binset.chosen_cuts, unc.chosen_cuts)
+        assert np.array_equal(res.binset.cuts, unc.cuts)
 
     def test_conditioning_beats_unconditional_cuts(self):
         # Y clusters at sign(X): refining Y against X's cells must score
@@ -115,11 +119,9 @@ class TestRefineDimension:
         cfg = FitConfig()
         _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
-        candx = binsets[0].candidate_cuts
-        cut0 = candx[np.argmin(np.abs(candx))]
-        binsets[0] = binset_from_cuts(cols[0], float(binsets[0].boundaries[0]),
-                                      float(binsets[0].boundaries[-1]), candx,
-                                      np.array([cut0]))
+        gridx = binsets[0].grid
+        cut0 = 1 + np.argmin(np.abs(gridx[1:-1]))  # the interior candidate nearest 0
+        binsets[0] = BinSet(cols[0].atoms, gridx, np.array([cut0]))
         res = refine_dimension(1, _state(cols, binsets, cfg), cfg.k_max(n))
 
         unc = optimal_histogram_1d(cols[1], candidate_cuts(cols[1], cfg.k_init(n)),
@@ -144,13 +146,10 @@ class TestRefineDimension:
             cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
             _, binsets, _ = init_discretization(cols, cfg)
             if binsets[1].n_intervals:
-                cand_y = candidate_cuts(cols[1], 6)
-                binsets[1] = binset_from_cuts(cols[1], float(cand_y.boundaries[0]),
-                                              float(cand_y.boundaries[-1]), cand_y.interior,
-                                              cand_y.interior[[1, 3]])
+                binsets[1] = BinSet(cols[1].atoms, candidate_cuts(cols[1], 6), np.array([2, 4]))
             n_total = cols[0].n
             cand_x = candidate_cuts(cols[0], cfg.k_init(n_total))
-            assert len(cand_x.interior) <= 10
+            assert len(cand_x) - 2 <= 10
             res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n_total))
             best = exhaustive_best_total(cols[0], cand_x, cfg.k_max(n_total),
                                          others=[(cols[1], binsets[1])])
@@ -161,15 +160,28 @@ class TestRefineDimension:
                 res.total_bits, abs=1e-9)
 
     def test_degenerate_dimension_returned_unchanged(self):
-        col_disc = detect_discrete_points(np.repeat([0.0, 1.0], 20), 5)
+        # purely discrete, and one continuous value: no candidate cut either way
         col_cont = detect_discrete_points(np.random.default_rng(1).normal(size=40), 5)
         cfg = FitConfig()
-        _, binsets, _ = init_discretization([col_disc, col_cont], cfg)
-        state = _state([col_disc, col_cont], binsets, cfg)
-        res = refine_dimension(0, state, cfg.k_max(40))
-        assert res.binset is binsets[0]
-        assert res.total_bits == state.total_bits
-        assert res.ops == 0
+        for vals in (np.repeat([0.0, 1.0], 20), np.append(np.repeat([0.0, 1.0], 19), [0.5, 0.5])):
+            col = detect_discrete_points(vals, 5)
+            _, binsets, _ = init_discretization([col, col_cont], cfg)
+            assert binsets[0].n_candidates == 0
+            state = _state([col, col_cont], binsets, cfg)
+            res = refine_dimension(0, state, cfg.k_max(40))
+            assert res.binset is binsets[0]
+            assert res.total_bits == state.total_bits
+            assert res.ops == 0
+
+    def test_recut_shares_grid_and_singletons(self):
+        rng = np.random.default_rng(12)
+        col = detect_discrete_points(np.append(np.repeat([0.0, 3.0], 8), rng.normal(size=300)), 5)
+        cfg = FitConfig()
+        _, binsets, _ = init_discretization([col], cfg)
+        res = refine_dimension(0, _state([col], binsets, cfg), cfg.k_max(col.n))
+        assert res.binset.cuts.size > 0
+        assert res.binset.grid is binsets[0].grid
+        assert res.binset.singletons is binsets[0].singletons
 
     def test_ops_scale_linearly_with_conditioning_cells(self):
         # saturated discrete companions: doubling their joint domain doubles
