@@ -75,12 +75,15 @@ def _config_echo(config: FitConfig, **extra) -> dict:
 
 
 def read_csv_dataset(path: str) -> Dataset:
-    """Read a numeric CSV (optional leading # comments, then a header row)."""
+    """Read a numeric UTF-8 CSV (optional byte-order mark and leading # comments,
+    then a header row)."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot decode {path} as UTF-8: {e}") from e
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     names = tuple(rows[0])
@@ -145,6 +148,8 @@ def _load_dataset(target: str, args) -> Dataset:
     if target in SCENARIOS:
         extra = {"k": args.k} if args.k is not None else {}
         return generate(ScenarioSpec(id=target, n=args.n, seed=args.seed, extra=extra))
+    if args.k is not None:
+        raise InputError("--k is a scenario parameter and does not apply to a CSV file")
     return read_csv_dataset(target)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -54,26 +53,34 @@ def _extend_regret(n: int, K: int) -> np.ndarray:
     return arr
 
 
-def log_regret(n: int, K: int) -> float:
+def log_regret(n: int, K: int | np.ndarray) -> float | np.ndarray:
     """log2 R(n,K), the parametric complexity of a K-cell multinomial over n samples.
 
     Computed by the linear recurrence R(n,K+2) = R(n,K+1) + (n/K)·R(n,K),
     seeded with R(n,1) = 1 and the exact summation for R(n,2); all values are
-    carried as logarithms and cached per n.
+    carried as logarithms and cached per n.  ``K`` may be an integer array,
+    which gives an array of the same shape; a scalar gives a float.
     """
-    if n < 1 or K < 1:
+    K_arr = np.asarray(K)
+    if n < 1 or K_arr.size == 0 or K_arr.min() < 1:
         raise InputError(f"log_regret needs n >= 1 and K >= 1, got ({n}, {K})")
-    arr = _extend_regret(int(n), int(K))
-    return float(arr[K - 1]) / _LN2
+    out = _extend_regret(int(n), int(K_arr.max()))[K_arr - 1] / _LN2
+    return float(out) if K_arr.ndim == 0 else out
 
 
-def model_cost(num_candidates: int, num_chosen: int) -> float:
-    """log2 of the binomial coefficient C(num_candidates, num_chosen), in bits."""
-    if num_candidates < 0 or num_chosen < 0 or num_chosen > num_candidates:
+def model_cost(num_candidates: int | np.ndarray,
+               num_chosen: int | np.ndarray) -> float | np.ndarray:
+    """log2 of the binomial coefficient C(num_candidates, num_chosen), in bits.
+
+    Either argument may be an integer array; they broadcast and give an
+    array, while two scalars give a float.
+    """
+    e, m = np.asarray(num_candidates), np.asarray(num_chosen)
+    if e.size == 0 or m.size == 0 or np.any(m < 0) or np.any(m > e):
         raise InputError(
             f"model_cost needs 0 <= chosen <= candidates, got ({num_candidates}, {num_chosen})")
-    return float(gammaln(num_candidates + 1) - gammaln(num_chosen + 1)
-                 - gammaln(num_candidates - num_chosen + 1)) / _LN2
+    out = (gammaln(e + 1) - gammaln(m + 1) - gammaln(e - m + 1)) / _LN2
+    return float(out) if out.ndim == 0 else out
 
 
 def neg_log_likelihood(grid) -> float:
@@ -95,22 +102,7 @@ def neg_log_likelihood(grid) -> float:
     return float(-np.sum(counts * (np.log2(counts) - math.log2(grid.n) - log_v)))
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """Total code length split into its three components (bits)."""
-
-    neg_log_likelihood: float
-    regret: float
-    model_cost: float
-
-    @property
-    def total(self) -> float:
-        return self.neg_log_likelihood + self.regret + self.model_cost
-
-
-def total_score(grid, binsets) -> ScoreBreakdown:
-    """Full two-part code length of (data, model): NLL + regret + model cost."""
-    nll = neg_log_likelihood(grid)
-    regret = log_regret(grid.n, grid.K)
-    cost = sum(model_cost(b.n_candidates, len(b.cuts)) for b in binsets)
-    return ScoreBreakdown(neg_log_likelihood=nll, regret=regret, model_cost=cost)
+def total_score(grid, binsets) -> float:
+    """Full two-part code length of (data, model) in bits: NLL + regret + model cost."""
+    return (neg_log_likelihood(grid) + log_regret(grid.n, grid.K)
+            + sum(model_cost(b.n_candidates, len(b.cuts)) for b in binsets))

@@ -235,15 +235,11 @@ class Grid:
         return k
 
 
-def build_grid(labelings: list[np.ndarray], bins: list[BinSet]) -> Grid:
-    """Count rows per occupied joint cell of the per-dimension labelings."""
-    if not labelings:
-        raise InputError("need at least one labeled dimension")
-    n = len(labelings[0])
-    for lab in labelings:
-        if len(lab) != n:
-            raise InputError("labelings disagree on sample size")
-    mat = np.column_stack(labelings).astype(np.int64, copy=False)
+def build_grid(labels: np.ndarray, bins: list[BinSet]) -> Grid:
+    """Count rows per occupied joint cell of the (n, k) label matrix, whose
+    column j holds bin indices of ``bins[j]``; the grid keeps its own copy."""
+    mat = np.asarray(labels).astype(np.int64, copy=False)
+    n = len(mat)
     ids = cell_ids(mat, [b.n_bins for b in bins])
     # any row of a cell spells that cell, so the sort need not be stable
     order = np.argsort(ids)

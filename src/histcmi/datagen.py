@@ -39,6 +39,9 @@ class ScenarioSpec:
             raise InputError("n must be >= 1")
         if self.id not in SCENARIOS:
             raise InputError(f"unknown scenario {self.id!r}; known: {sorted(SCENARIOS)}")
+        unread = sorted(set(self.extra) - _PARAMETERS.get(self.id, set()))
+        if unread:
+            raise InputError(f"scenario {self.id!r} does not read the parameters {unread}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +256,10 @@ SCENARIOS = {
     "noncollider3": (_noncollider3, "independent"),
     "noncollider4": (_noncollider4, "independent"),
 }
+
+
+# the ``extra`` keys each scenario reads; every other scenario reads none
+_PARAMETERS = {"exp6": {"k"}}
 
 
 def generate(spec: ScenarioSpec) -> Dataset:

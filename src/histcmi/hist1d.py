@@ -93,9 +93,9 @@ def solve_segmentation(
     ``cell_idx`` holds the candidate-cell index of every continuous row of the
     dimension being cut; ``other_cell_ids``/``other_log2_vol`` describe the
     fixed joint cell of all remaining dimensions for those same rows, as
-    compact ids in [0, max] and summed log2 volumes.  ``fixed_nll_bits``
-    carries the code length of the rows in this dimension's singleton bins,
-    which no cut can change.
+    small nonnegative ids (an unused id is an empty cell) and summed log2
+    volumes.  ``fixed_nll_bits`` carries the code length of the rows in this
+    dimension's singleton bins, which no cut can change.
 
     Ties between interval counts are broken toward fewer bins; ties between
     equal-cost predecessors keep the leftmost split.
@@ -146,14 +146,10 @@ def solve_segmentation(
         back.append(arg)
         best_f_at_end.append(f[B])
 
-    totals = np.array([
-        best_f_at_end[m - 1]
-        + fixed_nll_bits
-        + log_regret(n_total, (n_singletons + m) * K_other)
-        + model_cost(B - 1, m - 1)
-        + const_model_cost_bits
-        for m in range(1, m_cap + 1)
-    ])
+    m = np.arange(1, m_cap + 1)
+    totals = (np.array(best_f_at_end) + fixed_nll_bits
+              + log_regret(n_total, (n_singletons + m) * K_other)
+              + model_cost(B - 1, m - 1) + const_model_cost_bits)
     m_star = int(np.argmin(totals)) + 1  # argmin keeps the first (fewest bins) on ties
 
     cut_boundary_idx = []

@@ -5,6 +5,13 @@ continuous remainder of every dimension, each iteration re-cuts every
 dimension in turn against the fixed cells of the others and accepts the
 single re-cut with the largest drop in total code length.  Stops when no
 re-cut helps or after ``i_max`` iterations.
+
+The fit's state is three plain values: the list of per-dimension bin sets,
+one (n, k) int64 label matrix, and the total code length in bits.  A
+re-cut reads the other dimensions' cells from that matrix; a dimension with
+no candidate cut re-cuts to +inf bits, so it is never accepted.  After each
+accepted re-cut the grid is rebuilt from the matrix and its score checked
+against the one the segmentation DP reported.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .complexity import ScoreBreakdown, model_cost, total_score
+from .complexity import model_cost, total_score
 from .data_model import (
     BinSet,
     Grid,
@@ -80,14 +87,6 @@ class FitTrace:
         return self.records[-1].score_after if self.records else self.init_score
 
 
-@dataclass
-class FitState:
-    columns: list[MixedColumn]
-    binsets: list[BinSet]
-    labels: np.ndarray
-    total_bits: float
-
-
 @dataclass(frozen=True)
 class RefineResult:
     binset: BinSet
@@ -130,75 +129,56 @@ def init_discretization(columns: list[MixedColumn],
     if any(c.n != n for c in columns):
         raise InputError("columns disagree on sample size")
     binsets = [_initial_binset(c, config, n) for c in columns]
-    labels = [assign_labels(c, b) for c, b in zip(columns, binsets)]
-    return build_grid(labels, binsets), binsets, np.column_stack(labels)
+    labels = np.column_stack([assign_labels(c, b) for c, b in zip(columns, binsets)])
+    return build_grid(labels, binsets), binsets, labels
 
 
-def _score_state(binsets, labels) -> tuple[Grid, ScoreBreakdown]:
-    grid = build_grid([labels[:, j] for j in range(labels.shape[1])], binsets)
-    return grid, total_score(grid, binsets)
-
-
-def _other_cell_info(state: FitState, j: int, rows: np.ndarray):
-    """Labels, bin counts and summed log2 volumes of every dimension but j.
-
-    Label columns run from the last such dimension to the first, so cell ids
-    of them sort with the highest dimension most significant.
-    """
-    others = [d for d in range(len(state.binsets)) if d != j]
-    labels = state.labels[rows]
-    log2_vol = np.zeros(len(labels))
-    for d in others:
-        log2_vol += np.log2(state.binsets[d].volumes)[labels[:, d]]
-    others.reverse()
-    return labels[:, others], [state.binsets[d].n_bins for d in others], log2_vol
-
-
-def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
+def refine_dimension(j: int, columns: list[MixedColumn], binsets: list[BinSet],
+                     labels: np.ndarray, K_max: int) -> RefineResult:
     """Best re-cut of dimension j's intervals, into at most K_max, given the
-    other dimensions' cells.
+    other dimensions' cells in the (n, k) label matrix.
 
-    Dimensions without at least two distinct continuous values come back
-    unchanged with the current score.
+    A dimension without a candidate cut comes back unchanged at +inf bits:
+    the minimum over an empty set of re-cuts.
     """
-    column = state.columns[j]
-    binset = state.binsets[j]
+    column, binset, n = columns[j], binsets[j], len(labels)
     if binset.n_candidates == 0:
-        return RefineResult(binset, state.total_bits, 0)
+        return RefineResult(binset, math.inf, 0)
 
-    n = column.n
-    cont = ~column.discrete_mask
-    cell_idx = _interval_index(column.values[cont], binset.grid)
-
-    other_labels, other_radices, log2_vol = _other_cell_info(state, j, cont)
-    K_other = math.prod(other_radices)
-    _, compact = np.unique(cell_ids(other_labels, other_radices), return_inverse=True)
+    # the other dimensions' cells over all rows: compact ids of their label
+    # rows with the highest dimension most significant, and summed log2
+    # volumes added in ascending dimension order
+    others = [d for d in range(len(binsets)) if d != j]
+    log2_vol = np.zeros(n)
+    for d in others:
+        log2_vol += np.log2(binsets[d].volumes)[labels[:, d]]
+    others.reverse()
+    radices = [binsets[d].n_bins for d in others]
+    cells, other_ids = np.unique(cell_ids(labels[:, others], radices), return_inverse=True)
 
     # rows in this dimension's singleton bins: no cut can move them
-    fixed_nll = 0.0
     disc = column.discrete_mask
+    fixed_nll = 0.0
     if disc.any():
-        olabels, _, olog2v = _other_cell_info(state, j, disc)
-        pair = cell_ids(np.column_stack([state.labels[disc, j], olabels]),
-                        [binset.n_bins, *other_radices])
-        _, counts = np.unique(pair, return_counts=True)
-        c = counts.astype(np.float64)
-        fixed_nll = float(-np.sum(c * np.log2(c)) + disc.sum() * math.log2(n) + olog2v.sum())
+        pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
+                        [binset.n_bins, len(cells)])
+        c = np.unique(pair, return_counts=True)[1].astype(np.float64)
+        fixed_nll = float(-np.sum(c * np.log2(c)) + disc.sum() * math.log2(n)
+                          + log2_vol[disc].sum())
 
-    const_cost = sum(model_cost(b.n_candidates, len(b.cuts))
-                     for d, b in enumerate(state.binsets) if d != j)
-
+    cont = ~disc
     res = solve_segmentation(
         n_total=n,
         boundaries=binset.grid,
-        cell_idx=cell_idx,
+        cell_idx=_interval_index(column.values[cont], binset.grid),
         K_max=K_max,
         n_singletons=binset.n_singletons,
         fixed_nll_bits=fixed_nll,
-        const_model_cost_bits=const_cost,
-        K_other=K_other,
-        other_cell_ids=compact,
-        other_log2_vol=log2_vol,
+        const_model_cost_bits=sum(model_cost(b.n_candidates, len(b.cuts))
+                                  for d, b in enumerate(binsets) if d != j),
+        K_other=math.prod(radices),
+        other_cell_ids=other_ids[cont],
+        other_log2_vol=log2_vol[cont],
     )
     return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 
@@ -206,57 +186,45 @@ def refine_dimension(j: int, state: FitState, K_max: int) -> RefineResult:
 def optimal_histogram_1d(column: MixedColumn, grid: np.ndarray, K_max: int) -> BinSet:
     """MDL-optimal bin set for a single column over the candidate boundary
     ``grid``: the re-cut of a one-dimension fit that starts with no chosen cuts."""
-    binsets = [BinSet(column.atoms, grid)]
-    labels = assign_labels(column, binsets[0])[:, None]
-    state = FitState(columns=[column], binsets=binsets, labels=labels,
-                     total_bits=_score_state(binsets, labels)[1].total)
-    return refine_dimension(0, state, K_max).binset
+    binset = BinSet(column.atoms, grid)
+    labels = assign_labels(column, binset)[:, None]
+    return refine_dimension(0, [column], [binset], labels, K_max).binset
 
 
 def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> FitResult:
     """Learn a joint adaptive histogram over all columns.
 
     Every iteration computes a candidate re-cut for each dimension against the
-    iteration-start state and accepts the one with the largest score decrease
-    (lowest dimension index wins ties).
+    iteration-start bin sets and labels, and accepts the one with the largest
+    score decrease (lowest dimension index wins ties).
     """
     config = config or FitConfig()
-    if not columns:
-        raise InputError("empty dataset")
-
     grid, binsets, labels = init_discretization(columns, config)
-    state = FitState(columns=list(columns), binsets=list(binsets), labels=labels,
-                     total_bits=total_score(grid, binsets).total)
-    trace = FitTrace(init_score=state.total_bits)
+    score = total_score(grid, binsets)
+    trace = FitTrace(init_score=score)
     K_max = config.k_max(columns[0].n)
 
     for iteration in range(1, config.i_max + 1):
-        best: tuple[int, RefineResult] | None = None
-        ops = 0
-        for j in range(len(columns)):
-            cand = refine_dimension(j, state, K_max)
-            ops += cand.ops
-            if best is None or cand.total_bits < best[1].total_bits:
-                best = (j, cand)
-        j, cand = best
-        if cand.total_bits >= state.total_bits - _GAIN_EPS:
+        results = [refine_dimension(d, columns, binsets, labels, K_max)
+                   for d in range(len(columns))]
+        j = min(range(len(results)), key=lambda d: results[d].total_bits)
+        best = results[j]
+        if best.total_bits >= score - _GAIN_EPS:
             trace.converged = True
             break
-        before = state.total_bits
-        state.binsets[j] = cand.binset
-        state.labels[:, j] = assign_labels(state.columns[j], cand.binset)
-        grid, score = _score_state(state.binsets, state.labels)
-        after = score.total
-        if abs(after - cand.total_bits) > 1e-6:
+        binsets[j] = best.binset
+        labels[:, j] = assign_labels(columns[j], best.binset)
+        grid = build_grid(labels, binsets)
+        after = total_score(grid, binsets)
+        if abs(after - best.total_bits) > 1e-6:
             raise AssertionError(
-                f"refinement score {cand.total_bits} disagrees with rebuilt score {after}")
-        state.total_bits = after
+                f"refinement score {best.total_bits} disagrees with rebuilt score {after}")
         trace.records.append(IterationRecord(
-            iteration=iteration, dim=j, score_before=before, score_after=after,
-            bins_per_dim=tuple(b.n_bins for b in state.binsets), ops=ops))
-    else:
-        trace.converged = False
+            iteration=iteration, dim=j, score_before=score, score_after=after,
+            bins_per_dim=tuple(b.n_bins for b in binsets),
+            ops=sum(r.ops for r in results)))
+        score = after
 
-    labels = state.labels.astype(np.min_scalar_type(state.labels.max()))
+    labels = labels.astype(np.min_scalar_type(labels.max()))
     labels.setflags(write=False)
     return FitResult(grid=grid, labels=labels, trace=trace)

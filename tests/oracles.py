@@ -61,8 +61,8 @@ def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
     for r in range(0, K_max):
         for subset in combinations(range(1, len(grid) - 1), r):
             bs = BinSet(column.atoms, grid, np.array(subset, dtype=np.int64))
-            labs = [assign_labels(column, bs), *fixed_labels]
+            labs = np.column_stack([assign_labels(column, bs), *fixed_labels])
             binsets = [bs, *fixed_binsets]
-            total = total_score(build_grid(labs, binsets), binsets).total
+            total = total_score(build_grid(labs, binsets), binsets)
             best = min(best, total)
     return float(best)

@@ -143,7 +143,7 @@ def test_criterion_06_dp_matches_exhaustive():
         cand = candidate_cuts(col, E + 1)
         bs = optimal_histogram_1d(col, cand, K_max)
         labs = assign_labels(col, bs)
-        dp = total_score(build_grid([labs], [bs]), [bs]).total
+        dp = total_score(build_grid(labs[:, None], [bs]), [bs])
         best = exhaustive_best_total(col, cand, K_max)
         worst = max(worst, abs(dp - best))
         assert dp <= best + 1e-9

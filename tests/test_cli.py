@@ -93,6 +93,45 @@ class TestEstimate:
         assert code == 2
         assert "duplicate column names ['A']" in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = "".join(f"{a},{a + b},{b}\n" for a, b in rng.normal(size=(80, 2)).tolist())
+        p = tmp_path / "bom.csv"
+        p.write_text("A,B,C\n" + rows, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfA,")
+        code, out, _ = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["columns"]["x"] == ["A"]
+        code, out, _ = run(["discover", str(p)], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["nodes"] == ["A", "B", "C"]
+
+    def test_undecodable_csv_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"caf\xe9,B\n1.0,2.0\n3.0,4.0\n")
+        code, out, err = run(["estimate", str(p), "--x", "B", "--y", "B"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot decode" in err
+
+    @pytest.mark.parametrize("argv", [["estimate", "exp1", "--n", "50", "--x", "X", "--y", "Y"],
+                                      ["datagen", "exp1", "--n", "50"],
+                                      ["benchmark", "exp2", "--n", "50", "--reps", "1"]],
+                             ids=["estimate", "datagen", "benchmark"])
+    def test_k_on_a_scenario_without_k_is_data_error(self, argv, capsys):
+        code, out, err = run([*argv, "--k", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "does not read" in err
+
+    def test_k_with_a_csv_path_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        run(["datagen", "exp1", "--n", "50", "--seed", "0", "--out", str(p)], capsys)
+        code, out, err = run(["estimate", str(p), "--x", "X", "--y", "Y", "--k", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--k" in err
+
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(["estimate"], capsys)  # missing positional
         assert code == 1

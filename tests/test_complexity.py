@@ -9,7 +9,6 @@ from histcmi import (
     BinSet,
     InputError,
     ModelError,
-    ScoreBreakdown,
     build_grid,
     log_regret,
     model_cost,
@@ -52,6 +51,21 @@ class TestLogRegret:
         with pytest.raises(InputError):
             log_regret(5, 0)
 
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in rng.integers(1, 3000, size=20):
+            K = rng.integers(1, 500, size=int(rng.integers(1, 30)))
+            out = log_regret(int(n), K)
+            assert isinstance(out, np.ndarray) and out.shape == K.shape
+            assert out.tolist() == [log_regret(int(n), int(k)) for k in K]
+        assert type(log_regret(7, 3)) is float
+
+    @pytest.mark.parametrize("K", [np.array([2, 0, 5]), np.array([-1]),
+                                   np.array([], dtype=np.int64)])
+    def test_array_with_bad_or_no_entry_rejected(self, K):
+        with pytest.raises(InputError):
+            log_regret(10, K)
+
     @settings(max_examples=30)
     @given(st.integers(1, 400), st.integers(1, 40))
     def test_nonnegative(self, n, K):
@@ -68,6 +82,25 @@ class TestModelCost:
         with pytest.raises(InputError):
             model_cost(3, 4)
 
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            E = int(rng.integers(0, 400))
+            chosen = rng.integers(0, E + 1, size=int(rng.integers(1, 30)))
+            out = model_cost(E, chosen)
+            assert isinstance(out, np.ndarray) and out.shape == chosen.shape
+            assert out.tolist() == [model_cost(E, int(m)) for m in chosen]
+            cands = chosen + rng.integers(0, 50, size=len(chosen))
+            assert model_cost(cands, chosen).tolist() == [
+                model_cost(int(e), int(m)) for e, m in zip(cands, chosen)]
+        assert type(model_cost(10, 3)) is float
+
+    @pytest.mark.parametrize("chosen", [np.array([0, 6, 2]), np.array([1, -1]),
+                                        np.array([], dtype=np.int64)])
+    def test_array_with_bad_or_no_entry_rejected(self, chosen):
+        with pytest.raises(InputError):
+            model_cost(5, chosen)
+
     @given(st.integers(0, 60), st.integers(0, 60))
     def test_nonnegative_and_symmetric(self, n, k):
         if k > n:
@@ -83,14 +116,14 @@ def _single_interval_grid(values, width):
     bs = BinSet(col.atoms, np.array([lo, lo + width]))
     from histcmi import assign_labels
 
-    return build_grid([assign_labels(col, bs)], [bs]), bs
+    return build_grid(assign_labels(col, bs)[:, None], [bs]), bs
 
 
 class TestNegLogLikelihood:
     def test_purely_discrete_single_cell(self):
         col = detect_discrete_points([2.0] * 8, t=5)
         bs = BinSet(np.array([2.0]), np.empty(0))
-        grid = build_grid([np.zeros(8, dtype=int)], [bs])
+        grid = build_grid(np.zeros((8, 1), dtype=int), [bs])
         assert neg_log_likelihood(grid) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_interval_width_two(self):
@@ -103,7 +136,7 @@ class TestNegLogLikelihood:
         bs = BinSet(col.atoms, np.array([0.0, 1.0, 2.0]), np.array([1]))
         from histcmi import assign_labels
 
-        grid = build_grid([assign_labels(col, bs)], [bs])
+        grid = build_grid(assign_labels(col, bs)[:, None], [bs])
         assert neg_log_likelihood(grid) == pytest.approx(4.0, abs=1e-9)
 
     def test_nonnegative_when_no_cell_is_narrower_than_unit(self):
@@ -117,7 +150,7 @@ class TestNegLogLikelihood:
             bs = BinSet(col.atoms, np.array([lo, cut, hi]), np.array([1]))
             from histcmi import assign_labels
 
-            grid = build_grid([assign_labels(col, bs)], [bs])
+            grid = build_grid(assign_labels(col, bs)[:, None], [bs])
             assert all(v >= 1.0 for v in bs.volumes)
             assert neg_log_likelihood(grid) >= -1e-12
 
@@ -141,27 +174,21 @@ class TestTotalScore:
     def test_single_cell_discrete_model_is_free(self):
         col = detect_discrete_points([3.0] * 12, t=5)
         bs = BinSet(np.array([3.0]), np.empty(0))
-        grid = build_grid([np.zeros(12, dtype=int)], [bs])
-        score = total_score(grid, [bs])
-        assert score.neg_log_likelihood == pytest.approx(0.0, abs=1e-12)
-        assert score.regret == 0.0
-        assert score.model_cost == 0.0
-        assert score.total == 0.0
-
-    def test_total_is_sum_of_parts(self):
-        s = ScoreBreakdown(neg_log_likelihood=3.25, regret=1.5, model_cost=0.25)
-        assert s.total == 3.25 + 1.5 + 0.25
+        grid = build_grid(np.zeros((12, 1), dtype=int), [bs])
+        assert neg_log_likelihood(grid) == pytest.approx(0.0, abs=1e-12)
+        assert total_score(grid, [bs]) == 0.0
 
     def test_unused_candidate_raises_model_cost(self):
         vals = [0.1, 0.2, 1.3, 1.4]
         col = detect_discrete_points(np.asarray(vals), t=9)
         from histcmi import assign_labels
 
-        totals = []
+        nlls, totals = [], []
         for cand, cuts in ((np.array([0.0, 1.0, 2.0]), [1]),
                            (np.array([0.0, 0.7, 1.0, 2.0]), [2])):
             bs = BinSet(col.atoms, cand, np.array(cuts))
-            grid = build_grid([assign_labels(col, bs)], [bs])
+            grid = build_grid(assign_labels(col, bs)[:, None], [bs])
+            nlls.append(neg_log_likelihood(grid))
             totals.append(total_score(grid, [bs]))
-        assert totals[1].model_cost > totals[0].model_cost
-        assert totals[1].total > totals[0].total  # same fit, pricier model description
+        assert nlls[1] == nlls[0]
+        assert totals[1] > totals[0]  # same fit, pricier model description

@@ -129,46 +129,55 @@ class TestGrid:
         return BinSet(np.arange(n_bins, dtype=float), np.empty(0))
 
     def test_four_distinct_cells(self):
-        labs = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
+        labs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         grid = build_grid(labs, [self._discrete_binset(2)] * 2)
         assert grid.K == 4
         assert grid.cells.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert grid.counts.tolist() == [1, 1, 1, 1]
 
     def test_single_dimension_single_cell(self):
-        grid = build_grid([np.zeros(9, dtype=int)], [self._discrete_binset(1)])
+        grid = build_grid(np.zeros((9, 1), dtype=int), [self._discrete_binset(1)])
         assert grid.cells.tolist() == [[0]]
         assert grid.counts.tolist() == [9]
 
     def test_K_is_product_of_bin_counts(self):
-        labs = [np.zeros(5, dtype=int)] * 3
+        labs = np.zeros((5, 3), dtype=int)
         bins = [self._discrete_binset(k) for k in (2, 3, 4)]
         assert build_grid(labs, bins).K == 24
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InputError):
-            build_grid([np.zeros(3, dtype=int), np.zeros(4, dtype=int)],
-                       [self._discrete_binset(1)] * 2)
+        # the label matrix needs exactly one column per bin set
+        for labels in (np.zeros((4, 3), dtype=int), np.zeros((4, 1), dtype=int),
+                       np.zeros(4, dtype=int)):
+            with pytest.raises(InputError):
+                build_grid(labels, [self._discrete_binset(1)] * 2)
+
+    def test_cells_do_not_alias_the_label_matrix(self):
+        # distinct rows in cell order: the one case where no gather is needed
+        labels = np.array([[0, 1], [1, 0]])
+        grid = build_grid(labels, [self._discrete_binset(2)] * 2)
+        labels[:] = 1
+        assert grid.cells.tolist() == [[0, 1], [1, 0]]
 
     @settings(max_examples=25)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=50))
     def test_count_conservation(self, rows):
         a = np.array([r[0] for r in rows])
         b = np.array([r[1] for r in rows])
-        grid = build_grid([a, b], [self._discrete_binset(3), self._discrete_binset(4)])
+        grid = build_grid(np.column_stack([a, b]), [self._discrete_binset(3), self._discrete_binset(4)])
         assert grid.counts.sum() == len(rows)
         assert grid.K == 12
 
     def test_label_outside_its_bins_rejected(self):
         with pytest.raises(InputError):
-            build_grid([np.array([0, 2])], [self._discrete_binset(2)])
+            build_grid(np.array([[0], [2]]), [self._discrete_binset(2)])
 
     def test_cell_ids_past_int64_stay_distinct(self):
         # 47**12 > 2**63: the first row is 2**64 in base 47 (most significant
         # digit first), which a wrapping encoding would merge with the zero row
         wrap = [7, 21, 33, 4, 41, 43, 23, 16, 26, 40, 3, 25]
         rows = np.array([wrap, [0] * 12, [46] * 12, wrap])
-        grid = build_grid(list(rows.T), [self._discrete_binset(47)] * 12)
+        grid = build_grid(rows, [self._discrete_binset(47)] * 12)
         assert grid.cells.tolist() == [[0] * 12, wrap, [46] * 12]
         assert grid.counts.tolist() == [1, 2, 1]
         assert grid.counts.sum() == grid.n == 4
@@ -189,7 +198,7 @@ class TestGrid:
     @given(_label_matrices())
     def test_matches_row_sort_reference(self, case):
         radices, mat = case
-        grid = build_grid(list(mat.T), [SimpleNamespace(n_bins=r) for r in radices])
+        grid = build_grid(mat, [SimpleNamespace(n_bins=r) for r in radices])
         cells, counts = np.unique(mat, axis=0, return_counts=True)
         assert np.array_equal(grid.cells, cells)
         assert np.array_equal(grid.counts, counts)

@@ -18,6 +18,12 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             ScenarioSpec("exp1", 0, 0)
 
+    @pytest.mark.parametrize("scenario,extra", [("exp6", {"kk": 3}), ("exp1", {"k": 3}),
+                                                ("network", {"k": 1}), ("exp6", {"k": 2, "n": 5})])
+    def test_parameter_the_scenario_does_not_read_rejected(self, scenario, extra):
+        with pytest.raises(InputError, match="does not read"):
+            ScenarioSpec(scenario, 10, 0, extra)
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

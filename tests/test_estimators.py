@@ -179,7 +179,7 @@ class TestContinuousEntropyTerms:
         from histcmi.data_model import BinSet
 
         bs = BinSet(col.atoms, np.array([0.0, 2.0]))
-        grid = build_grid([assign_labels(col, bs)], [bs])
+        grid = build_grid(assign_labels(col, bs)[:, None], [bs])
         terms = continuous_entropy_terms(grid, {"g": (0,)})
         assert terms["g"].continuous == pytest.approx(math.log(2.0), abs=1e-12)
 

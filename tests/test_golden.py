@@ -1,0 +1,82 @@
+"""Fixed-seed outputs of the estimator, pinned so a refactor can show they hold.
+
+Cases: exp1-exp6 at n=500 with ``replicate_seed(8, i)`` for i in 0-3 (exp6
+with k=2), estimated with the declared X/Y/Z roles; and one joint fit of
+the 7-column ``network`` at n=2000.  Cuts, bin counts and each trace
+record's dimension must match exactly; the estimate and each record's
+``score_after`` within a relative 1e-12, so the file holds across numpy's
+CPU-specific SIMD paths.
+
+    python tests/test_golden.py    # recompute golden_fits.json from this code
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden_fits.json"
+REL = 1e-12
+N_ESTIMATE, N_NETWORK, BASE_SEED, REPLICATES = 500, 2000, 8, 4
+
+
+def _summary(fit, estimate=None) -> dict:
+    return {
+        "estimate": estimate,
+        "cuts": [b.cuts.tolist() for b in fit.grid.dims],
+        "n_bins": [b.n_bins for b in fit.grid.dims],
+        "trace": [[r.dim, r.score_after] for r in fit.trace.records],
+    }
+
+
+def compute_cases() -> dict:
+    """Case name -> summary of its fit, in a fixed order."""
+    # imported here so that running this file can put src/ on the path first
+    from histcmi import FitConfig, VariableGroup, cmi_estimate
+    from histcmi.datagen import ScenarioSpec, generate, replicate_seed
+    from histcmi.estimators import fit_columns
+
+    cases = {}
+    for scenario in ("exp1", "exp2", "exp3", "exp4", "exp5", "exp6"):
+        extra = {"k": 2} if scenario == "exp6" else {}
+        for i in range(REPLICATES):
+            ds = generate(ScenarioSpec(scenario, N_ESTIMATE, replicate_seed(BASE_SEED, i), extra))
+            x, y, z = (VariableGroup(role, tuple(ds.names.index(c) for c in cols))
+                       for role, cols in (("X", ds.x), ("Y", ds.y), ("Z", ds.z)))
+            est = cmi_estimate(ds.data, x, y, z)
+            cases[f"{scenario}/{i}"] = _summary(est.fit, est.value)
+    ds = generate(ScenarioSpec("network", N_NETWORK, replicate_seed(BASE_SEED, 0)))
+    cases["network/fit"] = _summary(fit_columns(ds.data, FitConfig()))
+    return cases
+
+
+def _difference(got: dict, want: dict) -> str | None:
+    for key in ("cuts", "n_bins"):
+        if got[key] != want[key]:
+            return f"{key} {got[key]} != {want[key]}"
+    if [d for d, _ in got["trace"]] != [d for d, _ in want["trace"]]:
+        return f"trace dims {got['trace']} != {want['trace']}"
+    for (_, g), (_, w) in zip(got["trace"], want["trace"]):
+        if g != pytest.approx(w, rel=REL):
+            return f"score_after {g!r} != {w!r}"
+    if (got["estimate"] is None) != (want["estimate"] is None) or (
+            got["estimate"] is not None and got["estimate"] != pytest.approx(want["estimate"], rel=REL)):
+        return f"estimate {got['estimate']!r} != {want['estimate']!r}"
+    return None
+
+
+def test_fixed_seed_fits_match_golden_file():
+    want = json.loads(GOLDEN.read_text())
+    got = compute_cases()
+    assert list(got) == list(want)
+    for name in want:
+        diff = _difference(got[name], want[name])
+        if diff is not None:
+            pytest.fail(f"first differing case {name}: {diff}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+    lines = [f"{json.dumps(name)}: {json.dumps(case)}" for name, case in compute_cases().items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")

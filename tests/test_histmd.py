@@ -17,17 +17,14 @@ from histcmi import (
     refine_dimension,
     total_score,
 )
-from histcmi.histmd import FitState
+from histcmi import histmd
 
 from oracles import exhaustive_best_total
 
 
-def _state(cols, binsets, config=None):
+def _refine(j, cols, binsets, K_max):
     labels = np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
-    total = total_score(build_grid([labels[:, j] for j in range(len(cols))], binsets),
-                        binsets).total
-    return FitState(columns=list(cols), binsets=list(binsets), labels=labels,
-                    total_bits=total)
+    return refine_dimension(j, cols, binsets, labels, K_max)
 
 
 class TestFitConfig:
@@ -84,12 +81,12 @@ class TestRefineDimension:
         col = detect_discrete_points(rng.normal(size=600), 5)
         cfg = FitConfig()
         _, binsets, _ = init_discretization([col], cfg)
-        res = refine_dimension(0, _state([col], binsets, cfg), cfg.k_max(600))
+        res = _refine(0, [col], binsets, cfg.k_max(600))
         unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
         assert np.array_equal(res.binset.cuts, unc.cuts)
         labs = assign_labels(col, unc)
         assert res.total_bits == pytest.approx(
-            total_score(build_grid([labs], [unc]), [unc]).total, abs=1e-6)
+            total_score(build_grid(labs[:, None], [unc]), [unc]), abs=1e-6)
 
     def test_independent_dims_same_cuts_at_fixed_budget(self):
         # conditioning on an independently-cut dimension leaves the per-budget
@@ -104,7 +101,7 @@ class TestRefineDimension:
         _, binsets, _ = init_discretization(cols, cfg)
         binsets = list(binsets)
         binsets[1] = fit1.grid.dims[0]
-        res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n))
+        res = _refine(0, cols, binsets, cfg.k_max(n))
         unc = optimal_histogram_1d(cols[0], candidate_cuts(cols[0], cfg.k_init(n)), 3)
         assert np.array_equal(res.binset.cuts, unc.cuts)
 
@@ -122,14 +119,14 @@ class TestRefineDimension:
         gridx = binsets[0].grid
         cut0 = 1 + np.argmin(np.abs(gridx[1:-1]))  # the interior candidate nearest 0
         binsets[0] = BinSet(cols[0].atoms, gridx, np.array([cut0]))
-        res = refine_dimension(1, _state(cols, binsets, cfg), cfg.k_max(n))
+        res = _refine(1, cols, binsets, cfg.k_max(n))
 
         unc = optimal_histogram_1d(cols[1], candidate_cuts(cols[1], cfg.k_init(n)),
                                    cfg.k_max(n))
         alt = list(binsets)
         alt[1] = unc
         labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, alt)])
-        s_unc = total_score(build_grid([labs[:, 0], labs[:, 1]], alt), alt).total
+        s_unc = total_score(build_grid(labs, alt), alt)
         assert res.total_bits < s_unc - 1e-9
 
     def test_conditional_dp_matches_exhaustive_search(self):
@@ -150,35 +147,45 @@ class TestRefineDimension:
             n_total = cols[0].n
             cand_x = candidate_cuts(cols[0], cfg.k_init(n_total))
             assert len(cand_x) - 2 <= 10
-            res = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n_total))
+            res = _refine(0, cols, binsets, cfg.k_max(n_total))
             best = exhaustive_best_total(cols[0], cand_x, cfg.k_max(n_total),
                                          others=[(cols[1], binsets[1])])
             assert res.total_bits == pytest.approx(best, abs=1e-9)
             chosen = [res.binset, binsets[1]]
-            labs = [assign_labels(c, b) for c, b in zip(cols, chosen)]
-            assert total_score(build_grid(labs, chosen), chosen).total == pytest.approx(
+            labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, chosen)])
+            assert total_score(build_grid(labs, chosen), chosen) == pytest.approx(
                 res.total_bits, abs=1e-9)
 
     def test_degenerate_dimension_returned_unchanged(self):
-        # purely discrete, and one continuous value: no candidate cut either way
+        # purely discrete, and one continuous value: no candidate cut either
+        # way, so the best of no re-cuts is +inf and never accepted
         col_cont = detect_discrete_points(np.random.default_rng(1).normal(size=40), 5)
         cfg = FitConfig()
         for vals in (np.repeat([0.0, 1.0], 20), np.append(np.repeat([0.0, 1.0], 19), [0.5, 0.5])):
             col = detect_discrete_points(vals, 5)
             _, binsets, _ = init_discretization([col, col_cont], cfg)
             assert binsets[0].n_candidates == 0
-            state = _state([col, col_cont], binsets, cfg)
-            res = refine_dimension(0, state, cfg.k_max(40))
+            res = _refine(0, [col, col_cont], binsets, cfg.k_max(40))
             assert res.binset is binsets[0]
-            assert res.total_bits == state.total_bits
+            assert res.total_bits == math.inf
             assert res.ops == 0
+
+    def test_1d_histogram_builds_and_scores_no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("optimal_histogram_1d must not build or score a grid")
+
+        monkeypatch.setattr(histmd, "build_grid", refuse)
+        monkeypatch.setattr(histmd, "total_score", refuse)
+        col = detect_discrete_points(np.random.default_rng(9).normal(size=300), 5)
+        bs = optimal_histogram_1d(col, candidate_cuts(col, 40), 8)
+        assert bs.cuts.size > 0
 
     def test_recut_shares_grid_and_singletons(self):
         rng = np.random.default_rng(12)
         col = detect_discrete_points(np.append(np.repeat([0.0, 3.0], 8), rng.normal(size=300)), 5)
         cfg = FitConfig()
         _, binsets, _ = init_discretization([col], cfg)
-        res = refine_dimension(0, _state([col], binsets, cfg), cfg.k_max(col.n))
+        res = _refine(0, [col], binsets, cfg.k_max(col.n))
         assert res.binset.cuts.size > 0
         assert res.binset.grid is binsets[0].grid
         assert res.binset.singletons is binsets[0].singletons
@@ -195,7 +202,7 @@ class TestRefineDimension:
             z = rng.integers(0, m, size=n).astype(float)
             cols = [detect_discrete_points(x, 5), detect_discrete_points(z, 5)]
             _, binsets, _ = init_discretization(cols, cfg)
-            ops[m] = refine_dimension(0, _state(cols, binsets, cfg), cfg.k_max(n)).ops
+            ops[m] = _refine(0, cols, binsets, cfg.k_max(n)).ops
         assert ops[4] == 2 * ops[2]
 
 
@@ -243,8 +250,8 @@ class TestGreedyFit:
                 rng.exponential(size=330)]
         cols = [detect_discrete_points(v, 5) for v in vals]
         fit = greedy_fit(cols, FitConfig())
-        rebuilt = build_grid(
-            [assign_labels(c, b) for c, b in zip(cols, fit.grid.dims)], list(fit.grid.dims))
+        rebuilt = build_grid(np.column_stack(
+            [assign_labels(c, b) for c, b in zip(cols, fit.grid.dims)]), list(fit.grid.dims))
         assert np.array_equal(rebuilt.cells, fit.grid.cells)
         assert np.array_equal(rebuilt.counts, fit.grid.counts)
         assert rebuilt.K == fit.grid.K
