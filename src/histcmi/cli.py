@@ -173,8 +173,21 @@ def cmd_estimate(args) -> RunReport:
                      time.perf_counter() - t0)
 
 
+_CI_TESTS = ("chi2", "sc")
+
+
+def _check_ci_test(method: str, alpha: float):
+    """Reject an unknown CI-test method, or an alpha outside (0, 1) even where
+    the method (sc) does not read it."""
+    if method not in _CI_TESTS:
+        raise InputError(f"unknown CI test {method!r}; known: {list(_CI_TESTS)}")
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def cmd_citest(args) -> RunReport:
     t0 = time.perf_counter()
+    _check_ci_test(args.test, args.alpha)
     dataset = _load_dataset(args.data, args)
     config = _config_from(args)
     xs, ys, zs = _roles_from_args(dataset, args)
@@ -205,8 +218,10 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     (a, b | cond) split of it.  Its cache belongs to one dataset, held by
     reference and matched by identity, and to one set size: PC-stable tests
     the sets of one size at one level only, so a new dataset or a new size
-    clears it.
+    clears it.  An unknown method or an alpha outside (0, 1) is rejected here,
+    before any fit.
     """
+    _check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
     fits_of, fits_size = None, 0
 
@@ -382,7 +397,7 @@ def build_parser() -> _Parser:
         p.add_argument("--z", help="comma-separated Z columns (may be empty)")
     for p in (citest, discover):
         p.add_argument("--alpha", type=float, default=0.01)
-        p.add_argument("--test", choices=["chi2", "sc"], default="chi2")
+        p.add_argument("--test", choices=_CI_TESTS, default="chi2")
     discover.add_argument("--max-level", type=int, default=None)
 
     datagen = add("datagen", cmd_datagen)

@@ -13,6 +13,7 @@ import threading
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .data_model import cell_ids
 from .errors import InputError, ModelError
 
 _LN2 = math.log(2.0)
@@ -83,26 +84,40 @@ def model_cost(num_candidates: int | np.ndarray,
     return float(out) if out.ndim == 0 else out
 
 
-def neg_log_likelihood(grid) -> float:
+def neg_log_likelihood(grid, dims=None) -> float:
     """-log2 of the maximum likelihood of the histogram model, in bits.
 
     Each occupied cell j contributes -c_j·log2(c_j / (n·v_j)) with v_j the
     product of its per-dimension bin volumes; empty cells contribute 0.
+    ``dims``, a set of dimension indices, scores the grid's projection onto
+    those dimensions instead: cells that agree on them merge into one.  Times
+    ln 2 / n this is the continuous-form entropy of the projection, in nats.
     """
-    vols = [d.volumes for d in grid.dims]
+    dims = list(range(len(grid.dims))) if dims is None else sorted(dims)
+    if len(set(dims)) != len(dims):
+        raise InputError(f"projection repeats a dimension: {dims}")
+    vols = [grid.dims[j].volumes for j in dims]
     for v in vols:
         if v.size and v.min() <= 0:
             raise ModelError("cell with non-positive volume")
     if len(grid.counts) == 0:
         return 0.0
     counts = grid.counts.astype(np.float64)
+    cells = grid.cells
+    if len(dims) < len(grid.dims):
+        # a grid's cells are distinct and sorted, so only a projection merges
+        cells = cells[:, dims]
+        ids = cell_ids(cells, [grid.dims[j].n_bins for j in dims])
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts)
+        cells = cells[first]
     log_v = np.zeros(len(counts))
     for j, v in enumerate(vols):
-        log_v += np.log2(v)[grid.cells[:, j]]
+        log_v += np.log2(v)[cells[:, j]]
     return float(-np.sum(counts * (np.log2(counts) - math.log2(grid.n) - log_v)))
 
 
-def total_score(grid, binsets) -> float:
+def total_score(grid) -> float:
     """Full two-part code length of (data, model) in bits: NLL + regret + model cost."""
     return (neg_log_likelihood(grid) + log_regret(grid.n, grid.K)
-            + sum(model_cost(b.n_candidates, len(b.cuts)) for b in binsets))
+            + sum(model_cost(b.n_candidates, len(b.cuts)) for b in grid.dims))

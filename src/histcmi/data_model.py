@@ -178,6 +178,15 @@ def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
 _ID_LIMIT = 2 ** 63
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an array, refused unless its dtype is integer or bool:
+    float labels would be truncated or collide in the cell encoding."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels
+
+
 def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
     """Encode each label row as one int64 id, first column most significant.
 
@@ -187,7 +196,7 @@ def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
     replaced by their ranks, which keeps their order: the ids then stop being
     the plain mixed-radix value but sort and compare exactly as it would.
     """
-    labels = np.asarray(labels)
+    labels = _integer_labels(labels)
     if labels.ndim != 2 or labels.shape[1] != len(radices):
         raise InputError("labels must be an (n, k) matrix with one radix per column")
     ids = np.zeros(len(labels), dtype=np.int64)
@@ -202,7 +211,7 @@ def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
             span = len(distinct)
             if span * r > _ID_LIMIT:
                 raise InputError("too many distinct cells to encode in int64")
-        ids = ids * r + col
+        ids = ids * r + col.astype(np.int64, copy=False)  # uint64 would make ids float64
         span *= r
     return ids
 
@@ -238,7 +247,7 @@ class Grid:
 def build_grid(labels: np.ndarray, bins: list[BinSet]) -> Grid:
     """Count rows per occupied joint cell of the (n, k) label matrix, whose
     column j holds bin indices of ``bins[j]``; the grid keeps its own copy."""
-    mat = np.asarray(labels).astype(np.int64, copy=False)
+    mat = _integer_labels(labels).astype(np.int64, copy=False)
     n = len(mat)
     ids = cell_ids(mat, [b.n_bins for b in bins])
     # any row of a cell spells that cell, so the sort need not be stable

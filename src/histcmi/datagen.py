@@ -24,6 +24,8 @@ RNG_NAME = "pcg64-v1"
 
 def replicate_seed(base_seed: int, index: int) -> int:
     """Deterministic per-replicate seed: first word of SeedSequence((base, index))."""
+    if base_seed < 0 or index < 0:
+        raise InputError(f"replicate seeds need base and index >= 0, got ({base_seed}, {index})")
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1, np.uint64)[0])
 
 
@@ -37,6 +39,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("n must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.id not in SCENARIOS:
             raise InputError(f"unknown scenario {self.id!r}; known: {sorted(SCENARIOS)}")
         unread = sorted(set(self.extra) - _PARAMETERS.get(self.id, set()))

@@ -6,7 +6,8 @@ entropies of label projections of that one fit.  Because marginal cell
 volumes are products of per-dimension bin volumes, every volume term in the
 continuous-form estimator cancels across the four-entropy sum, so the
 discrete plug-in value *is* the continuous estimate; both are computed and
-cross-checked on every call.
+cross-checked on every call.  The continuous side is each grid projection's
+code length from :func:`histcmi.complexity.neg_log_likelihood`, as in the score.
 
 Estimates are in nats; the model-selection scores underneath stay in bits.
 """
@@ -19,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .complexity import neg_log_likelihood
 from .data_model import Grid, cell_ids, detect_discrete_points
 from .errors import InputError, ModelError
 from .histmd import FitConfig, FitResult, greedy_fit
@@ -75,20 +77,8 @@ def plugin_entropy(labels: np.ndarray) -> float:
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for one cell
 
 
-@dataclass(frozen=True)
-class EntropyTerm:
-    """One marginal entropy of the fitted model, with its volume correction."""
-
-    plugin: float       # nats, discrete entropy of the projected labels
-    volume_term: float  # nats, (1/n) * sum over rows of ln(cell volume)
-
-    @property
-    def continuous(self) -> float:
-        return self.plugin + self.volume_term
-
-
-def continuous_entropy_terms(grid: Grid, groups: Mapping[str, Sequence[int]]) -> dict[str, EntropyTerm]:
-    """Continuous-form entropies of grid projections, with explicit volume terms.
+def continuous_entropy_terms(grid: Grid, groups: Mapping[str, Sequence[int]]) -> dict[str, float]:
+    """Continuous-form entropy of each named grid projection, in nats.
 
     Used as the cancellation self-check: across H(XZ) + H(YZ) - H(XYZ) - H(Z)
     the volume terms sum to zero because each row's per-dimension volumes
@@ -96,31 +86,8 @@ def continuous_entropy_terms(grid: Grid, groups: Mapping[str, Sequence[int]]) ->
     """
     if len(grid.counts) == 0:
         raise InputError("empty grid")
-    cells = grid.cells
-    counts = grid.counts.astype(np.float64)
-    n = grid.n
-    log_vols = []
-    for j, d in enumerate(grid.dims):
-        v = d.volumes
-        if v.size and v.min() <= 0:
-            raise ModelError("cell with non-positive volume")
-        log_vols.append(np.log(v)[cells[:, j]])
-
-    out: dict[str, EntropyTerm] = {}
-    for name, dims in groups.items():
-        dims = tuple(dims)
-        if dims:
-            proj = cells[:, dims]
-            flat = _flat_ids(proj)
-            _, inv = np.unique(flat, return_inverse=True)
-            merged = np.bincount(inv, weights=counts)
-            p = merged / n
-            plugin = float(-np.sum(p * np.log(p)))
-        else:
-            plugin = 0.0
-        vol = float(sum(np.sum(counts * log_vols[j]) for j in dims) / n)
-        out[name] = EntropyTerm(plugin=plugin, volume_term=vol)
-    return out
+    return {name: neg_log_likelihood(grid, dims) * math.log(2.0) / grid.n
+            for name, dims in groups.items()}
 
 
 def _check_groups(k: int, x: VariableGroup, y: VariableGroup, z: VariableGroup):
@@ -181,8 +148,7 @@ def cmi_estimate(
     value = h["xz"] + h["yz"] - h["xyz"] - h["z"]
 
     terms = continuous_entropy_terms(fit.grid, groups)
-    i_cont = (terms["xz"].continuous + terms["yz"].continuous
-              - terms["xyz"].continuous - terms["z"].continuous)
+    i_cont = terms["xz"] + terms["yz"] - terms["xyz"] - terms["z"]
     if not math.isclose(i_cont, value, abs_tol=_CANCELLATION_TOL):
         raise ModelError(
             f"volume cancellation violated: continuous {i_cont} vs plug-in {value}")

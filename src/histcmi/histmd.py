@@ -200,7 +200,7 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     """
     config = config or FitConfig()
     grid, binsets, labels = init_discretization(columns, config)
-    score = total_score(grid, binsets)
+    score = total_score(grid)
     trace = FitTrace(init_score=score)
     K_max = config.k_max(columns[0].n)
 
@@ -215,7 +215,7 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
         binsets[j] = best.binset
         labels[:, j] = assign_labels(columns[j], best.binset)
         grid = build_grid(labels, binsets)
-        after = total_score(grid, binsets)
+        after = total_score(grid)
         if abs(after - best.total_bits) > 1e-6:
             raise AssertionError(
                 f"refinement score {best.total_bits} disagrees with rebuilt score {after}")

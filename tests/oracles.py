@@ -63,6 +63,6 @@ def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
             bs = BinSet(column.atoms, grid, np.array(subset, dtype=np.int64))
             labs = np.column_stack([assign_labels(column, bs), *fixed_labels])
             binsets = [bs, *fixed_binsets]
-            total = total_score(build_grid(labs, binsets), binsets)
+            total = total_score(build_grid(labs, binsets))
             best = min(best, total)
     return float(best)

@@ -120,8 +120,7 @@ def test_criterion_05_volume_cancellation():
         plug = {s: plugin_entropy(labels[:, d]) for s, d in groups.items()}
         i_plug = plug["xz"] + plug["yz"] - plug["xyz"] - plug["z"]
         terms = continuous_entropy_terms(fit.grid, groups)
-        i_cont = (terms["xz"].continuous + terms["yz"].continuous
-                  - terms["xyz"].continuous - terms["z"].continuous)
+        i_cont = terms["xz"] + terms["yz"] - terms["xyz"] - terms["z"]
         worst = max(worst, abs(i_cont - i_plug))
     _verdict(5, worst < 1e-9, f"50 mixed datasets: max |I_cont - I_plugin| = {worst:.2e} (< 1e-9)")
 
@@ -143,7 +142,7 @@ def test_criterion_06_dp_matches_exhaustive():
         cand = candidate_cuts(col, E + 1)
         bs = optimal_histogram_1d(col, cand, K_max)
         labs = assign_labels(col, bs)
-        dp = total_score(build_grid(labs[:, None], [bs]), [bs])
+        dp = total_score(build_grid(labs[:, None], [bs]))
         best = exhaustive_best_total(col, cand, K_max)
         worst = max(worst, abs(dp - best))
         assert dp <= best + 1e-9

@@ -51,6 +51,16 @@ class TestDatagen:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [["datagen", "exp1"], ["estimate", "exp1"],
+                                  ["discover", "network"], ["benchmark", "exp1", "--reps", "1"]],
+                         ids=["datagen", "estimate", "discover", "benchmark"])
+def test_negative_seed_is_data_error(argv, capsys):
+    code, out, err = run(argv + ["--n", "10", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert ">= 0" in err
+
+
 class TestEstimate:
     def test_self_information(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
@@ -185,6 +195,14 @@ class TestCitest:
                             "--test", "sc"], capsys)
         assert code == 0
         assert json.loads(out)["results"]["method"] == "sc"
+
+    @pytest.mark.parametrize("command,data", [("citest", "exp4"), ("discover", "network")])
+    def test_alpha_outside_unit_interval_is_data_error_for_sc_too(self, command, data, capsys):
+        code, out, err = run([command, data, "--n", "100", "--test", "sc", "--alpha", "5"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
 
 
 class TestBenchmark:
@@ -325,6 +343,17 @@ class TestCiTestFitReuse:
         reused, fresh = fits[1].labels, fits[2].labels
         assert reused.dtype == fresh.dtype
         assert np.array_equal(reused, fresh)
+
+    @pytest.mark.parametrize("method,alpha,match", [("chi-2", 0.01, "unknown CI test"),
+                                                    ("chi2", 0.0, "alpha"),
+                                                    ("sc", 5.0, "alpha"),
+                                                    ("sc", float("nan"), "alpha")])
+    def test_factory_rejects_bad_method_or_alpha_before_any_fit(self, method, alpha, match,
+                                                                monkeypatch):
+        calls = _count_fits(monkeypatch)
+        with pytest.raises(InputError, match=match):
+            make_ci_test(FitConfig(), method, alpha)
+        assert calls == []
 
     def test_repeated_column_rejected(self):
         ds = generate(ScenarioSpec("network", 200, 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from histcmi import (
     BinSet,
+    FitConfig,
     InputError,
     ModelError,
     build_grid,
+    greedy_fit,
     log_regret,
     model_cost,
     neg_log_likelihood,
     total_score,
 )
+from histcmi import complexity
 from histcmi.data_model import detect_discrete_points
 
 from oracles import multinomial_regret
@@ -168,6 +172,62 @@ class TestNegLogLikelihood:
                             counts=np.array([2]), n=2)
         with pytest.raises(ModelError):
             neg_log_likelihood(broken)
+        with pytest.raises(ModelError):
+            neg_log_likelihood(broken, dims=(0,))
+
+    def test_projection_checks_only_the_volumes_it_reads(self):
+        class BrokenBins:
+            volumes = np.array([0.0])
+            n_bins = 1
+
+        grid, bs = _single_interval_grid([0.0, 1.0], width=2.0)
+        two = type(grid)(dims=(BrokenBins(), bs), cells=np.zeros((1, 2), dtype=np.int64),
+                         counts=np.array([2]), n=2)
+        with pytest.raises(ModelError):
+            neg_log_likelihood(two, dims=(0,))
+        assert neg_log_likelihood(two, dims=(1,)) == neg_log_likelihood(grid)
+
+    def test_repeated_dimension_rejected(self):
+        grid, _ = _single_interval_grid([0.0, 1.0], width=2.0)
+        with pytest.raises(InputError, match="repeats"):
+            neg_log_likelihood(grid, dims=(0, 0))
+
+
+def _mixed_fit(seed):
+    """A joint fit of 1-4 continuous, discrete or mixture columns, 20-400 rows."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(20, 401)), int(rng.integers(1, 5))
+    base = rng.normal(size=n)
+    cols = []
+    for kind in rng.choice(["continuous", "discrete", "mixture"], size=k):
+        cont = base * rng.random() + rng.normal(size=n)
+        levels = np.floor(np.clip(base, -2.0, 2.0)) + rng.integers(0, 2, size=n)
+        v = {"continuous": cont, "discrete": levels,
+             "mixture": np.where(rng.random(n) < 0.4, levels, cont)}[kind]
+        cols.append(detect_discrete_points(v, t=5))
+    return greedy_fit(cols, FitConfig())
+
+
+class TestProjectedNegLogLikelihood:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_grid_built_on_projected_labels(self, seed):
+        fit = _mixed_fit(seed)
+        k = len(fit.grid.dims)
+        for r in range(k + 1):
+            for dims in itertools.combinations(range(k), r):
+                built = build_grid(fit.labels[:, list(dims)], [fit.grid.dims[j] for j in dims])
+                assert neg_log_likelihood(fit.grid, dims) == neg_log_likelihood(built)
+
+    def test_all_dimensions_in_any_order_merge_nothing(self, monkeypatch):
+        fit = _mixed_fit(4)
+        k = len(fit.grid.dims)
+        assert k == 4
+        whole = neg_log_likelihood(fit.grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("merged the cells of a whole grid")
+        monkeypatch.setattr(complexity, "cell_ids", refuse)
+        assert neg_log_likelihood(fit.grid, tuple(reversed(range(k)))) == whole
 
 
 class TestTotalScore:
@@ -176,7 +236,7 @@ class TestTotalScore:
         bs = BinSet(np.array([3.0]), np.empty(0))
         grid = build_grid(np.zeros((12, 1), dtype=int), [bs])
         assert neg_log_likelihood(grid) == pytest.approx(0.0, abs=1e-12)
-        assert total_score(grid, [bs]) == 0.0
+        assert total_score(grid) == 0.0
 
     def test_unused_candidate_raises_model_cost(self):
         vals = [0.1, 0.2, 1.3, 1.4]
@@ -189,6 +249,6 @@ class TestTotalScore:
             bs = BinSet(col.atoms, cand, np.array(cuts))
             grid = build_grid(assign_labels(col, bs)[:, None], [bs])
             nlls.append(neg_log_likelihood(grid))
-            totals.append(total_score(grid, [bs]))
+            totals.append(total_score(grid))
         assert nlls[1] == nlls[0]
         assert totals[1] > totals[0]  # same fit, pricier model description

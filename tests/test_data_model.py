@@ -13,7 +13,7 @@ from histcmi import (
     build_grid,
     detect_discrete_points,
 )
-from histcmi.data_model import degenerate_width
+from histcmi.data_model import cell_ids, degenerate_width
 
 
 class TestDetectDiscretePoints:
@@ -168,6 +168,16 @@ class TestGrid:
         assert grid.counts.sum() == len(rows)
         assert grid.K == 12
 
+    def test_float_labels_rejected_not_truncated(self):
+        with pytest.raises(InputError, match="integers"):
+            build_grid(np.array([[0.7], [1.2]]), [self._discrete_binset(2)])
+
+    def test_bool_labels_count_as_integers(self):
+        grid = build_grid(np.array([[True], [False], [True]]), [self._discrete_binset(2)])
+        assert grid.cells.dtype == np.int64
+        assert grid.cells.tolist() == [[0], [1]]
+        assert grid.counts.tolist() == [1, 2]
+
     def test_label_outside_its_bins_rejected(self):
         with pytest.raises(InputError):
             build_grid(np.array([[0], [2]]), [self._discrete_binset(2)])
@@ -202,3 +212,23 @@ class TestGrid:
         cells, counts = np.unique(mat, axis=0, return_counts=True)
         assert np.array_equal(grid.cells, cells)
         assert np.array_equal(grid.counts, counts)
+
+
+class TestCellIds:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
+    def test_non_integer_labels_rejected(self, dtype):
+        with pytest.raises(InputError, match="integers"):
+            cell_ids(np.array([[0, 1], [1, 0]], dtype=dtype), [2, 2])
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64])
+    def test_integer_and_bool_labels_accepted(self, dtype):
+        ids = cell_ids(np.array([[0, 1], [1, 0]], dtype=dtype), [2, 2])
+        assert ids.tolist() == [1, 2]
+
+    def test_uint64_labels_keep_int64_ids(self):
+        # int64 ids plus uint64 labels would promote to float64, where
+        # 2**60 and 2**60 + 1 are one value
+        labels = np.array([[2 ** 60], [2 ** 60 + 1]], dtype=np.uint64)
+        ids = cell_ids(labels, [2 ** 60 + 2])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [2 ** 60, 2 ** 60 + 1]

@@ -18,6 +18,10 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             ScenarioSpec("exp1", 0, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            ScenarioSpec("exp1", 10, -1)
+
     @pytest.mark.parametrize("scenario,extra", [("exp6", {"kk": 3}), ("exp1", {"k": 3}),
                                                 ("network", {"k": 1}), ("exp6", {"k": 2, "n": 5})])
     def test_parameter_the_scenario_does_not_read_rejected(self, scenario, extra):
@@ -50,6 +54,11 @@ class TestReproducibility:
     def test_replicate_seed_deterministic(self):
         assert replicate_seed(5, 3) == replicate_seed(5, 3)
         assert replicate_seed(5, 3) != replicate_seed(5, 4)
+
+    @pytest.mark.parametrize("base,index", [(-1, 0), (0, -1)])
+    def test_replicate_seed_rejects_negative_base_or_index(self, base, index):
+        with pytest.raises(InputError, match=">= 0"):
+            replicate_seed(base, index)
 
 
 class TestMarginals:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from histcmi import (
     FitConfig,
     InputError,
+    ModelError,
     ScenarioSpec,
     VariableGroup,
     cmi_estimate,
@@ -55,6 +57,16 @@ class TestPluginEntropy:
         h = plugin_entropy(np.empty((7, 0), dtype=int))
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0
+
+    def test_float_labels_rejected(self):
+        # (0.5, 0.4) and (0.4, 0.5) are distinct rows, but both truncate to one id
+        with pytest.raises(InputError, match="integers"):
+            plugin_entropy(np.array([[0.5, 0.4], [0.4, 0.5]]))
+
+    def test_bool_labels_are_two_symbols(self):
+        expected = -(2 / 3) * math.log(2 / 3) - (1 / 3) * math.log(1 / 3)
+        assert plugin_entropy(np.array([True, False, True])) == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.6365, abs=1e-4)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InputError):
@@ -169,8 +181,7 @@ class TestContinuousEntropyTerms:
         cols = [detect_discrete_points(data[:, j], 5) for j in range(2)]
         fit = greedy_fit(cols, FitConfig())
         terms = continuous_entropy_terms(fit.grid, {"all": (0, 1)})
-        assert terms["all"].volume_term == 0.0
-        assert terms["all"].continuous == terms["all"].plugin
+        assert terms["all"] == pytest.approx(plugin_entropy(fit.labels), abs=1e-12)
 
     def test_single_interval_width_two(self):
         vals = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -181,7 +192,7 @@ class TestContinuousEntropyTerms:
         bs = BinSet(col.atoms, np.array([0.0, 2.0]))
         grid = build_grid(assign_labels(col, bs)[:, None], [bs])
         terms = continuous_entropy_terms(grid, {"g": (0,)})
-        assert terms["g"].continuous == pytest.approx(math.log(2.0), abs=1e-12)
+        assert terms["g"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_four_term_volume_cancellation(self):
         for rep in range(6):
@@ -189,9 +200,19 @@ class TestContinuousEntropyTerms:
             est = cmi_estimate(ds.data, X, Y, Z)
             groups = {"xz": (0, 2), "yz": (1, 2), "xyz": (0, 1, 2), "z": (2,)}
             terms = continuous_entropy_terms(est.fit.grid, groups)
-            vol = (terms["xz"].volume_term + terms["yz"].volume_term
-                   - terms["xyz"].volume_term - terms["z"].volume_term)
-            assert vol == pytest.approx(0.0, abs=1e-12)
-            i_cont = (terms["xz"].continuous + terms["yz"].continuous
-                      - terms["xyz"].continuous - terms["z"].continuous)
+            i_cont = terms["xz"] + terms["yz"] - terms["xyz"] - terms["z"]
             assert i_cont == pytest.approx(est.value, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grid_that_disagrees_with_the_labels_is_caught(self, seed):
+        # one row moved from the fullest cell to the emptiest: the grid-side
+        # estimate no longer matches the plug-in estimate of the labels
+        ds = generate(ScenarioSpec("exp5", 300, seed))
+        fit = cmi_estimate(ds.data, X, Y, Z).fit
+        counts = fit.grid.counts.copy()
+        src, dst = int(np.argmax(counts)), int(np.argmin(counts))
+        counts[src] -= 1
+        counts[dst] += 1
+        bad = dataclasses.replace(fit, grid=dataclasses.replace(fit.grid, counts=counts))
+        with pytest.raises(ModelError, match="cancellation"):
+            cmi_estimate(ds.data, X, Y, Z, fit=bad)

@@ -18,7 +18,7 @@ from oracles import exhaustive_best_total, xlogx_segment_sums
 
 
 def _total_of(col, binset):
-    return total_score(build_grid(assign_labels(col, binset)[:, None], [binset]), [binset])
+    return total_score(build_grid(assign_labels(col, binset)[:, None], [binset]))
 
 
 class TestBinBudget:

@@ -86,7 +86,7 @@ class TestRefineDimension:
         assert np.array_equal(res.binset.cuts, unc.cuts)
         labs = assign_labels(col, unc)
         assert res.total_bits == pytest.approx(
-            total_score(build_grid(labs[:, None], [unc]), [unc]), abs=1e-6)
+            total_score(build_grid(labs[:, None], [unc])), abs=1e-6)
 
     def test_independent_dims_same_cuts_at_fixed_budget(self):
         # conditioning on an independently-cut dimension leaves the per-budget
@@ -126,7 +126,7 @@ class TestRefineDimension:
         alt = list(binsets)
         alt[1] = unc
         labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, alt)])
-        s_unc = total_score(build_grid(labs, alt), alt)
+        s_unc = total_score(build_grid(labs, alt))
         assert res.total_bits < s_unc - 1e-9
 
     def test_conditional_dp_matches_exhaustive_search(self):
@@ -153,7 +153,7 @@ class TestRefineDimension:
             assert res.total_bits == pytest.approx(best, abs=1e-9)
             chosen = [res.binset, binsets[1]]
             labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, chosen)])
-            assert total_score(build_grid(labs, chosen), chosen) == pytest.approx(
+            assert total_score(build_grid(labs, chosen)) == pytest.approx(
                 res.total_bits, abs=1e-9)
 
     def test_degenerate_dimension_returned_unchanged(self):
