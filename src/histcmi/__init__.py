@@ -5,7 +5,7 @@ from .citest import chi2_critical, citest_chi2, citest_sc
 from .complexity import log_regret, model_cost, neg_log_likelihood, total_score
 from .data_model import BinSet, assign_labels, build_grid, detect_discrete_points
 from .datagen import ScenarioSpec, generate, ground_truth, replicate_seed, true_network_edges
-from .errors import DegenerateColumnError, InputError, LabelingError, ModelError
+from .errors import InputError, LabelingError, ModelError
 from .estimators import VariableGroup, cmi_estimate, continuous_entropy_terms, plugin_entropy
 from .hist1d import candidate_cuts
 from .histmd import (
@@ -19,8 +19,8 @@ from .histmd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinSet", "DegenerateColumnError", "FitConfig", "InputError", "LabelingError",
-    "ModelError", "ScenarioSpec", "VariableGroup",
+    "BinSet", "FitConfig", "InputError", "LabelingError", "ModelError",
+    "ScenarioSpec", "VariableGroup",
     "assign_labels", "build_grid", "candidate_cuts", "chi2_critical", "citest_chi2",
     "citest_sc", "cmi_estimate", "continuous_entropy_terms", "detect_discrete_points",
     "generate", "greedy_fit", "ground_truth", "init_discretization", "log_regret",

@@ -35,6 +35,7 @@ from .histmd import FitConfig, FitResult
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 SCHEMA_VERSION = 1
+_SCENARIO_N = 1000  # rows drawn from a scenario id when --n is not given
 
 
 class UsageError(Exception):
@@ -147,9 +148,11 @@ def _roles_from_args(dataset: Dataset, args):
 def _load_dataset(target: str, args) -> Dataset:
     if target in SCENARIOS:
         extra = {"k": args.k} if args.k is not None else {}
-        return generate(ScenarioSpec(id=target, n=args.n, seed=args.seed, extra=extra))
-    if args.k is not None:
-        raise InputError("--k is a scenario parameter and does not apply to a CSV file")
+        n = _SCENARIO_N if args.n is None else args.n
+        return generate(ScenarioSpec(id=target, n=n, seed=args.seed, extra=extra))
+    for flag, value in (("--k", args.k), ("--n", args.n)):
+        if value is not None:
+            raise InputError(f"{flag} is a scenario parameter and does not apply to a CSV file")
     return read_csv_dataset(target)
 
 
@@ -403,8 +406,11 @@ def build_parser() -> _Parser:
     datagen = add("datagen", cmd_datagen)
     datagen.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
     datagen.add_argument("--out", default=None)
-    for p in (estimate, citest, discover, datagen):
-        p.add_argument("--n", type=int, default=1000, help="rows drawn from a scenario id")
+    for p in (estimate, citest, discover):
+        p.add_argument("--n", type=int, default=None,
+                       help=f"rows drawn from a scenario id (default {_SCENARIO_N})")
+    datagen.add_argument("--n", type=int, default=_SCENARIO_N,
+                         help="rows drawn from a scenario id")
 
     benchmark = add("benchmark", cmd_benchmark)
     benchmark.add_argument("scenario")

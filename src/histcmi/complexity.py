@@ -54,15 +54,26 @@ def _extend_regret(n: int, K: int) -> np.ndarray:
     return arr
 
 
+def _integer_array(name: str, value) -> np.ndarray:
+    """``value`` as an array, refused unless it holds integers: a fractional
+    count would be truncated or break the table lookup."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise InputError(f"{name} must be an integer or integer array, got {value!r}")
+    return arr
+
+
 def log_regret(n: int, K: int | np.ndarray) -> float | np.ndarray:
     """log2 R(n,K), the parametric complexity of a K-cell multinomial over n samples.
 
     Computed by the linear recurrence R(n,K+2) = R(n,K+1) + (n/K)·R(n,K),
     seeded with R(n,1) = 1 and the exact summation for R(n,2); all values are
     carried as logarithms and cached per n.  ``K`` may be an integer array,
-    which gives an array of the same shape; a scalar gives a float.
+    which gives an array of the same shape; a scalar gives a float.  A
+    non-integer ``n`` or ``K`` is an ``InputError``.
     """
-    K_arr = np.asarray(K)
+    _integer_array("n", n)
+    K_arr = _integer_array("K", K)
     if n < 1 or K_arr.size == 0 or K_arr.min() < 1:
         raise InputError(f"log_regret needs n >= 1 and K >= 1, got ({n}, {K})")
     out = _extend_regret(int(n), int(K_arr.max()))[K_arr - 1] / _LN2
@@ -74,9 +85,11 @@ def model_cost(num_candidates: int | np.ndarray,
     """log2 of the binomial coefficient C(num_candidates, num_chosen), in bits.
 
     Either argument may be an integer array; they broadcast and give an
-    array, while two scalars give a float.
+    array, while two scalars give a float.  A non-integer argument is an
+    ``InputError``.
     """
-    e, m = np.asarray(num_candidates), np.asarray(num_chosen)
+    e = _integer_array("num_candidates", num_candidates)
+    m = _integer_array("num_chosen", num_chosen)
     if e.size == 0 or m.size == 0 or np.any(m < 0) or np.any(m > e):
         raise InputError(
             f"model_cost needs 0 <= chosen <= candidates, got ({num_candidates}, {num_chosen})")

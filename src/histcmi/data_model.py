@@ -31,7 +31,6 @@ class MixedColumn:
 
     values: np.ndarray
     discrete_mask: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -55,7 +54,7 @@ class MixedColumn:
         return np.unique(self.values[self.discrete_mask])
 
 
-def detect_discrete_points(column, t: int = 5, name: str = "") -> MixedColumn:
+def detect_discrete_points(column, t: int = 5) -> MixedColumn:
     """Mask every value whose exact-equality multiplicity in the column is >= t.
 
     Equality is exact floating-point equality: the mixtures this targets
@@ -73,7 +72,7 @@ def detect_discrete_points(column, t: int = 5, name: str = "") -> MixedColumn:
         raise InputError("column contains non-finite values")
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     mask = counts[inverse] >= t
-    return MixedColumn(values=values, discrete_mask=mask, name=name)
+    return MixedColumn(values=values, discrete_mask=mask)
 
 
 def degenerate_width(x: float) -> float:

@@ -9,9 +9,5 @@ class LabelingError(InputError):
     """A value fell outside every bin (bins were built from different data)."""
 
 
-class DegenerateColumnError(InputError):
-    """Fewer than two distinct continuous values; no cut grid can be built."""
-
-
 class ModelError(RuntimeError):
     """Invalid histogram model state (e.g. a cell with non-positive volume)."""

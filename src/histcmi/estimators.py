@@ -104,8 +104,7 @@ def _domain_size(grid: Grid, dims) -> int:
 
 def fit_columns(data: np.ndarray, config: FitConfig) -> FitResult:
     """Joint histogram of every column of the (n, k) array ``data``."""
-    columns = [detect_discrete_points(data[:, j], t=config.t, name=str(j))
-               for j in range(data.shape[1])]
+    columns = [detect_discrete_points(data[:, j], t=config.t) for j in range(data.shape[1])]
     return greedy_fit(columns, config)
 
 

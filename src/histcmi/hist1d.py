@@ -2,12 +2,11 @@
 
 The search space for one dimension is: fixed singleton bins for its detected
 atoms, plus interval bins obtained by choosing a subset of interior candidate
-boundaries from an equi-width grid over the continuous range
-(:func:`candidate_cuts` builds that grid as a boundary array).  The DP finds,
-for every allowed interval count m, the segmentation minimizing the data code
-length, then picks the m whose full two-part score (likelihood + regret +
-model cost) is smallest.  It returns the chosen cuts as grid indices, which a
-``BinSet`` stores as they are.
+boundaries from the column's grid, which :func:`candidate_cuts` gives every
+column.  The DP finds, for every allowed interval count m, the segmentation
+minimizing the data code length, picks the m whose full two-part score
+(likelihood + regret + model cost) is smallest, and walks its cuts back as
+grid indices, which a ``BinSet`` stores as they are.
 
 The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import log_regret, model_cost
-from .data_model import MixedColumn
-from .errors import DegenerateColumnError, InputError
+from .data_model import MixedColumn, degenerate_width
+from .errors import InputError
 
 
 def bin_budget(n: int, factor: float) -> int:
@@ -38,15 +37,17 @@ def bin_budget(n: int, factor: float) -> int:
 
 
 def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
-    """Equi-width boundaries splitting the unmasked range into K_init cells
-    (precision = range/K_init): strictly increasing, at least two."""
+    """Strictly increasing candidate boundaries of the unmasked values: none if
+    there are none, one cut-free cell one ULP wide (``degenerate_width``) from
+    a single distinct value, else K_init equi-width cells over their range."""
     if K_init < 1:
         raise InputError("K_init must be >= 1")
     unmasked = column.unmasked
-    if len(np.unique(unmasked)) < 2:
-        raise DegenerateColumnError(
-            f"column {column.name!r} has fewer than 2 distinct continuous values")
+    if unmasked.size == 0:
+        return np.empty(0)
     lo, hi = float(unmasked.min()), float(unmasked.max())
+    if lo == hi:
+        return np.array([lo, lo + degenerate_width(lo)])
     return np.unique(np.linspace(lo, hi, K_init + 1))  # collapse cells lost to float rounding
 
 
@@ -97,8 +98,9 @@ def solve_segmentation(
     volumes.  ``fixed_nll_bits`` carries the code length of the rows in this
     dimension's singleton bins, which no cut can change.
 
-    Ties between interval counts are broken toward fewer bins; ties between
-    equal-cost predecessors keep the leftmost split.
+    The chosen count's cuts are walked back from one table of best prefix
+    costs.  Ties between interval counts are broken toward fewer bins; ties
+    between equal-cost predecessors keep the leftmost split.
     """
     B = len(boundaries) - 1
     if K_max < 1:
@@ -113,9 +115,8 @@ def solve_segmentation(
     np.cumsum(counts, axis=1, out=P[:, 1:])
 
     active = P[:, -1] >= 2.0  # cells with <2 rows contribute no c*log2(c) mass
-    P_act = np.ascontiguousarray(P[active])
-    G = _xlogx_segment_sums(P_act) if len(P_act) else np.zeros((B + 1, B + 1))
-    ops = int(len(P_act)) * (B + 1) * (B + 1)
+    G = _xlogx_segment_sums(P[active])
+    ops = int(active.sum()) * (B + 1) * (B + 1)
 
     C = P.sum(axis=0)  # overall prefix counts
     Q = np.zeros(B + 1)  # prefix sums of the other cells' log2 volumes
@@ -131,36 +132,27 @@ def solve_segmentation(
     cost = -G + seg_n * (math.log2(n_total) + log2w) + (Q[None, :] - Q[:, None])
     cost[~segment] = np.inf
 
-    # f[j] = best data cost of covering [b_0, b_j) with m segments
-    # Only splits i >= m - 1 can end m - 1 nonempty segments; a column with no
-    # finite candidate gets f = inf and an unused back pointer.
-    f = cost[0].copy()
-    back: list[np.ndarray] = [np.zeros(B + 1, dtype=np.int64)]
-    best_f_at_end = [f[B]]
-    cand = np.empty_like(cost)
-    cols = np.arange(B + 1)
+    # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments.
+    # Only splits i >= m - 1 can end m - 1 nonempty segments.
+    F = np.empty((m_cap, B + 1))
+    F[0] = cost[0]
     for m in range(2, m_cap + 1):
-        np.add(f[m - 1:, None], cost[m - 1:], out=cand[m - 1:])
-        arg = np.argmin(cand[m - 1:], axis=0) + (m - 1)
-        f = cand[arg, cols]
-        back.append(arg)
-        best_f_at_end.append(f[B])
+        np.min(F[m - 2, m - 1:, None] + cost[m - 1:], axis=0, out=F[m - 1])
 
     m = np.arange(1, m_cap + 1)
-    totals = (np.array(best_f_at_end) + fixed_nll_bits
+    totals = (F[:, B] + fixed_nll_bits
               + log_regret(n_total, (n_singletons + m) * K_other)
               + model_cost(B - 1, m - 1) + const_model_cost_bits)
     m_star = int(np.argmin(totals)) + 1  # argmin keeps the first (fewest bins) on ties
 
-    cut_boundary_idx = []
+    # from b_B back: the leftmost best split over the sums each round minimized
+    cuts = []
     j = B
     for m in range(m_star, 1, -1):
-        i = int(back[m - 1][j])
-        cut_boundary_idx.append(i)
-        j = i
-    cut_boundary_idx.reverse()
+        j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
+        cuts.append(j)
     return SegmentationResult(
-        cut_indices=np.asarray(cut_boundary_idx, dtype=np.int64),
+        cut_indices=np.asarray(cuts[::-1], dtype=np.int64),
         total_bits=float(totals[m_star - 1]),
         ops=ops,
     )

@@ -30,7 +30,6 @@ from .data_model import (
     assign_labels,
     build_grid,
     cell_ids,
-    degenerate_width,
 )
 from .errors import InputError
 from .hist1d import bin_budget, candidate_cuts, solve_segmentation
@@ -104,19 +103,6 @@ class FitResult:
     trace: FitTrace
 
 
-def _initial_binset(column: MixedColumn, config: FitConfig, n: int) -> BinSet:
-    """The column's atoms plus one interval with no cut chosen yet; a single
-    continuous value gets a one-ULP interval and no candidate cut."""
-    unmasked = column.unmasked
-    if unmasked.size == 0:
-        return BinSet(column.atoms, np.empty(0))
-    distinct = np.unique(unmasked)
-    if len(distinct) < 2:
-        x = float(distinct[0])
-        return BinSet(column.atoms, np.array([x, x + degenerate_width(x)]))
-    return BinSet(column.atoms, candidate_cuts(column, config.k_init(n)))
-
-
 def init_discretization(columns: list[MixedColumn],
                         config: FitConfig) -> tuple[Grid, list[BinSet], np.ndarray]:
     """Single-interval-plus-atoms starting model for every dimension.
@@ -128,7 +114,7 @@ def init_discretization(columns: list[MixedColumn],
     n = columns[0].n
     if any(c.n != n for c in columns):
         raise InputError("columns disagree on sample size")
-    binsets = [_initial_binset(c, config, n) for c in columns]
+    binsets = [BinSet(c.atoms, candidate_cuts(c, config.k_init(n))) for c in columns]
     labels = np.column_stack([assign_labels(c, b) for c, b in zip(columns, binsets)])
     return build_grid(labels, binsets), binsets, labels
 

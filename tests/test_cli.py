@@ -142,6 +142,18 @@ class TestEstimate:
         assert out == ""
         assert "--k" in err
 
+    @pytest.mark.parametrize("argv", [["estimate", "--x", "X", "--y", "Y"],
+                                      ["citest", "--x", "X", "--y", "Y"],
+                                      ["discover"]],
+                             ids=["estimate", "citest", "discover"])
+    def test_n_with_a_csv_path_is_data_error(self, argv, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        run(["datagen", "exp1", "--n", "50", "--seed", "0", "--out", str(p)], capsys)
+        code, out, err = run([argv[0], str(p), *argv[1:], "--n", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(["estimate"], capsys)  # missing positional
         assert code == 1

@@ -70,6 +70,12 @@ class TestLogRegret:
         with pytest.raises(InputError):
             log_regret(10, K)
 
+    @pytest.mark.parametrize("n, K", [(10.7, 3), (10, 2.5), (10.0, 3), (np.float64(10), 3),
+                                      (10, np.array([2.0, 3.0])), (True, 2)])
+    def test_non_integer_argument_rejected(self, n, K):
+        with pytest.raises(InputError, match="integer"):
+            log_regret(n, K)
+
     @settings(max_examples=30)
     @given(st.integers(1, 400), st.integers(1, 40))
     def test_nonnegative(self, n, K):
@@ -104,6 +110,12 @@ class TestModelCost:
     def test_array_with_bad_or_no_entry_rejected(self, chosen):
         with pytest.raises(InputError):
             model_cost(5, chosen)
+
+    @pytest.mark.parametrize("candidates, chosen", [(5.5, 2), (5, 2.5), (5.0, 2),
+                                                    (np.array([5.0, 6.0]), 2), (5, None)])
+    def test_non_integer_argument_rejected(self, candidates, chosen):
+        with pytest.raises(InputError, match="integer"):
+            model_cost(candidates, chosen)
 
     @given(st.integers(0, 60), st.integers(0, 60))
     def test_nonnegative_and_symmetric(self, n, k):

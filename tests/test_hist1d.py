@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from histcmi import (
-    DegenerateColumnError,
+    BinSet,
     assign_labels,
     build_grid,
     candidate_cuts,
@@ -74,9 +74,15 @@ class TestCandidateCuts:
 
     def test_degenerate_column_rejected(self):
         col = detect_discrete_points([1.0, 1.0, 1.0, 4.0], t=3)
-        # only 4.0 is unmasked: a single distinct continuous value
-        with pytest.raises(DegenerateColumnError):
-            candidate_cuts(col, 10)
+        # only 4.0 is unmasked: a single distinct continuous value gets one
+        # cell one ULP wide, so the grid offers no cut
+        cand = candidate_cuts(col, 10)
+        assert cand.tolist() == [4.0, 4.0 + np.spacing(4.0)]
+        assert BinSet(col.atoms, cand).n_candidates == 0
+
+    def test_column_without_continuous_values_has_empty_grid(self):
+        col = detect_discrete_points([2.0] * 5 + [3.0] * 5, t=5)
+        assert candidate_cuts(col, 10).size == 0
 
 
 class TestOptimalHistogram1D:
@@ -118,6 +124,25 @@ class TestOptimalHistogram1D:
             assert bs.n_intervals <= K_max
             dp = _total_of(col, bs)
             assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
+        # K_max >= B: the cost table gets a row for every count up to one
+        # interval per grid cell, and the walk-back may start from the last
+        for _ in range(6):
+            col = detect_discrete_points(rng.exponential(size=int(rng.integers(30, 90))), t=5)
+            cand = candidate_cuts(col, int(rng.integers(2, 8)))
+            K_max = len(cand) - 1 + int(rng.integers(0, 3))
+            bs = optimal_histogram_1d(col, cand, K_max)
+            dp = _total_of(col, bs)
+            assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
+
+    def test_equal_cost_splits_keep_the_leftmost(self):
+        # cell counts 50, 0, 50: the empty middle cell joins either side at
+        # exactly the same cost, and the DP keeps the leftmost cut
+        col = detect_discrete_points(np.concatenate([np.linspace(0.01, 0.5, 50),
+                                                     np.linspace(2.01, 2.5, 50)]), t=5)
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        left, right = (BinSet(col.atoms, grid, np.array([c])) for c in (1, 2))
+        assert _total_of(col, left) == _total_of(col, right)
+        assert optimal_histogram_1d(col, grid, K_max=2).cuts.tolist() == [1]
 
     def test_never_worse_than_single_bin(self):
         rng = np.random.default_rng(5)
