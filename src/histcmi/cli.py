@@ -91,12 +91,14 @@ def read_csv_dataset(path: str) -> Dataset:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise InputError(f"{path}: duplicate column names {repeated}")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(names):
+            raise InputError(f"{path}: ragged rows: data row {i} has {len(row)} cells "
+                             f"but the header has {len(names)}")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
     except ValueError as e:
         raise InputError(f"{path}: non-numeric cell: {e}") from e
-    if data.shape[1] != len(names):
-        raise InputError(f"{path}: ragged rows")
     if not np.all(np.isfinite(data)):
         raise InputError(f"{path}: non-finite values")
     return Dataset(names=names, data=data, x=(), y=(), z=(), scenario=path, seed=0)

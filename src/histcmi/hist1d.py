@@ -10,11 +10,15 @@ grid indices, which a ``BinSet`` stores as they are.
 
 The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
-is the case with no other dimension (``histmd.optimal_histogram_1d``).  Those
-counts enter through one numpy kernel, ``_xlogx_segment_sums``, which touches
-per cell only the segments that can hold two or more of its rows.  The
-recursion over interval counts is the MDL-histogram DP of Kontkanen &
-Myllymäki (AISTATS 2007).
+is the case with no other dimension (``histmd.optimal_histogram_1d``).  The
+code length of a re-cut splits into what its cuts change and one constant,
+``fixed_bits``, which the caller sums once: a segment of width w holding n
+rows costs ``-G + n·log2 w``, its conditional histogram cost, where G sums
+c·log2 c over the segment's row counts c per other cell, and a count of m
+intervals adds its regret and model cost.  G comes from one numpy kernel,
+``_xlogx_segment_sums``, which touches per cell only the segments that can
+hold two or more of its rows.  The recursion over interval counts is the
+MDL-histogram DP of Kontkanen & Myllymäki (AISTATS 2007).
 """
 
 from __future__ import annotations
@@ -83,20 +87,21 @@ def solve_segmentation(
     cell_idx: np.ndarray,
     K_max: int,
     n_singletons: int,
-    fixed_nll_bits: float,
-    const_model_cost_bits: float,
+    fixed_bits: float,
     K_other: int,
     other_cell_ids: np.ndarray,
-    other_log2_vol: np.ndarray,
 ) -> SegmentationResult:
     """Pick interval cuts minimizing the full joint code length.
 
     ``cell_idx`` holds the candidate-cell index of every continuous row of the
-    dimension being cut; ``other_cell_ids``/``other_log2_vol`` describe the
-    fixed joint cell of all remaining dimensions for those same rows, as
-    small nonnegative ids (an unused id is an empty cell) and summed log2
-    volumes.  ``fixed_nll_bits`` carries the code length of the rows in this
-    dimension's singleton bins, which no cut can change.
+    dimension being cut, and ``other_cell_ids`` the fixed joint cell of all
+    remaining dimensions for those same rows, as small nonnegative ids (an
+    unused id is an empty cell).  ``fixed_bits`` is every part of the code
+    length that no cut can change: ``n·log2 n``, the ``-c·log2 c`` of the
+    rows in this dimension's singleton bins, and the other dimensions' log2
+    volumes and model costs.  A segment [b_i, b_j) then costs
+    ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its width, and a
+    count of m intervals adds its regret and model cost.
 
     The chosen count's cuts are walked back from one table of best prefix
     costs.  Ties between interval counts are broken toward fewer bins; ties
@@ -118,18 +123,16 @@ def solve_segmentation(
     G = _xlogx_segment_sums(P[active])
     ops = int(active.sum()) * (B + 1) * (B + 1)
 
-    C = P.sum(axis=0)  # overall prefix counts
-    Q = np.zeros(B + 1)  # prefix sums of the other cells' log2 volumes
-    Q[1:] = np.cumsum(np.bincount(cell_idx, weights=other_log2_vol, minlength=B))
-
-    # cost[i, j] = code length of rows falling in [b_i, b_j), all other cells pooled;
-    # boundaries increase strictly, so width > 0 exactly where j > i, and an
-    # empty segment costs exactly 0 since its G, row count and Q difference are 0
+    # cost[i, j] = what the rows falling in [b_i, b_j) add to the code length
+    # beyond fixed_bits; boundaries increase strictly, so width > 0 exactly
+    # where j > i, and an empty segment costs exactly 0 since its G and row
+    # count are 0
     width = boundaries[None, :] - boundaries[:, None]
     segment = width > 0
     log2w = np.log2(width, where=segment, out=np.zeros_like(width))
+    C = P.sum(axis=0)  # overall prefix counts
     seg_n = C[None, :] - C[:, None]
-    cost = -G + seg_n * (math.log2(n_total) + log2w) + (Q[None, :] - Q[:, None])
+    cost = -G + seg_n * log2w
     cost[~segment] = np.inf
 
     # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments.
@@ -140,9 +143,9 @@ def solve_segmentation(
         np.min(F[m - 2, m - 1:, None] + cost[m - 1:], axis=0, out=F[m - 1])
 
     m = np.arange(1, m_cap + 1)
-    totals = (F[:, B] + fixed_nll_bits
+    totals = (F[:, B] + fixed_bits
               + log_regret(n_total, (n_singletons + m) * K_other)
-              + model_cost(B - 1, m - 1) + const_model_cost_bits)
+              + model_cost(B - 1, m - 1))
     m_star = int(np.argmin(totals)) + 1  # argmin keeps the first (fewest bins) on ties
 
     # from b_B back: the leftmost best split over the sums each round minimized

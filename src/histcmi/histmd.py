@@ -131,26 +131,21 @@ def refine_dimension(j: int, columns: list[MixedColumn], binsets: list[BinSet],
     if binset.n_candidates == 0:
         return RefineResult(binset, math.inf, 0)
 
-    # the other dimensions' cells over all rows: compact ids of their label
-    # rows with the highest dimension most significant, and summed log2
-    # volumes added in ascending dimension order
+    # the other dimensions' cells over all rows, as compact ids
     others = [d for d in range(len(binsets)) if d != j]
-    log2_vol = np.zeros(n)
-    for d in others:
-        log2_vol += np.log2(binsets[d].volumes)[labels[:, d]]
-    others.reverse()
     radices = [binsets[d].n_bins for d in others]
     cells, other_ids = np.unique(cell_ids(labels[:, others], radices), return_inverse=True)
 
-    # rows in this dimension's singleton bins: no cut can move them
+    # what no cut can change: n·log2 n, the rows in this dimension's
+    # singleton bins, and the other dimensions' log2 volumes and model costs
     disc = column.discrete_mask
-    fixed_nll = 0.0
-    if disc.any():
-        pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
-                        [binset.n_bins, len(cells)])
-        c = np.unique(pair, return_counts=True)[1].astype(np.float64)
-        fixed_nll = float(-np.sum(c * np.log2(c)) + disc.sum() * math.log2(n)
-                          + log2_vol[disc].sum())
+    pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
+                    [binset.n_bins, len(cells)])
+    c = np.unique(pair, return_counts=True)[1].astype(np.float64)
+    fixed_bits = (n * math.log2(n) - np.sum(c * np.log2(c))
+                  + sum(np.bincount(labels[:, d], minlength=b.n_bins) @ np.log2(b.volumes)
+                        + model_cost(b.n_candidates, len(b.cuts))
+                        for d, b in enumerate(binsets) if d != j))
 
     cont = ~disc
     res = solve_segmentation(
@@ -159,12 +154,9 @@ def refine_dimension(j: int, columns: list[MixedColumn], binsets: list[BinSet],
         cell_idx=_interval_index(column.values[cont], binset.grid),
         K_max=K_max,
         n_singletons=binset.n_singletons,
-        fixed_nll_bits=fixed_nll,
-        const_model_cost_bits=sum(model_cost(b.n_candidates, len(b.cuts))
-                                  for d, b in enumerate(binsets) if d != j),
+        fixed_bits=fixed_bits,
         K_other=math.prod(radices),
         other_cell_ids=other_ids[cont],
-        other_log2_vol=log2_vol[cont],
     )
     return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 

@@ -96,6 +96,15 @@ class TestEstimate:
         code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text, row", [("A,B\n1,2\n3\n", 2), ("A,B\n1,2,3\n4,5\n", 1)])
+    def test_ragged_rows_are_data_error(self, tmp_path, capsys, text, row):
+        p = tmp_path / "ragged.csv"
+        p.write_text(text)
+        code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert code == 2
+        assert f"ragged rows: data row {row} " in err
+        assert "non-numeric" not in err
+
     def test_duplicate_header_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "dup.csv"
         p.write_text("A,A,B\n1.0,2.0,3.0\n4.0,5.0,6.0\n")

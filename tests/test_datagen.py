@@ -22,6 +22,19 @@ class TestSpecValidation:
         with pytest.raises(InputError, match="seed"):
             ScenarioSpec("exp1", 10, -1)
 
+    @pytest.mark.parametrize("n, seed, extra", [
+        (10.5, 0, {}), (10.0, 0, {}), (True, 0, {}), (np.float64(10), 0, {}),
+        (10, 1.5, {}), (10, False, {}), (10, "0", {}),
+        (10, 0, {"k": 2.5}), (10, 0, {"k": True}), (10, 0, {"k": 2.0}), (10, 0, {"k": "2"}),
+    ])
+    def test_non_integer_size_seed_or_k_rejected(self, n, seed, extra):
+        with pytest.raises(InputError, match="must be an integer"):
+            ScenarioSpec("exp6", n, seed, extra)
+
+    def test_numpy_integers_accepted(self):
+        spec = ScenarioSpec("exp6", np.int64(10), np.uint64(3), {"k": np.int32(2)})
+        assert generate(spec).data.shape == (10, 4)
+
     @pytest.mark.parametrize("scenario,extra", [("exp6", {"kk": 3}), ("exp1", {"k": 3}),
                                                 ("network", {"k": 1}), ("exp6", {"k": 2, "n": 5})])
     def test_parameter_the_scenario_does_not_read_rejected(self, scenario, extra):

@@ -131,12 +131,31 @@ class TestRefineDimension:
 
     def test_conditional_dp_matches_exhaustive_search(self):
         # dimension 0 is re-cut against the fixed cells of dimension 1, which is
-        # continuous with chosen cuts, purely discrete, or mixed
+        # continuous with chosen cuts, purely discrete, or mixed; then dimension
+        # 1 against two fixed dimensions, one on each side of it
         rng = np.random.default_rng(8)
         cfg = FitConfig(k_init_factor=2.0, k_max_factor=0.8)
-        for trial in range(6):
+
+        def check(j, cols, binsets):
+            n_total = cols[j].n
+            cand = candidate_cuts(cols[j], cfg.k_init(n_total))
+            assert len(cand) - 2 <= 10
+            res = _refine(j, cols, binsets, cfg.k_max(n_total))
+            others = [(c, b) for d, (c, b) in enumerate(zip(cols, binsets)) if d != j]
+            best = exhaustive_best_total(cols[j], cand, cfg.k_max(n_total), others=others)
+            assert res.total_bits == pytest.approx(best, abs=1e-9)
+            chosen = list(binsets)
+            chosen[j] = res.binset
+            labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, chosen)])
+            assert total_score(build_grid(labs, chosen)) == pytest.approx(
+                res.total_bits, abs=1e-9)
+
+        def mixed_x():
             n = int(rng.integers(50, 120))
-            x = np.concatenate([rng.normal(size=n), np.full(int(rng.integers(0, 10)), 0.25)])
+            return np.concatenate([rng.normal(size=n), np.full(int(rng.integers(0, 10)), 0.25)])
+
+        for trial in range(6):
+            x = mixed_x()
             noise = rng.normal(size=len(x))
             y = [x + noise, rng.integers(0, 3, len(x)).astype(float),
                  np.where(noise > 0.5, 2.0, x + noise)][trial % 3]
@@ -144,17 +163,17 @@ class TestRefineDimension:
             _, binsets, _ = init_discretization(cols, cfg)
             if binsets[1].n_intervals:
                 binsets[1] = BinSet(cols[1].atoms, candidate_cuts(cols[1], 6), np.array([2, 4]))
-            n_total = cols[0].n
-            cand_x = candidate_cuts(cols[0], cfg.k_init(n_total))
-            assert len(cand_x) - 2 <= 10
-            res = _refine(0, cols, binsets, cfg.k_max(n_total))
-            best = exhaustive_best_total(cols[0], cand_x, cfg.k_max(n_total),
-                                         others=[(cols[1], binsets[1])])
-            assert res.total_bits == pytest.approx(best, abs=1e-9)
-            chosen = [res.binset, binsets[1]]
-            labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, chosen)])
-            assert total_score(build_grid(labs, chosen)) == pytest.approx(
-                res.total_bits, abs=1e-9)
+            check(0, cols, binsets)
+
+        for trial in range(3):
+            x = mixed_x()
+            noise = rng.normal(size=len(x))
+            cols = [detect_discrete_points(v, 5)
+                    for v in (x + noise, x, np.where(noise > 0.5, 2.0, x - noise))]
+            _, binsets, _ = init_discretization(cols, cfg)
+            binsets[0] = BinSet(cols[0].atoms, candidate_cuts(cols[0], 6), np.array([2, 4]))
+            binsets[2] = BinSet(cols[2].atoms, candidate_cuts(cols[2], 5), np.array([3]))
+            check(1, cols, binsets)
 
     def test_degenerate_dimension_returned_unchanged(self):
         # purely discrete, and one continuous value: no candidate cut either
