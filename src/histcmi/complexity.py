@@ -22,13 +22,19 @@ _LN2 = math.log(2.0)
 _regret_cache: dict[int, np.ndarray] = {}
 _regret_lock = threading.Lock()
 
+# Above this K, ln R(n, K) comes from the O(n) sum instead of the table, whose
+# cost and size grow with K.  It lies above every K the benchmark workloads
+# and the golden fits reach (at most 234,000), whose values stay the table's.
+_TABLE_MAX_K = 2 ** 18
 
-def _ln_regret_two(n: int) -> float:
-    """ln R(n,2) by its exact summation sum_{i=0}^{n} n!/((n-i)! n^i) in log space."""
+
+def _ln_regret_sum(n: int, K: int) -> float:
+    """ln R(n,K) by the exact summation sum_{i=0}^{n} n!/((n-i)! n^i) · C(K-2+i, i)
+    in log space, for K >= 2 (Mononen & Myllymäki, PGM 2008)."""
     i = np.arange(1, n + 1, dtype=np.float64)
-    # ln of term_i / term_{i-1} = ln((n - i + 1) / n); term_0 = 1
-    log_terms = np.concatenate([[0.0], np.cumsum(np.log((n - i + 1.0) / n))])
-    return float(logsumexp(log_terms))
+    # ln of term_i / term_{i-1} = ln((n - i + 1) / n) + ln((K - 2 + i) / i); term_0 = 1
+    log_ratios = np.log((n - i + 1.0) / n) + np.log((K - 2.0 + i) / i)
+    return float(logsumexp(np.concatenate([[0.0], np.cumsum(log_ratios)])))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -44,7 +50,7 @@ def _extend_regret(n: int, K: int) -> np.ndarray:
         arr = _regret_cache.get(n)
         vals = [0.0] if arr is None else list(arr)
         if K >= 2 and len(vals) == 1:
-            vals.append(_ln_regret_two(n))
+            vals.append(_ln_regret_sum(n, 2))
         ln_n = math.log(n)
         while len(vals) < K:
             k = len(vals) + 1  # ln R(n,k) from ln R(n,k-1) and ln R(n,k-2)
@@ -66,17 +72,25 @@ def _integer_array(name: str, value) -> np.ndarray:
 def log_regret(n: int, K: int | np.ndarray) -> float | np.ndarray:
     """log2 R(n,K), the parametric complexity of a K-cell multinomial over n samples.
 
-    Computed by the linear recurrence R(n,K+2) = R(n,K+1) + (n/K)·R(n,K),
-    seeded with R(n,1) = 1 and the exact summation for R(n,2); all values are
-    carried as logarithms and cached per n.  ``K`` may be an integer array,
-    which gives an array of the same shape; a scalar gives a float.  A
-    non-integer ``n`` or ``K`` is an ``InputError``.
+    Up to ``_TABLE_MAX_K`` computed by the linear recurrence
+    R(n,K+2) = R(n,K+1) + (n/K)·R(n,K), seeded with R(n,1) = 1 and the exact
+    summation for R(n,2); all values are carried as logarithms and cached per
+    n.  A larger K takes the exact summation for R(n,K), O(n) and uncached,
+    and leaves the table as it is.  ``K`` may be an integer array, which gives
+    an array of the same shape; a scalar gives a float.  A non-integer ``n``
+    or ``K`` is an ``InputError``.
     """
     _integer_array("n", n)
     K_arr = _integer_array("K", K)
     if n < 1 or K_arr.size == 0 or K_arr.min() < 1:
         raise InputError(f"log_regret needs n >= 1 and K >= 1, got ({n}, {K})")
-    out = _extend_regret(int(n), int(K_arr.max()))[K_arr - 1] / _LN2
+    n, K_top = int(n), int(K_arr.max())
+    if K_top <= _TABLE_MAX_K:
+        ln_r = _extend_regret(n, K_top)[K_arr - 1]
+    else:
+        ln_r = np.array([_ln_regret_sum(n, k) if k > _TABLE_MAX_K else _extend_regret(n, k)[k - 1]
+                         for k in K_arr.ravel().tolist()]).reshape(K_arr.shape)
+    out = ln_r / _LN2
     return float(out) if K_arr.ndim == 0 else out
 
 

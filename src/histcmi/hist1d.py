@@ -3,10 +3,11 @@
 The search space for one dimension is: fixed singleton bins for its detected
 atoms, plus interval bins obtained by choosing a subset of interior candidate
 boundaries from the column's grid, which :func:`candidate_cuts` gives every
-column.  The DP finds, for every allowed interval count m, the segmentation
-minimizing the data code length, picks the m whose full two-part score
-(likelihood + regret + model cost) is smallest, and walks its cuts back as
-grid indices, which a ``BinSet`` stores as they are.
+column.  The DP finds, for each interval count m in turn, the segmentation
+minimizing the data code length, until no larger count can beat the best
+full two-part score (likelihood + regret + model cost) so far; it picks the
+m whose score is smallest and walks its cuts back as grid indices, which a
+``BinSet`` stores as they are.
 
 The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
@@ -64,9 +65,10 @@ def _xlogx_segment_sums(P):
     """
     n_bounds = P.shape[1]
     G = np.zeros((n_bounds, n_bounds))
-    for row in P:
-        i_end = np.searchsorted(row, row[-1] - 2.0, side="right")
-        j_start = np.searchsorted(row, 2.0, side="left")
+    # per row, the count of entries <= row[-1] - 2 and of entries < 2
+    i_ends = (P <= P[:, -1:] - 2.0).sum(axis=1)
+    j_starts = (P < 2.0).sum(axis=1)
+    for row, i_end, j_start in zip(P, i_ends, j_starts):
         c = row[None, j_start:] - row[:i_end, None]
         np.maximum(c, 1.0, out=c)
         c *= np.log2(c)
@@ -103,9 +105,13 @@ def solve_segmentation(
     ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its width, and a
     count of m intervals adds its regret and model cost.
 
-    The chosen count's cuts are walked back from one table of best prefix
-    costs.  Ties between interval counts are broken toward fewer bins; ties
-    between equal-cost predecessors keep the leftmost split.
+    The rounds over interval counts stop once no larger count can beat the
+    best total so far, and the chosen count's cuts are walked back from one
+    table of best prefix costs.  Among totals that are equal as floats the
+    fewest bins win, and among equal-cost predecessors the leftmost split.
+    A tie below double precision is decided by rounding: two mirrored
+    segmentations with equal counts on a ``linspace`` grid can cost a few
+    ULPs apart, and then the cheaper float wins, whichever side it is on.
     """
     B = len(boundaries) - 1
     if K_max < 1:
@@ -135,18 +141,32 @@ def solve_segmentation(
     cost = -G + seg_n * log2w
     cost[~segment] = np.inf
 
-    # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments.
-    # Only splits i >= m - 1 can end m - 1 nonempty segments.
-    F = np.empty((m_cap, B + 1))
-    F[0] = cost[0]
-    for m in range(2, m_cap + 1):
-        np.min(F[m - 2, m - 1:, None] + cost[m - 1:], axis=0, out=F[m - 1])
-
+    # Splitting a segment never raises its data cost (log-sum inequality),
+    # so no count's best data cost falls below that of all unit cells, and no
+    # count from m on totals less than that plus the least penalty from m on:
+    # once that bound passes the best total so far, no later count can win.
     m = np.arange(1, m_cap + 1)
-    totals = (F[:, B] + fixed_bits
-              + log_regret(n_total, (n_singletons + m) * K_other)
-              + model_cost(B - 1, m - 1))
-    m_star = int(np.argmin(totals)) + 1  # argmin keeps the first (fewest bins) on ties
+    regret = log_regret(n_total, (n_singletons + m) * K_other)
+    mcost = model_cost(B - 1, m - 1)
+    floor = np.trace(cost, offset=1)
+    bound = floor + np.minimum.accumulate((fixed_bits + regret + mcost)[::-1])[::-1]
+
+    # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments, inf
+    # where m nonempty segments cannot end at b_j (j < m) and for the counts
+    # the stop skips.  Only splits i >= m - 1 can end m - 1 nonempty segments.
+    F = np.full((m_cap, B + 1), np.inf)
+    F[0] = cost[0]
+    # summed in this order, each total is bit-identical to the full DP's
+    best, m_star = F[0, B] + fixed_bits + regret[0] + mcost[0], 1
+    for m in range(2, m_cap + 1):
+        # far above the rounding in F, the floor and the totals, so a tie at
+        # the level of one ULP never decides the stop
+        if bound[m - 1] > best + 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor)):
+            break
+        np.min(F[m - 2, m - 1:B, None] + cost[m - 1:B, m:], axis=0, out=F[m - 1, m:])
+        total = F[m - 1, B] + fixed_bits + regret[m - 1] + mcost[m - 1]
+        if total < best:  # strictly: the fewest bins win ties
+            best, m_star = total, m
 
     # from b_B back: the leftmost best split over the sums each round minimized
     cuts = []
@@ -156,6 +176,6 @@ def solve_segmentation(
         cuts.append(j)
     return SegmentationResult(
         cut_indices=np.asarray(cuts[::-1], dtype=np.int64),
-        total_bits=float(totals[m_star - 1]),
+        total_bits=float(best),
         ops=ops,
     )

@@ -67,6 +67,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One accepted re-cut; ``ops`` sums the kernel work of the re-cuts
+    computed in its round, where the one reused from the round before adds 0."""
+
     iteration: int
     dim: int
     score_before: float
@@ -174,7 +177,9 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
 
     Every iteration computes a candidate re-cut for each dimension against the
     iteration-start bin sets and labels, and accepts the one with the largest
-    score decrease (lowest dimension index wins ties).
+    score decrease (lowest dimension index wins ties).  The dimension accepted
+    in the previous iteration is not re-cut: its candidate is the accepted
+    re-cut itself, since the other dimensions have not changed since.
     """
     config = config or FitConfig()
     grid, binsets, labels = init_discretization(columns, config)
@@ -182,8 +187,12 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     trace = FitTrace(init_score=score)
     K_max = config.k_max(columns[0].n)
 
+    accepted = None  # (dimension, its re-cut at no new ops) accepted last round
     for iteration in range(1, config.i_max + 1):
-        results = [refine_dimension(d, columns, binsets, labels, K_max)
+        # a re-cut reads only the other dimensions, so the one accepted last
+        # round is still that dimension's best
+        results = [accepted[1] if accepted and d == accepted[0]
+                   else refine_dimension(d, columns, binsets, labels, K_max)
                    for d in range(len(columns))]
         j = min(range(len(results)), key=lambda d: results[d].total_bits)
         best = results[j]
@@ -202,6 +211,7 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
             bins_per_dim=tuple(b.n_bins for b in binsets),
             ops=sum(r.ops for r in results)))
         score = after
+        accepted = (j, replace(best, ops=0))
 
     labels = labels.astype(np.min_scalar_type(labels.max()))
     labels.setflags(write=False)

@@ -9,7 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
-from histcmi import BinSet, assign_labels, build_grid, total_score
+from histcmi import BinSet, assign_labels, build_grid, log_regret, model_cost, total_score
+from histcmi.hist1d import _xlogx_segment_sums
 
 
 def multinomial_regret(n: int, K: int) -> float:
@@ -66,3 +67,45 @@ def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
             total = total_score(build_grid(labs, binsets))
             best = min(best, total)
     return float(best)
+
+
+def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_bits,
+                      K_other, other_cell_ids):
+    """``hist1d.solve_segmentation`` without its early stop: every interval
+    count up to min(K_max, B) gets a full DP round over all (B+1)² cells.
+
+    Returns (cut indices, total bits).  The segment sums come from the
+    library kernel, which ``xlogx_segment_sums`` checks on its own.
+    """
+    B = len(boundaries) - 1
+    m_cap = min(K_max, B)
+    n_other = int(other_cell_ids.max(initial=0)) + 1
+    counts = np.bincount(other_cell_ids * B + cell_idx,
+                         minlength=n_other * B).reshape(n_other, B)
+    P = np.zeros((n_other, B + 1))
+    np.cumsum(counts, axis=1, out=P[:, 1:])
+    G = _xlogx_segment_sums(P[P[:, -1] >= 2.0])
+
+    width = boundaries[None, :] - boundaries[:, None]
+    segment = width > 0
+    log2w = np.log2(width, where=segment, out=np.zeros_like(width))
+    C = P.sum(axis=0)
+    cost = -G + (C[None, :] - C[:, None]) * log2w
+    cost[~segment] = np.inf
+
+    F = np.empty((m_cap, B + 1))
+    F[0] = cost[0]
+    for m in range(2, m_cap + 1):
+        np.min(F[m - 2, m - 1:, None] + cost[m - 1:], axis=0, out=F[m - 1])
+    m = np.arange(1, m_cap + 1)
+    totals = (F[:, B] + fixed_bits
+              + log_regret(n_total, (n_singletons + m) * K_other)
+              + model_cost(B - 1, m - 1))
+    m_star = int(np.argmin(totals)) + 1
+
+    cuts = []
+    j = B
+    for m in range(m_star, 1, -1):
+        j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
+        cuts.append(j)
+    return np.asarray(cuts[::-1], dtype=np.int64), float(totals[m_star - 1])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ class TestLogRegret:
             assert isinstance(out, np.ndarray) and out.shape == K.shape
             assert out.tolist() == [log_regret(int(n), int(k)) for k in K]
         assert type(log_regret(7, 3)) is float
+
+    def test_large_K_sum_matches_the_recurrence(self):
+        # the O(n) sum that serves K above the table's limit, against the table
+        for n in (1, 2, 3, 7, 50, 500, 3000):
+            table = complexity._extend_regret(n, 5000)
+            for K in (2, 3, 4, 10, 100, 1000, 5000):
+                assert complexity._ln_regret_sum(n, K) == pytest.approx(
+                    table[K - 1], rel=1e-12), (n, K)
+
+    def test_large_K_is_fast_and_leaves_the_table(self):
+        log_regret(500, 40)
+        before = len(complexity._regret_cache[500])
+        start = time.perf_counter()
+        value = log_regret(500, 10**7)
+        assert time.perf_counter() - start < 0.25
+        assert len(complexity._regret_cache[500]) == before
+        # for K >> n nearly all of the sum is its last term, (K/n)^n
+        assert value == pytest.approx(500 * math.log2(10**7 / 500), rel=1e-4)
+        assert log_regret(500, np.array([3, 10**7])).tolist() == [log_regret(500, 3), value]
 
     @pytest.mark.parametrize("K", [np.array([2, 0, 5]), np.array([-1]),
                                    np.array([], dtype=np.int64)])

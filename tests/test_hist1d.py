@@ -12,9 +12,9 @@ from histcmi import (
     optimal_histogram_1d,
     total_score,
 )
-from histcmi.hist1d import _xlogx_segment_sums, bin_budget
+from histcmi.hist1d import _xlogx_segment_sums, bin_budget, solve_segmentation
 
-from oracles import exhaustive_best_total, xlogx_segment_sums
+from oracles import exhaustive_best_total, full_segmentation, xlogx_segment_sums
 
 
 def _total_of(col, binset):
@@ -59,6 +59,69 @@ class TestSegmentSums:
         assert G[0, B] == pytest.approx(2 + 2 + 35 * math.log2(35) + 9 * math.log2(9))
         for no_mass in (P[:2], P[:0]):
             assert np.array_equal(_xlogx_segment_sums(no_mass), np.zeros((B + 1, B + 1)))
+
+
+def _random_segmentation(rng):
+    """Arguments of one random ``solve_segmentation`` call: equal-width or
+    irregular grid, flat, skewed or uniform counts over 1-4 other cells,
+    K_max in {1, B-1, B, B+3} and fixed_bits of either sign."""
+    B = int(rng.integers(1, 41))
+    if rng.random() < 0.5:
+        boundaries = np.linspace(-1.0, rng.uniform(0.1, 50.0), B + 1)
+    else:
+        boundaries = np.cumsum(np.append(rng.normal(), rng.exponential(size=B) + 1e-3))
+    shape = rng.choice(["flat", "skewed", "uniform"])
+    if shape == "flat":
+        cell_idx = np.repeat(np.arange(B), int(rng.integers(1, 6)))
+    elif shape == "skewed":
+        weights = rng.uniform(0.05, 0.6) ** np.arange(B)
+        cell_idx = rng.choice(B, size=int(rng.integers(1, 400)), p=weights / weights.sum())
+    else:
+        cell_idx = rng.integers(0, B, size=int(rng.integers(1, 400)))
+    n_other = int(rng.integers(1, 5))
+    n_singletons = int(rng.integers(0, 3))
+    return dict(n_total=cell_idx.size + n_singletons * int(rng.integers(0, 20)),
+                boundaries=boundaries, cell_idx=cell_idx,
+                K_max=int(rng.choice([1, max(1, B - 1), B, B + 3])),
+                n_singletons=n_singletons, fixed_bits=float(rng.normal(0.0, 2000.0)),
+                K_other=n_other + int(rng.integers(0, 3)),
+                other_cell_ids=rng.integers(0, n_other, size=cell_idx.size))
+
+
+class TestEarlyStop:
+    """The DP that stops its rounds early against the full DP, bit for bit."""
+
+    @staticmethod
+    def _assert_same_as_full_dp(kw):
+        res = solve_segmentation(**kw)
+        cuts, total = full_segmentation(**kw)
+        assert res.cut_indices.tolist() == cuts.tolist()
+        assert res.total_bits.hex() == total.hex()
+        return len(cuts) + 1
+
+    def test_matches_full_dp_on_random_instances(self):
+        rng = np.random.default_rng(12)
+        falling = 0
+        for _ in range(2000):
+            kw = _random_segmentation(rng)
+            m_star = self._assert_same_as_full_dp(kw)
+            falling += m_star - 1 > (len(kw["boundaries"]) - 2) / 2
+        # counts past the middle, where the model cost falls as m grows
+        assert falling > 200
+
+    def test_exact_ties_between_counts_stay_with_the_full_dp(self):
+        # one row on B equal cells of width w: one interval and B intervals
+        # both cost log2(B·w) bits plus fixed_bits, so their floats differ
+        # only by rounding, and the stop must not be what decides between them
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            B = int(rng.integers(2, 9))
+            w = float(rng.uniform(0.01, 100.0))
+            self._assert_same_as_full_dp(dict(
+                n_total=1, boundaries=np.linspace(0.0, B * w, B + 1),
+                cell_idx=np.array([int(rng.integers(0, B))]), K_max=B, n_singletons=0,
+                fixed_bits=float(rng.normal(0.0, 10.0)), K_other=1,
+                other_cell_ids=np.array([0])))
 
 
 class TestCandidateCuts:

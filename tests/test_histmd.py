@@ -275,6 +275,43 @@ class TestGreedyFit:
         assert np.array_equal(rebuilt.counts, fit.grid.counts)
         assert rebuilt.K == fit.grid.K
 
+    @pytest.mark.parametrize("converged", [False, True])
+    def test_no_round_recuts_the_dimension_it_just_accepted(self, monkeypatch, converged):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=200)
+        if converged:
+            # y clusters at sign(x), z is noise: y and x are cut, then no gain
+            vals = (x, np.where(x > 0, 1.0, 0.0) + rng.uniform(0, 0.5, 200),
+                    rng.uniform(size=200))
+            config = FitConfig()
+        else:
+            # y = x + noise: both keep gaining past the cap of 3 rounds
+            vals, config = (x, x + 0.3 * rng.normal(size=200)), FitConfig(i_max=3)
+        cols = [detect_discrete_points(v, 5) for v in vals]
+        calls = []
+        refine = histmd.refine_dimension
+
+        def counting(j, *args):
+            calls.append(j)
+            return refine(j, *args)
+
+        monkeypatch.setattr(histmd, "refine_dimension", counting)
+        fit = greedy_fit(cols, config)
+        k, records = len(cols), fit.trace.records
+        assert fit.trace.converged == converged and len(records) >= 2
+        rounds = len(records) + 1 if converged else config.i_max
+        assert converged or len(records) == config.i_max
+        assert len(calls) == k + (k - 1) * (rounds - 1)
+        assert calls == list(range(k)) + [d for rec in records[:rounds - 1]
+                                          for d in range(k) if d != rec.dim]
+        # what the reuse rests on: the last accepted dimension, re-cut now,
+        # gives back its own cuts at the score the fit ended on
+        j = records[-1].dim
+        again = refine(j, cols, list(fit.grid.dims), fit.labels.astype(np.int64),
+                       config.k_max(cols[0].n))
+        assert again.binset.cuts.tolist() == fit.grid.dims[j].cuts.tolist()
+        assert again.total_bits == pytest.approx(records[-1].score_after, abs=1e-6)
+
     def test_labeling_matches_binsets(self):
         rng = np.random.default_rng(6)
         cols = [detect_discrete_points(rng.normal(size=200), 5) for _ in range(2)]
