@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_integer
 
 RNG_NAME = "pcg64-v1"
 
@@ -29,13 +29,6 @@ def replicate_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _require_integer(name: str, value) -> None:
-    """Refuse anything but a Python or NumPy integer, bools included: a
-    fractional size, seed or count would be truncated or break the draw."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     id: str
@@ -44,8 +37,8 @@ class ScenarioSpec:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_integer("n", self.n)
-        _require_integer("seed", self.seed)
+        require_integer("n", self.n)
+        require_integer("seed", self.seed)
         if self.n < 1:
             raise InputError("n must be >= 1")
         if self.seed < 0:
@@ -56,7 +49,7 @@ class ScenarioSpec:
         if unread:
             raise InputError(f"scenario {self.id!r} does not read the parameters {unread}")
         if "k" in self.extra:
-            _require_integer("k", self.extra["k"])
+            require_integer("k", self.extra["k"])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -11,3 +13,11 @@ class LabelingError(InputError):
 
 class ModelError(RuntimeError):
     """Invalid histogram model state (e.g. a cell with non-positive volume)."""
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse anything but a Python or NumPy integer, bools included: a
+    fractional size, seed, count or threshold would be truncated, rounded
+    or break the code that reads it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")

@@ -20,6 +20,17 @@ intervals adds its regret and model cost.  G comes from one numpy kernel,
 ``_xlogx_segment_sums``, which touches per cell only the segments that can
 hold two or more of its rows.  The recursion over interval counts is the
 MDL-histogram DP of Kontkanen & Myllymäki (AISTATS 2007).
+
+Like theirs, the DP cuts only next to data: the kernel and the DP run over
+the first and last boundary and every boundary beside a candidate cell that
+holds a continuous row.  Moving a cut through a run of empty cells changes
+only the widths of its two segments, and ``n_l·log2 w_l + n_r·log2 w_r`` is
+concave in the cut's position, so one of the run's two ends costs no more;
+a third cut in one run only splits an empty bin in two at equal data cost.
+Both steps need a penalty that never falls as the interval count m grows.
+The regret always rises with m, but the model cost log2 C(B-1, m-1) rises
+only while m - 1 <= B/2, so a budget past that keeps every boundary.  The
+model cost still counts the full grid's B - 1 candidate cuts.
 """
 
 from __future__ import annotations
@@ -80,7 +91,7 @@ def _xlogx_segment_sums(P):
 class SegmentationResult:
     cut_indices: np.ndarray  # chosen interior boundary indices, ascending
     total_bits: float
-    ops: int  # work units spent on conditional segment costs
+    ops: int  # active other cells × kept boundaries², the segment costs' work
 
 
 def solve_segmentation(
@@ -105,6 +116,14 @@ def solve_segmentation(
     ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its width, and a
     count of m intervals adds its regret and model cost.
 
+    Only the first and last boundary and those beside a candidate cell with
+    a row enter the kernel and the DP, whenever 2·(min(K_max, B) - 1) <= B,
+    where no count's penalty is below a smaller count's: in a run of empty
+    cells a cut's code length is concave in its position, so a run's ends
+    are as good as any boundary inside it.  Past that budget the model cost
+    can fall as m grows, and every boundary stays.  The model cost always
+    prices ``C(B - 1, m - 1)`` over the full grid.
+
     The rounds over interval counts stop once no larger count can beat the
     best total so far, and the chosen count's cuts are walked back from one
     table of best prefix costs.  Among totals that are equal as floats the
@@ -119,15 +138,27 @@ def solve_segmentation(
     m_cap = min(K_max, B)
     n_other = int(other_cell_ids.max(initial=0)) + 1
 
-    # per-other-cell prefix counts over boundary positions
+    # per-other-cell row counts per candidate cell
     counts = np.bincount(other_cell_ids * B + cell_idx,
                          minlength=n_other * B).reshape(n_other, B)
-    P = np.zeros((n_other, B + 1))
-    np.cumsum(counts, axis=1, out=P[:, 1:])
+
+    # cut only beside an occupied cell, while the model cost, and with it
+    # every count's penalty, cannot fall as m grows
+    keep = np.ones(B + 1, dtype=bool)
+    if 2 * (m_cap - 1) <= B:
+        occupied = counts.any(axis=0)
+        keep[1:B] = occupied[:-1] | occupied[1:]
+    pos = np.flatnonzero(keep)
+    kept = len(pos) - 1  # the kept grid's cells
+    boundaries = boundaries[pos]
+
+    # per-other-cell prefix counts over the kept boundaries
+    P = np.zeros((n_other, kept + 1))
+    np.cumsum(np.add.reduceat(counts, pos[:-1], axis=1), axis=1, out=P[:, 1:])
 
     active = P[:, -1] >= 2.0  # cells with <2 rows contribute no c*log2(c) mass
     G = _xlogx_segment_sums(P[active])
-    ops = int(active.sum()) * (B + 1) * (B + 1)
+    ops = int(active.sum()) * (kept + 1) * (kept + 1)
 
     # cost[i, j] = what the rows falling in [b_i, b_j) add to the code length
     # beyond fixed_bits; boundaries increase strictly, so width > 0 exactly
@@ -145,6 +176,7 @@ def solve_segmentation(
     # so no count's best data cost falls below that of all unit cells, and no
     # count from m on totals less than that plus the least penalty from m on:
     # once that bound passes the best total so far, no later count can win.
+    m_cap = min(m_cap, kept)  # m nonempty segments need m kept cells
     m = np.arange(1, m_cap + 1)
     regret = log_regret(n_total, (n_singletons + m) * K_other)
     mcost = model_cost(B - 1, m - 1)
@@ -154,28 +186,28 @@ def solve_segmentation(
     # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments, inf
     # where m nonempty segments cannot end at b_j (j < m) and for the counts
     # the stop skips.  Only splits i >= m - 1 can end m - 1 nonempty segments.
-    F = np.full((m_cap, B + 1), np.inf)
+    F = np.full((m_cap, kept + 1), np.inf)
     F[0] = cost[0]
     # summed in this order, each total is bit-identical to the full DP's
-    best, m_star = F[0, B] + fixed_bits + regret[0] + mcost[0], 1
+    best, m_star = F[0, kept] + fixed_bits + regret[0] + mcost[0], 1
     for m in range(2, m_cap + 1):
         # far above the rounding in F, the floor and the totals, so a tie at
         # the level of one ULP never decides the stop
         if bound[m - 1] > best + 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor)):
             break
-        np.min(F[m - 2, m - 1:B, None] + cost[m - 1:B, m:], axis=0, out=F[m - 1, m:])
-        total = F[m - 1, B] + fixed_bits + regret[m - 1] + mcost[m - 1]
+        np.min(F[m - 2, m - 1:kept, None] + cost[m - 1:kept, m:], axis=0, out=F[m - 1, m:])
+        total = F[m - 1, kept] + fixed_bits + regret[m - 1] + mcost[m - 1]
         if total < best:  # strictly: the fewest bins win ties
             best, m_star = total, m
 
-    # from b_B back: the leftmost best split over the sums each round minimized
+    # from b_kept back: the leftmost best split over the sums each round minimized
     cuts = []
-    j = B
+    j = kept
     for m in range(m_star, 1, -1):
         j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
         cuts.append(j)
     return SegmentationResult(
-        cut_indices=np.asarray(cuts[::-1], dtype=np.int64),
+        cut_indices=pos[cuts[::-1]].astype(np.int64),
         total_bits=float(best),
         ops=ops,
     )

@@ -31,7 +31,7 @@ from .data_model import (
     build_grid,
     cell_ids,
 )
-from .errors import InputError
+from .errors import InputError, require_integer
 from .hist1d import bin_budget, candidate_cuts, solve_segmentation
 
 # accepted refinements must beat the current score by this many bits, so
@@ -49,6 +49,8 @@ class FitConfig:
     k_max_factor: float = 5.0
 
     def __post_init__(self):
+        require_integer("i_max", self.i_max)
+        require_integer("t", self.t)
         if self.i_max < 1:
             raise InputError("i_max must be >= 1")
         if self.t < 2:

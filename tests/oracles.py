@@ -71,8 +71,9 @@ def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
 
 def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_bits,
                       K_other, other_cell_ids):
-    """``hist1d.solve_segmentation`` without its early stop: every interval
-    count up to min(K_max, B) gets a full DP round over all (B+1)² cells.
+    """``hist1d.solve_segmentation`` without its early stop and without
+    dropping boundaries inside empty runs: every interval count up to
+    min(K_max, B) gets a full DP round over all (B+1)² cells.
 
     Returns (cut indices, total bits).  The segment sums come from the
     library kernel, which ``xlogx_segment_sums`` checks on its own.

@@ -1,11 +1,13 @@
 """Fixed-seed outputs of the estimator, pinned so a refactor can show they hold.
 
 Cases: exp1-exp6 at n=500 with ``replicate_seed(8, i)`` for i in 0-3 (exp6
-with k=2), estimated with the declared X/Y/Z roles; and one joint fit of
-the 7-column ``network`` at n=2000.  Cuts, bin counts and each trace
-record's dimension must match exactly; the estimate and each record's
-``score_after`` within a relative 1e-12, so the file holds across numpy's
-CPU-specific SIMD paths.
+with k=2), estimated with the declared X/Y/Z roles; joint fits of the
+7-column ``network`` at n=2000 and at n=10000, where columns A and E have
+long empty exponential tails; and the fit of one gapped bimodal column, two
+unit normals 12 apart.  The last two leave many candidate cells empty.
+Cuts, bin counts and each trace record's dimension must match exactly;
+the estimate and each record's ``score_after`` within a relative 1e-12, so
+the file holds across numpy's CPU-specific SIMD paths.
 
     python tests/test_golden.py    # recompute golden_fits.json from this code
 """
@@ -19,6 +21,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden_fits.json"
 REL = 1e-12
 N_ESTIMATE, N_NETWORK, BASE_SEED, REPLICATES = 500, 2000, 8, 4
+N_NETWORK_LARGE, N_GAPPED = 10000, 2000
 
 
 def _summary(fit, estimate=None) -> dict:
@@ -33,6 +36,8 @@ def _summary(fit, estimate=None) -> dict:
 def compute_cases() -> dict:
     """Case name -> summary of its fit, in a fixed order."""
     # imported here so that running this file can put src/ on the path first
+    import numpy as np
+
     from histcmi import FitConfig, VariableGroup, cmi_estimate
     from histcmi.datagen import ScenarioSpec, generate, replicate_seed
     from histcmi.estimators import fit_columns
@@ -48,6 +53,12 @@ def compute_cases() -> dict:
             cases[f"{scenario}/{i}"] = _summary(est.fit, est.value)
     ds = generate(ScenarioSpec("network", N_NETWORK, replicate_seed(BASE_SEED, 0)))
     cases["network/fit"] = _summary(fit_columns(ds.data, FitConfig()))
+    ds = generate(ScenarioSpec("network", N_NETWORK_LARGE, replicate_seed(BASE_SEED, 0)))
+    cases["network_n10000/fit"] = _summary(fit_columns(ds.data, FitConfig()))
+    rng = np.random.default_rng(replicate_seed(BASE_SEED, 0))
+    gapped = np.concatenate([rng.normal(0.0, 1.0, N_GAPPED // 2),
+                             rng.normal(12.0, 1.0, N_GAPPED // 2)])
+    cases["gapped_bimodal/fit"] = _summary(fit_columns(gapped[:, None], FitConfig()))
     return cases
 
 

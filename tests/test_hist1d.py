@@ -124,6 +124,73 @@ class TestEarlyStop:
                 other_cell_ids=np.array([0])))
 
 
+def _sparse_segmentation(rng):
+    """Arguments of one random ``solve_segmentation`` call whose rows leave
+    runs of candidate cells empty: at both ends, in the middle and scattered,
+    over 1-4 other cells.  K_max is B//2 + 1, the largest budget at which the
+    model cost never falls, or one of B-1, B and B+3."""
+    B = int(rng.integers(2, 61))
+    if rng.random() < 0.5:
+        boundaries = np.linspace(-1.0, rng.uniform(0.1, 50.0), B + 1)
+    else:
+        boundaries = np.cumsum(np.append(rng.normal(), rng.exponential(size=B) + 1e-3))
+    lo, hi = sorted(rng.integers(0, B, size=2))
+    cells = np.arange(lo, hi + 1)
+    gap = rng.integers(lo, hi + 1, size=2)
+    cells = cells[(cells < gap.min()) | (cells > gap.max()) | (cells == lo) | (cells == hi)]
+    cells = cells[rng.random(cells.size) < rng.choice([0.3, 0.7, 1.0])]
+    if cells.size == 0:
+        cells = np.array([lo])
+    # row counts log-uniform in [1, 400): with few rows the penalty decides
+    cell_idx = rng.choice(cells, size=int(np.exp(rng.uniform(0.0, np.log(400.0)))),
+                          p=rng.dirichlet(np.full(cells.size, rng.choice([0.3, 3.0]))))
+    n_other = int(rng.integers(1, 5))
+    n_singletons = int(rng.integers(0, 3))
+    K_max = B // 2 + 1 if rng.random() < 0.6 else int(rng.choice([B - 1, B, B + 3]))
+    return dict(n_total=cell_idx.size + n_singletons * int(rng.integers(0, 20)),
+                boundaries=boundaries, cell_idx=cell_idx, K_max=max(1, K_max),
+                n_singletons=n_singletons, fixed_bits=float(rng.normal(0.0, 2000.0)),
+                K_other=n_other + int(rng.integers(0, 3)),
+                other_cell_ids=rng.integers(0, n_other, size=cell_idx.size))
+
+
+def _active_cells(kw):
+    """Other cells holding two or more rows: those the kernel reads."""
+    return int((np.bincount(kw["other_cell_ids"]) >= 2).sum())
+
+
+class TestPruning:
+    """Cuts only beside occupied cells, against the full DP over every
+    boundary, bit for bit."""
+
+    def test_matches_full_dp_on_sparse_instances(self):
+        rng = np.random.default_rng(21)
+        pruned = {True: 0, False: 0}  # by whether the penalty may fall with m
+        for _ in range(3000):
+            kw = _sparse_segmentation(rng)
+            res = solve_segmentation(**kw)
+            cuts, total = full_segmentation(**kw)
+            assert res.cut_indices.tolist() == cuts.tolist()
+            assert res.total_bits.hex() == total.hex()
+            B = len(kw["boundaries"]) - 1
+            falls = 2 * (min(kw["K_max"], B) - 1) > B
+            pruned[falls] += res.ops < _active_cells(kw) * (B + 1) ** 2
+        # most instances at K_max = B//2 + 1 run on fewer boundaries; where
+        # the model cost can fall, the guard keeps them all
+        assert pruned[False] > 1000
+        assert pruned[True] == 0
+
+    def test_ops_count_the_kept_boundaries(self):
+        # rows in cells 0, 1, 8 and 9 of ten: boundaries 3-7 sit inside an
+        # empty run, so 6 of the 11 boundaries stay
+        kw = dict(n_total=40, boundaries=np.arange(11.0),
+                  cell_idx=np.repeat([0, 1, 8, 9], 10), n_singletons=0,
+                  fixed_bits=0.0, K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
+        assert solve_segmentation(**kw, K_max=3).ops == 6 ** 2
+        # at K_max = B the model cost falls past m = 6, and every boundary stays
+        assert solve_segmentation(**kw, K_max=10).ops == 11 ** 2
+
+
 class TestCandidateCuts:
     def test_unit_range_four_cells(self):
         col = detect_discrete_points([0.0, 0.3, 0.7, 1.0], t=5)

@@ -44,6 +44,18 @@ class TestFitConfig:
             with pytest.raises(InputError):
                 FitConfig(k_init_factor=k_init, k_max_factor=k_max)
 
+    @pytest.mark.parametrize("field", ["i_max", "t"])
+    @pytest.mark.parametrize("value", [2.5, 5.0, True, False, "5", None])
+    def test_non_integer_counts_rejected_at_construction(self, field, value):
+        # a float would fail deep in the fit or be silently rounded as a
+        # threshold, and True would silently mean one iteration
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            FitConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig(i_max=np.int64(3), t=np.int32(4))
+        assert (cfg.i_max, cfg.t) == (3, 4)
+
 
 class TestInitDiscretization:
     def test_two_continuous_dims_single_cell(self):
