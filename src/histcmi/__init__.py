@@ -10,6 +10,7 @@ from .estimators import VariableGroup, cmi_estimate, continuous_entropy_terms, p
 from .hist1d import candidate_cuts
 from .histmd import (
     FitConfig,
+    FitState,
     greedy_fit,
     init_discretization,
     optimal_histogram_1d,
@@ -19,7 +20,7 @@ from .histmd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinSet", "FitConfig", "InputError", "LabelingError", "ModelError",
+    "BinSet", "FitConfig", "FitState", "InputError", "LabelingError", "ModelError",
     "ScenarioSpec", "VariableGroup",
     "assign_labels", "build_grid", "candidate_cuts", "chi2_critical", "citest_chi2",
     "citest_sc", "cmi_estimate", "continuous_entropy_terms", "detect_discrete_points",

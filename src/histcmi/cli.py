@@ -19,6 +19,7 @@ import numpy as np
 
 from .causal import pc_stable_skeleton, precision_recall
 from .citest import citest_chi2, citest_sc
+from .data_model import MixedColumn
 from .datagen import (
     RNG_NAME,
     SCENARIOS,
@@ -30,7 +31,7 @@ from .datagen import (
     true_network_edges,
 )
 from .errors import InputError
-from .estimators import VariableGroup, cmi_estimate, fit_columns
+from .estimators import VariableGroup, cmi_estimate, fit_columns, prepare_column
 from .histmd import FitConfig, FitResult
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -220,14 +221,16 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
 
     The joint fit depends only on the set of tested columns, so the closure
     fits each sorted column set once and reuses that fit for every
-    (a, b | cond) split of it.  Its cache belongs to one dataset, held by
-    reference and matched by identity, and to one set size: PC-stable tests
-    the sets of one size at one level only, so a new dataset or a new size
-    clears it.  An unknown method or an alpha outside (0, 1) is rejected here,
-    before any fit.
+    (a, b | cond) split of it, and prepares each column of those sets once,
+    by name, for every fit it enters.  Both caches belong to one dataset,
+    held by reference and matched by identity, and to one set size:
+    PC-stable tests the sets of one size at one level only, so a new dataset
+    or a new size clears them.  An unknown method or an alpha outside (0, 1)
+    is rejected here, before any fit.
     """
     _check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
+    columns: dict[str, MixedColumn] = {}
     fits_of, fits_size = None, 0
 
     def ci(dataset: Dataset, a: str, b: str, cond) -> bool:
@@ -240,10 +243,14 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
         sub = _stack_columns(dataset, key)
         if dataset is not fits_of or len(key) != fits_size:
             fits.clear()
+            columns.clear()
             fits_of, fits_size = dataset, len(key)
         fit = fits.get(key)
         if fit is None:
-            fit = fits[key] = fit_columns(sub, config)
+            for j, name in enumerate(key):
+                if name not in columns:
+                    columns[name] = prepare_column(sub[:, j], config)
+            fit = fits[key] = fit_columns([columns[name] for name in key], config)
         x = VariableGroup("X", (key.index(a),))
         y = VariableGroup("Y", (key.index(b),))
         z = VariableGroup("Z", tuple(key.index(c) for c in cond))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, LabelingError
+from .errors import InputError, LabelingError, require_integer
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ def detect_discrete_points(column, t: int = 5) -> MixedColumn:
     produce exactly repeated atoms, and epsilon-matching would silently merge
     close continuous values.
     """
+    require_integer("t", t)
     if t < 2:
         raise InputError(f"discreteness threshold must be >= 2, got {t}")
     values = np.asarray(column, dtype=np.float64).copy()

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexity import neg_log_likelihood
-from .data_model import Grid, cell_ids, detect_discrete_points
+from .data_model import Grid, MixedColumn, cell_ids, detect_discrete_points
 from .errors import InputError, ModelError
 from .histmd import FitConfig, FitResult, greedy_fit
 
@@ -102,10 +102,16 @@ def _domain_size(grid: Grid, dims) -> int:
     return math.prod(grid.dims[d].n_bins for d in dims)
 
 
-def fit_columns(data: np.ndarray, config: FitConfig) -> FitResult:
-    """Joint histogram of every column of the (n, k) array ``data``."""
-    columns = [detect_discrete_points(data[:, j], t=config.t) for j in range(data.shape[1])]
-    return greedy_fit(columns, config)
+def prepare_column(values, config: FitConfig) -> MixedColumn:
+    """One sample column ready to fit under ``config``: its discrete points
+    detected.  It depends on the column alone, so a caller that fits several
+    column sets of one dataset prepares each column once."""
+    return detect_discrete_points(values, t=config.t)
+
+
+def fit_columns(columns: Sequence[MixedColumn], config: FitConfig) -> FitResult:
+    """Joint histogram of the prepared columns, in their order."""
+    return greedy_fit(list(columns), config)
 
 
 def cmi_estimate(
@@ -130,7 +136,8 @@ def cmi_estimate(
     _check_groups(data.shape[1], x, y, z)
 
     if fit is None:
-        fit = fit_columns(data, config)
+        fit = fit_columns([prepare_column(data[:, j], config) for j in range(data.shape[1])],
+                          config)
     elif fit.labels.shape != data.shape:
         raise InputError(f"fit of shape {fit.labels.shape} does not match data of shape "
                          f"{data.shape}")

@@ -31,6 +31,12 @@ Both steps need a penalty that never falls as the interval count m grows.
 The regret always rises with m, but the model cost log2 C(B-1, m-1) rises
 only while m - 1 <= B/2, so a budget past that keeps every boundary.  The
 model cost still counts the full grid's B - 1 candidate cuts.
+
+Which boundaries are kept, the candidate cell of every row, each segment's
+``n·log2 w`` and the model cost of each count depend on the column alone,
+so they form one :class:`SegmentTable` per column, which every re-cut of
+that column reuses: a re-cut computes only G and the regret, which depend
+on the other dimensions' cells.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
     lo, hi = float(unmasked.min()), float(unmasked.max())
     if lo == hi:
         return np.array([lo, lo + degenerate_width(lo)])
+    if not math.isfinite(hi - lo):
+        raise InputError(f"continuous range [{lo!r}, {hi!r}] is wider than float64 can hold")
     return np.unique(np.linspace(lo, hi, K_init + 1))  # collapse cells lost to float rounding
 
 
@@ -88,6 +96,72 @@ def _xlogx_segment_sums(P):
 
 
 @dataclass(frozen=True)
+class SegmentTable:
+    """What every re-cut of one column shares, fixed by its continuous rows,
+    its candidate grid and K_max alone; :func:`segment_table` builds it.
+
+    ``cell_idx`` holds the kept cell of each continuous row, ``pos`` the grid
+    indices of the kept boundaries, ``seg_cost[i, j]`` the ``n_s·log2 w`` of
+    the segment [b_pos[i], b_pos[j]) over all rows (inf where j <= i, since
+    no such segment exists) and ``mcost[m - 1]`` the model cost of m
+    intervals, for m up to min(K_max, B).
+    """
+
+    cell_idx: np.ndarray
+    pos: np.ndarray
+    seg_cost: np.ndarray
+    mcost: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.cell_idx, self.pos, self.seg_cost, self.mcost):
+            arr.setflags(write=False)  # every re-cut of the fit reads them
+
+    def intervals(self, cut_indices: np.ndarray) -> np.ndarray:
+        """Interval index of each continuous row under the grid cuts
+        ``cut_indices``, all of them kept boundaries."""
+        starts = np.zeros(len(self.pos) - 1, dtype=np.int64)
+        starts[np.searchsorted(self.pos, cut_indices)] = 1
+        return np.cumsum(starts)[self.cell_idx]
+
+
+def segment_table(boundaries: np.ndarray, cell_idx: np.ndarray, K_max: int) -> SegmentTable:
+    """The segmentation table of the continuous rows in candidate cells
+    ``cell_idx`` of the grid ``boundaries``, for at most K_max intervals.
+
+    Only the first and last boundary and those beside a candidate cell with
+    a row are kept, whenever 2·(min(K_max, B) - 1) <= B, where no count's
+    penalty is below a smaller count's: in a run of empty cells a cut's code
+    length is concave in its position, so a run's ends are as good as any
+    boundary inside it.  Past that budget the model cost can fall as m
+    grows, and every boundary stays.  The model cost always prices
+    ``C(B - 1, m - 1)`` over the full grid.
+    """
+    B = len(boundaries) - 1
+    if K_max < 1:
+        raise InputError("K_max must be >= 1")
+    m_cap = min(K_max, B)
+    keep = np.ones(B + 1, dtype=bool)
+    if 2 * (m_cap - 1) <= B:
+        occupied = np.bincount(cell_idx, minlength=B) > 0
+        keep[1:B] = occupied[:-1] | occupied[1:]
+    pos = np.flatnonzero(keep)
+    kept_idx = (np.cumsum(keep[:B]) - 1)[cell_idx]  # the kept cell holding each row
+
+    # overall prefix counts over the kept boundaries; boundaries increase
+    # strictly, so width > 0 exactly where j > i
+    C = np.zeros(len(pos))
+    np.cumsum(np.bincount(kept_idx, minlength=len(pos) - 1), out=C[1:])
+    b = boundaries[pos]
+    width = b[None, :] - b[:, None]
+    segment = width > 0
+    log2w = np.log2(width, where=segment, out=np.zeros_like(width))
+    seg_cost = (C[None, :] - C[:, None]) * log2w
+    seg_cost[~segment] = np.inf
+    return SegmentTable(cell_idx=kept_idx, pos=pos, seg_cost=seg_cost,
+                        mcost=model_cost(B - 1, np.arange(m_cap)))
+
+
+@dataclass(frozen=True)
 class SegmentationResult:
     cut_indices: np.ndarray  # chosen interior boundary indices, ascending
     total_bits: float
@@ -97,7 +171,7 @@ class SegmentationResult:
 def solve_segmentation(
     n_total: int,
     boundaries: np.ndarray,
-    cell_idx: np.ndarray,
+    table: SegmentTable,
     K_max: int,
     n_singletons: int,
     fixed_bits: float,
@@ -106,23 +180,17 @@ def solve_segmentation(
 ) -> SegmentationResult:
     """Pick interval cuts minimizing the full joint code length.
 
-    ``cell_idx`` holds the candidate-cell index of every continuous row of the
-    dimension being cut, and ``other_cell_ids`` the fixed joint cell of all
-    remaining dimensions for those same rows, as small nonnegative ids (an
-    unused id is an empty cell).  ``fixed_bits`` is every part of the code
-    length that no cut can change: ``n·log2 n``, the ``-c·log2 c`` of the
-    rows in this dimension's singleton bins, and the other dimensions' log2
-    volumes and model costs.  A segment [b_i, b_j) then costs
-    ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its width, and a
-    count of m intervals adds its regret and model cost.
-
-    Only the first and last boundary and those beside a candidate cell with
-    a row enter the kernel and the DP, whenever 2·(min(K_max, B) - 1) <= B,
-    where no count's penalty is below a smaller count's: in a run of empty
-    cells a cut's code length is concave in its position, so a run's ends
-    are as good as any boundary inside it.  Past that budget the model cost
-    can fall as m grows, and every boundary stays.  The model cost always
-    prices ``C(B - 1, m - 1)`` over the full grid.
+    ``table`` is ``segment_table(boundaries, cell_idx, K_max)`` of the
+    continuous rows of the dimension being cut, and ``other_cell_ids`` the
+    fixed joint cell of all remaining dimensions for those same rows, as
+    small nonnegative ids (an unused id is an empty cell).  ``fixed_bits``
+    is every part of the code length that no cut can change: ``n·log2 n``,
+    the ``-c·log2 c`` of the rows in this dimension's singleton bins, and
+    the other dimensions' log2 volumes and model costs.  A segment [b_i,
+    b_j) then costs ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its
+    width, and a count of m intervals adds its regret and model cost.  Only
+    G and the regret depend on the other dimensions; the rest is the
+    table's, and the kernel and the DP run over its kept boundaries.
 
     The rounds over interval counts stop once no larger count can beat the
     best total so far, and the chosen count's cuts are walked back from one
@@ -133,53 +201,33 @@ def solve_segmentation(
     ULPs apart, and then the cheaper float wins, whichever side it is on.
     """
     B = len(boundaries) - 1
-    if K_max < 1:
-        raise InputError("K_max must be >= 1")
-    m_cap = min(K_max, B)
+    if table.pos[-1] != B or len(table.mcost) != min(K_max, B):
+        raise InputError("segment table was built for another grid or K_max")
+    kept = len(table.pos) - 1  # the kept grid's cells
     n_other = int(other_cell_ids.max(initial=0)) + 1
 
-    # per-other-cell row counts per candidate cell
-    counts = np.bincount(other_cell_ids * B + cell_idx,
-                         minlength=n_other * B).reshape(n_other, B)
-
-    # cut only beside an occupied cell, while the model cost, and with it
-    # every count's penalty, cannot fall as m grows
-    keep = np.ones(B + 1, dtype=bool)
-    if 2 * (m_cap - 1) <= B:
-        occupied = counts.any(axis=0)
-        keep[1:B] = occupied[:-1] | occupied[1:]
-    pos = np.flatnonzero(keep)
-    kept = len(pos) - 1  # the kept grid's cells
-    boundaries = boundaries[pos]
-
     # per-other-cell prefix counts over the kept boundaries
+    counts = np.bincount(other_cell_ids * kept + table.cell_idx, minlength=n_other * kept)
     P = np.zeros((n_other, kept + 1))
-    np.cumsum(np.add.reduceat(counts, pos[:-1], axis=1), axis=1, out=P[:, 1:])
+    np.cumsum(counts.reshape(n_other, kept), axis=1, out=P[:, 1:])
 
     active = P[:, -1] >= 2.0  # cells with <2 rows contribute no c*log2(c) mass
     G = _xlogx_segment_sums(P[active])
     ops = int(active.sum()) * (kept + 1) * (kept + 1)
 
     # cost[i, j] = what the rows falling in [b_i, b_j) add to the code length
-    # beyond fixed_bits; boundaries increase strictly, so width > 0 exactly
-    # where j > i, and an empty segment costs exactly 0 since its G and row
-    # count are 0
-    width = boundaries[None, :] - boundaries[:, None]
-    segment = width > 0
-    log2w = np.log2(width, where=segment, out=np.zeros_like(width))
-    C = P.sum(axis=0)  # overall prefix counts
-    seg_n = C[None, :] - C[:, None]
-    cost = -G + seg_n * log2w
-    cost[~segment] = np.inf
+    # beyond fixed_bits: an empty segment costs exactly 0 since its G and row
+    # count are 0, and inf - G stays inf where no segment exists
+    cost = table.seg_cost - G
 
     # Splitting a segment never raises its data cost (log-sum inequality),
     # so no count's best data cost falls below that of all unit cells, and no
     # count from m on totals less than that plus the least penalty from m on:
     # once that bound passes the best total so far, no later count can win.
-    m_cap = min(m_cap, kept)  # m nonempty segments need m kept cells
+    m_cap = min(K_max, B, kept)  # m nonempty segments need m kept cells
     m = np.arange(1, m_cap + 1)
     regret = log_regret(n_total, (n_singletons + m) * K_other)
-    mcost = model_cost(B - 1, m - 1)
+    mcost = table.mcost[:m_cap]
     floor = np.trace(cost, offset=1)
     bound = floor + np.minimum.accumulate((fixed_bits + regret + mcost)[::-1])[::-1]
 
@@ -207,7 +255,7 @@ def solve_segmentation(
         j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
         cuts.append(j)
     return SegmentationResult(
-        cut_indices=pos[cuts[::-1]].astype(np.int64),
+        cut_indices=table.pos[cuts[::-1]].astype(np.int64),
         total_bits=float(best),
         ops=ops,
     )

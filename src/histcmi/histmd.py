@@ -6,12 +6,15 @@ dimension in turn against the fixed cells of the others and accepts the
 single re-cut with the largest drop in total code length.  Stops when no
 re-cut helps or after ``i_max`` iterations.
 
-The fit's state is three plain values: the list of per-dimension bin sets,
-one (n, k) int64 label matrix, and the total code length in bits.  A
-re-cut reads the other dimensions' cells from that matrix; a dimension with
-no candidate cut re-cuts to +inf bits, so it is never accepted.  After each
-accepted re-cut the grid is rebuilt from the matrix and its score checked
-against the one the segmentation DP reported.
+A fit builds one segmentation table per column with a candidate cut, from
+the column alone, and every re-cut of that column reuses it.  The rest of
+the fit's state is a :class:`FitState` beside the total code length in
+bits: the per-dimension bin sets, one (n, k) int64 label matrix, and each
+dimension's log2-volume and model-cost bits, which change only when that
+dimension is re-cut.  A re-cut reads the other dimensions' cells from the
+matrix; a dimension with no candidate cut re-cuts to +inf bits, so it is
+never accepted.  After each accepted re-cut the grid is rebuilt from the
+matrix and its score checked against the one the segmentation DP reported.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .data_model import (
     cell_ids,
 )
 from .errors import InputError, require_integer
-from .hist1d import bin_budget, candidate_cuts, solve_segmentation
+from .hist1d import SegmentTable, bin_budget, candidate_cuts, segment_table, solve_segmentation
 
 # accepted refinements must beat the current score by this many bits, so
 # float noise can never masquerade as an improvement
@@ -124,21 +127,65 @@ def init_discretization(columns: list[MixedColumn],
     return build_grid(labels, binsets), binsets, labels
 
 
-def refine_dimension(j: int, columns: list[MixedColumn], binsets: list[BinSet],
-                     labels: np.ndarray, K_max: int) -> RefineResult:
-    """Best re-cut of dimension j's intervals, into at most K_max, given the
-    other dimensions' cells in the (n, k) label matrix.
+def _dim_bits(labels: np.ndarray, binset: BinSet) -> float:
+    """One dimension's share of the code length that its own cuts set: the
+    log2 volumes of its rows' bins and its model cost."""
+    return (np.bincount(labels, minlength=binset.n_bins) @ np.log2(binset.volumes)
+            + model_cost(binset.n_candidates, len(binset.cuts)))
+
+
+@dataclass
+class FitState:
+    """What a re-cut reads, for one fit.
+
+    Per column: its sample and its segmentation table for K_max (None when
+    its grid offers no cut), both fixed for the fit.  Per dimension: its bin
+    set, its column of the (n, k) int64 label matrix and its
+    :func:`_dim_bits`, replaced together by :meth:`accept`.
+    """
+
+    columns: list[MixedColumn]
+    tables: list[SegmentTable | None]
+    K_max: int
+    binsets: list[BinSet]
+    labels: np.ndarray
+    dim_bits: list[float]
+
+    @classmethod
+    def start(cls, columns: list[MixedColumn], binsets: list[BinSet], labels: np.ndarray,
+              K_max: int) -> "FitState":
+        """State of bin sets ``binsets`` labelling the rows as ``labels`` does,
+        with one table built per column that has a candidate cut."""
+        tables = [segment_table(b.grid, _interval_index(c.unmasked, b.grid), K_max)
+                  if b.n_candidates else None for c, b in zip(columns, binsets)]
+        return cls(columns=columns, tables=tables, K_max=K_max, binsets=binsets,
+                   labels=labels,
+                   dim_bits=[_dim_bits(labels[:, d], b) for d, b in enumerate(binsets)])
+
+    def accept(self, j: int, binset: BinSet) -> None:
+        """Make ``binset``, a re-cut of dimension j, its bin set: its rows'
+        labels come from the table's cell of each row."""
+        cont = ~self.columns[j].discrete_mask
+        self.binsets[j] = binset
+        self.labels[cont, j] = binset.n_singletons + self.tables[j].intervals(binset.cuts)
+        self.dim_bits[j] = _dim_bits(self.labels[:, j], binset)
+
+
+def refine_dimension(j: int, state: FitState) -> RefineResult:
+    """Best re-cut of dimension j's intervals, into at most ``state.K_max``,
+    given the other dimensions' cells in the state's label matrix.
 
     A dimension without a candidate cut comes back unchanged at +inf bits:
     the minimum over an empty set of re-cuts.
     """
-    column, binset, n = columns[j], binsets[j], len(labels)
+    column, binset, labels = state.columns[j], state.binsets[j], state.labels
+    n = len(labels)
     if binset.n_candidates == 0:
         return RefineResult(binset, math.inf, 0)
 
     # the other dimensions' cells over all rows, as compact ids
-    others = [d for d in range(len(binsets)) if d != j]
-    radices = [binsets[d].n_bins for d in others]
+    others = [d for d in range(len(state.binsets)) if d != j]
+    radices = [state.binsets[d].n_bins for d in others]
     cells, other_ids = np.unique(cell_ids(labels[:, others], radices), return_inverse=True)
 
     # what no cut can change: n·log2 n, the rows in this dimension's
@@ -148,20 +195,17 @@ def refine_dimension(j: int, columns: list[MixedColumn], binsets: list[BinSet],
                     [binset.n_bins, len(cells)])
     c = np.unique(pair, return_counts=True)[1].astype(np.float64)
     fixed_bits = (n * math.log2(n) - np.sum(c * np.log2(c))
-                  + sum(np.bincount(labels[:, d], minlength=b.n_bins) @ np.log2(b.volumes)
-                        + model_cost(b.n_candidates, len(b.cuts))
-                        for d, b in enumerate(binsets) if d != j))
+                  + sum(state.dim_bits[d] for d in others))
 
-    cont = ~disc
     res = solve_segmentation(
         n_total=n,
         boundaries=binset.grid,
-        cell_idx=_interval_index(column.values[cont], binset.grid),
-        K_max=K_max,
+        table=state.tables[j],
+        K_max=state.K_max,
         n_singletons=binset.n_singletons,
         fixed_bits=fixed_bits,
         K_other=math.prod(radices),
-        other_cell_ids=other_ids[cont],
+        other_cell_ids=other_ids[~disc],
     )
     return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 
@@ -171,7 +215,7 @@ def optimal_histogram_1d(column: MixedColumn, grid: np.ndarray, K_max: int) -> B
     ``grid``: the re-cut of a one-dimension fit that starts with no chosen cuts."""
     binset = BinSet(column.atoms, grid)
     labels = assign_labels(column, binset)[:, None]
-    return refine_dimension(0, [column], [binset], labels, K_max).binset
+    return refine_dimension(0, FitState.start([column], [binset], labels, K_max)).binset
 
 
 def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> FitResult:
@@ -187,34 +231,33 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     grid, binsets, labels = init_discretization(columns, config)
     score = total_score(grid)
     trace = FitTrace(init_score=score)
-    K_max = config.k_max(columns[0].n)
+    state = FitState.start(columns, binsets, labels, config.k_max(columns[0].n))
 
     accepted = None  # (dimension, its re-cut at no new ops) accepted last round
     for iteration in range(1, config.i_max + 1):
         # a re-cut reads only the other dimensions, so the one accepted last
         # round is still that dimension's best
         results = [accepted[1] if accepted and d == accepted[0]
-                   else refine_dimension(d, columns, binsets, labels, K_max)
+                   else refine_dimension(d, state)
                    for d in range(len(columns))]
         j = min(range(len(results)), key=lambda d: results[d].total_bits)
         best = results[j]
         if best.total_bits >= score - _GAIN_EPS:
             trace.converged = True
             break
-        binsets[j] = best.binset
-        labels[:, j] = assign_labels(columns[j], best.binset)
-        grid = build_grid(labels, binsets)
+        state.accept(j, best.binset)
+        grid = build_grid(state.labels, state.binsets)
         after = total_score(grid)
         if abs(after - best.total_bits) > 1e-6:
             raise AssertionError(
                 f"refinement score {best.total_bits} disagrees with rebuilt score {after}")
         trace.records.append(IterationRecord(
             iteration=iteration, dim=j, score_before=score, score_after=after,
-            bins_per_dim=tuple(b.n_bins for b in binsets),
+            bins_per_dim=tuple(b.n_bins for b in state.binsets),
             ops=sum(r.ops for r in results)))
         score = after
         accepted = (j, replace(best, ops=0))
 
-    labels = labels.astype(np.min_scalar_type(labels.max()))
+    labels = state.labels.astype(np.min_scalar_type(state.labels.max()))
     labels.setflags(write=False)
     return FitResult(grid=grid, labels=labels, trace=trace)

@@ -347,6 +347,52 @@ class TestCiTestFitReuse:
             ci(ds, "B", "C", ("A",))
         assert len(calls) == 3
 
+    def test_each_column_prepared_once_per_dataset_and_level(self, monkeypatch):
+        first = generate(ScenarioSpec("network", 500, 1))
+        second = generate(ScenarioSpec("network", 500, 2))
+        prepared = []
+        real = estimators.detect_discrete_points
+
+        def counted(values, *args, **kwargs):
+            prepared.append(values.tobytes())
+            return real(values, *args, **kwargs)
+        monkeypatch.setattr(estimators, "detect_discrete_points", counted)
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        for ds in (first, second, first):
+            tested = {}  # level -> (columns tested, preparations during the level)
+
+            def recorded(ds, a, b, cond):
+                before = len(prepared)
+                verdict = ci(ds, a, b, cond)
+                names, preps = tested.setdefault(len(cond), (set(), []))
+                names.update((a, b, *cond))
+                preps.extend(prepared[before:])
+                return verdict
+            pc_stable_skeleton(ds, recorded)
+            assert len(tested) >= 2
+            # each tested column once per level, though most enter several fits
+            for names, preps in tested.values():
+                assert sorted(preps) == sorted(ds.column(name).tobytes() for name in names)
+
+    def test_new_dataset_of_the_same_set_size_fits_its_own_columns(self, monkeypatch):
+        first = generate(ScenarioSpec("network", 500, 1))
+        second = generate(ScenarioSpec("network", 500, 2))
+        fits = []
+        real = cli.citest_chi2
+
+        def spy(*args, **kwargs):
+            fits.append(kwargs["fit"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "citest_chi2", spy)
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        for ds in (first, second):
+            ci(ds, "A", "B", ("C",))
+            make_ci_test(FitConfig(), "chi2", 0.01)(ds, "A", "B", ("C",))
+        for shared, fresh in (fits[0:2], fits[2:4]):
+            assert np.array_equal(shared.labels, fresh.labels)
+            assert shared.trace.final_score == fresh.trace.final_score
+        assert fits[0].trace.final_score != fits[2].trace.final_score
+
     def test_cache_hit_hands_out_the_cached_fit(self, monkeypatch):
         ds = generate(ScenarioSpec("network", 1000, 3))
         fits = []

@@ -53,6 +53,17 @@ class TestDetectDiscretePoints:
         with pytest.raises(InputError):
             detect_discrete_points([], t=5)
 
+    @pytest.mark.parametrize("t", [2.5, 3.0, True, "3", None])
+    def test_non_integer_threshold_rejected(self, t):
+        # 2.5 would act as 3 in the multiplicity comparison, and "3" would
+        # fail the comparison with a bare TypeError
+        with pytest.raises(InputError, match="t must be an integer"):
+            detect_discrete_points([1.0, 1.0, 1.0, 2.0], t=t)
+
+    def test_numpy_integer_threshold_accepted(self):
+        col = detect_discrete_points([1.0, 1.0, 1.0, 2.0], t=np.int64(3))
+        assert col.discrete_mask.tolist() == [True, True, True, False]
+
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
            st.integers(min_value=2, max_value=6))
     def test_mask_monotone_in_threshold(self, ints, t):

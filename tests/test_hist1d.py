@@ -5,6 +5,7 @@ import pytest
 
 from histcmi import (
     BinSet,
+    InputError,
     assign_labels,
     build_grid,
     candidate_cuts,
@@ -12,7 +13,8 @@ from histcmi import (
     optimal_histogram_1d,
     total_score,
 )
-from histcmi.hist1d import _xlogx_segment_sums, bin_budget, solve_segmentation
+from histcmi.data_model import _interval_index
+from histcmi.hist1d import _xlogx_segment_sums, bin_budget, segment_table, solve_segmentation
 
 from oracles import exhaustive_best_total, full_segmentation, xlogx_segment_sums
 
@@ -88,12 +90,18 @@ def _random_segmentation(rng):
                 other_cell_ids=rng.integers(0, n_other, size=cell_idx.size))
 
 
+def _solve(cell_idx, **kw):
+    """``solve_segmentation`` on the table of the rows in candidate cells ``cell_idx``."""
+    return solve_segmentation(table=segment_table(kw["boundaries"], cell_idx, kw["K_max"]),
+                              **kw)
+
+
 class TestEarlyStop:
     """The DP that stops its rounds early against the full DP, bit for bit."""
 
     @staticmethod
     def _assert_same_as_full_dp(kw):
-        res = solve_segmentation(**kw)
+        res = _solve(**kw)
         cuts, total = full_segmentation(**kw)
         assert res.cut_indices.tolist() == cuts.tolist()
         assert res.total_bits.hex() == total.hex()
@@ -168,7 +176,7 @@ class TestPruning:
         pruned = {True: 0, False: 0}  # by whether the penalty may fall with m
         for _ in range(3000):
             kw = _sparse_segmentation(rng)
-            res = solve_segmentation(**kw)
+            res = _solve(**kw)
             cuts, total = full_segmentation(**kw)
             assert res.cut_indices.tolist() == cuts.tolist()
             assert res.total_bits.hex() == total.hex()
@@ -186,9 +194,37 @@ class TestPruning:
         kw = dict(n_total=40, boundaries=np.arange(11.0),
                   cell_idx=np.repeat([0, 1, 8, 9], 10), n_singletons=0,
                   fixed_bits=0.0, K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
-        assert solve_segmentation(**kw, K_max=3).ops == 6 ** 2
+        assert _solve(**kw, K_max=3).ops == 6 ** 2
         # at K_max = B the model cost falls past m = 6, and every boundary stays
-        assert solve_segmentation(**kw, K_max=10).ops == 11 ** 2
+        assert _solve(**kw, K_max=10).ops == 11 ** 2
+
+
+class TestSegmentTable:
+    def test_intervals_match_assign_labels(self):
+        # labels of an accepted re-cut come from the table's cell of each row
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            vals = np.concatenate([rng.exponential(size=int(rng.integers(2, 300))),
+                                   np.full(6, 0.5)])
+            col = detect_discrete_points(vals, t=5)
+            grid = candidate_cuts(col, int(rng.integers(2, 40)))
+            table = segment_table(grid, _interval_index(col.unmasked, grid),
+                                  int(rng.integers(1, len(grid) + 2)))
+            inner = table.pos[1:-1]
+            cuts = np.sort(rng.choice(inner, size=int(rng.integers(0, inner.size + 1)),
+                                      replace=False))
+            bs = BinSet(col.atoms, grid, cuts)
+            assert np.array_equal(bs.n_singletons + table.intervals(cuts),
+                                  assign_labels(col, bs)[~col.discrete_mask])
+
+    def test_table_of_another_grid_or_budget_rejected(self):
+        kw = dict(n_total=40, boundaries=np.arange(11.0), n_singletons=0, fixed_bits=0.0,
+                  K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
+        cell_idx = np.repeat([0, 1, 7, 8], 10)
+        for boundaries, K_max in ((np.arange(10.0), 3), (np.arange(11.0), 4)):
+            with pytest.raises(InputError, match="another grid or K_max"):
+                solve_segmentation(table=segment_table(boundaries, cell_idx, K_max),
+                                   K_max=3, **kw)
 
 
 class TestCandidateCuts:
@@ -209,6 +245,14 @@ class TestCandidateCuts:
         cand = candidate_cuts(col, 10)
         assert cand.tolist() == [4.0, 4.0 + np.spacing(4.0)]
         assert BinSet(col.atoms, cand).n_candidates == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_wider_than_float64_named_before_any_grid(self):
+        # hi - lo overflows to inf: linspace would warn and yield a grid of
+        # nans and infs that BinSet rejects without naming the cause
+        col = detect_discrete_points([-1e308, 0.0, 1e308], t=5)
+        with pytest.raises(InputError, match=r"range \[-1e\+308, 1e\+308\] is wider than float64"):
+            candidate_cuts(col, 10)
 
     def test_column_without_continuous_values_has_empty_grid(self):
         col = detect_discrete_points([2.0] * 5 + [3.0] * 5, t=5)

@@ -24,7 +24,7 @@ from oracles import exhaustive_best_total
 
 def _refine(j, cols, binsets, K_max):
     labels = np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
-    return refine_dimension(j, cols, binsets, labels, K_max)
+    return refine_dimension(j, histmd.FitState.start(cols, binsets, labels, K_max))
 
 
 class TestFitConfig:
@@ -319,10 +319,34 @@ class TestGreedyFit:
         # what the reuse rests on: the last accepted dimension, re-cut now,
         # gives back its own cuts at the score the fit ended on
         j = records[-1].dim
-        again = refine(j, cols, list(fit.grid.dims), fit.labels.astype(np.int64),
-                       config.k_max(cols[0].n))
+        again = refine(j, histmd.FitState.start(cols, list(fit.grid.dims),
+                                                fit.labels.astype(np.int64),
+                                                config.k_max(cols[0].n)))
         assert again.binset.cuts.tolist() == fit.grid.dims[j].cuts.tolist()
         assert again.total_bits == pytest.approx(records[-1].score_after, abs=1e-6)
+
+    def test_one_segment_table_per_column_whatever_the_rounds(self, monkeypatch):
+        # tables depend on the column alone, so no re-cut or round builds one
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=300)
+        cols = [detect_discrete_points(v, 5)
+                for v in (x, x + 0.3 * rng.normal(size=300), np.sign(x) + rng.uniform(size=300))]
+        built = []
+        real = histmd.segment_table
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(histmd, "segment_table", counting)
+        rounds = set()
+        for k in (2, 3):
+            for i_max in (1, 3, 5):
+                built.clear()
+                fit = greedy_fit(cols[:k], FitConfig(i_max=i_max))
+                assert len(built) == k
+                rounds.add(len(fit.trace.records))
+        assert len(rounds) >= 3
 
     def test_labeling_matches_binsets(self):
         rng = np.random.default_rng(6)
