@@ -19,7 +19,6 @@ import numpy as np
 
 from .causal import pc_stable_skeleton, precision_recall
 from .citest import citest_chi2, citest_sc
-from .data_model import MixedColumn
 from .datagen import (
     RNG_NAME,
     SCENARIOS,
@@ -32,7 +31,7 @@ from .datagen import (
 )
 from .errors import InputError
 from .estimators import VariableGroup, cmi_estimate, fit_columns, prepare_column
-from .histmd import FitConfig, FitResult
+from .histmd import ColumnStart, FitConfig, FitResult
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 SCHEMA_VERSION = 1
@@ -230,7 +229,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     """
     _check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
-    columns: dict[str, MixedColumn] = {}
+    columns: dict[str, ColumnStart] = {}
     fits_of, fits_size = None, 0
 
     def ci(dataset: Dataset, a: str, b: str, cond) -> bool:

@@ -13,7 +13,10 @@ occupied cells and an array of their row counts.
 
 Every joint cell is named by one int64 id from :func:`cell_ids`, the single
 mixed-radix encoding of the package.  It refuses to wrap: ids that would
-pass int64 are first compacted to their order-preserving ranks.
+pass int64 are first compacted to their order-preserving ranks.  Ids are
+compacted by :func:`unique_ids`, which counts them in one ``bincount`` when
+their span is at most ``_COUNT_SPAN`` times their number and sorts them
+above that; either way it returns exactly what ``np.unique`` returns.
 """
 
 from __future__ import annotations
@@ -76,9 +79,14 @@ def detect_discrete_points(column, t: int = 5) -> MixedColumn:
     return MixedColumn(values=values, discrete_mask=mask)
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
 def degenerate_width(x: float) -> float:
-    """Smallest representable positive width around x (one ULP at max(|x|, 1))."""
-    return float(np.spacing(max(abs(x), 1.0)))
+    """Smallest representable positive width around x: one ULP at max(|x|, 1),
+    taken below it at ±max float, where no float lies above."""
+    m = max(abs(x), 1.0)
+    return m - float(np.nextafter(m, 0.0)) if m == _FLOAT_MAX else float(np.spacing(m))
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,25 @@ def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
     return ids
 
 
+# ids spanning at most this many times their number are counted, not sorted
+_COUNT_SPAN = 2
+
+
+def unique_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True, return_counts=True)`` of nonnegative
+    int64 ids: the sorted distinct ids, each id's index among them and the
+    count of each.  Ids spanning at most ``_COUNT_SPAN`` times their number
+    are counted in O(n + span) instead of sorted in O(n log n)."""
+    span = int(ids.max(initial=-1)) + 1
+    if span > _COUNT_SPAN * len(ids):
+        return np.unique(ids, return_inverse=True, return_counts=True)
+    counts = np.bincount(ids, minlength=span)
+    distinct = np.flatnonzero(counts)
+    rank = np.empty(span, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[ids], counts[distinct]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cartesian product of per-dimension bin sets with sparse cell counts.
@@ -249,8 +276,8 @@ def build_grid(labels: np.ndarray, bins: list[BinSet]) -> Grid:
     column j holds bin indices of ``bins[j]``; the grid keeps its own copy."""
     mat = _integer_labels(labels).astype(np.int64, copy=False)
     n = len(mat)
-    ids = cell_ids(mat, [b.n_bins for b in bins])
-    # any row of a cell spells that cell, so the sort need not be stable
-    order = np.argsort(ids)
-    first = np.flatnonzero(np.diff(ids[order], prepend=-1))
-    return Grid(dims=tuple(bins), cells=mat[order[first]], counts=np.diff(first, append=n), n=n)
+    distinct, inverse, counts = unique_ids(cell_ids(mat, [b.n_bins for b in bins]))
+    # any row of a cell spells that cell
+    row = np.empty(len(distinct), dtype=np.intp)
+    row[inverse] = np.arange(n)
+    return Grid(dims=tuple(bins), cells=mat[row], counts=counts, n=n)

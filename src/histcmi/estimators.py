@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexity import neg_log_likelihood
-from .data_model import Grid, MixedColumn, cell_ids, detect_discrete_points
+from .data_model import Grid, cell_ids, detect_discrete_points, unique_ids
 from .errors import InputError, ModelError
-from .histmd import FitConfig, FitResult, greedy_fit
+from .histmd import ColumnStart, FitConfig, FitResult, greedy_fit, start_column
 
 _CANCELLATION_TOL = 1e-9
 
@@ -55,12 +55,6 @@ class EstimateResult:
     fit: FitResult
 
 
-def _flat_ids(labels: np.ndarray) -> np.ndarray:
-    """Ids of label rows that sort with the last column most significant."""
-    radices = labels.max(axis=0, initial=0).astype(np.int64) + 1
-    return cell_ids(labels[:, ::-1], radices[::-1])
-
-
 def plugin_entropy(labels: np.ndarray) -> float:
     """Empirical entropy -sum p*ln(p) of the observed label tuples, in nats.
 
@@ -72,7 +66,9 @@ def plugin_entropy(labels: np.ndarray) -> float:
     n = len(labels)
     if n == 0:
         raise InputError("plugin entropy of an empty sample is undefined")
-    _, counts = np.unique(_flat_ids(labels), return_counts=True)
+    # cells counted in the order of ids with the last column most significant
+    radices = labels.max(axis=0, initial=0).astype(np.int64) + 1
+    counts = unique_ids(cell_ids(labels[:, ::-1], radices[::-1]))[2]
     p = counts / n
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for one cell
 
@@ -102,16 +98,17 @@ def _domain_size(grid: Grid, dims) -> int:
     return math.prod(grid.dims[d].n_bins for d in dims)
 
 
-def prepare_column(values, config: FitConfig) -> MixedColumn:
-    """One sample column ready to fit under ``config``: its discrete points
-    detected.  It depends on the column alone, so a caller that fits several
-    column sets of one dataset prepares each column once."""
-    return detect_discrete_points(values, t=config.t)
+def prepare_column(values, config: FitConfig) -> ColumnStart:
+    """One sample column's start for fits under ``config``: its discrete
+    points detected, its candidate grid, start labels and segmentation
+    table.  It depends on the column and the config alone, so a caller that
+    fits several column sets of one dataset prepares each column once."""
+    return start_column(detect_discrete_points(values, t=config.t), config)
 
 
-def fit_columns(columns: Sequence[MixedColumn], config: FitConfig) -> FitResult:
+def fit_columns(starts: Sequence[ColumnStart], config: FitConfig) -> FitResult:
     """Joint histogram of the prepared columns, in their order."""
-    return greedy_fit(list(columns), config)
+    return greedy_fit(list(starts), config)
 
 
 def cmi_estimate(

@@ -61,7 +61,8 @@ def bin_budget(n: int, factor: float) -> int:
 def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
     """Strictly increasing candidate boundaries of the unmasked values: none if
     there are none, one cut-free cell one ULP wide (``degenerate_width``) from
-    a single distinct value, else K_init equi-width cells over their range."""
+    a single distinct value, on its finite side, else K_init equi-width cells
+    over their range."""
     if K_init < 1:
         raise InputError("K_init must be >= 1")
     unmasked = column.unmasked
@@ -69,7 +70,8 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
         return np.empty(0)
     lo, hi = float(unmasked.min()), float(unmasked.max())
     if lo == hi:
-        return np.array([lo, lo + degenerate_width(lo)])
+        width = degenerate_width(lo)
+        return np.array([lo, lo + width] if math.isfinite(lo + width) else [lo - width, lo])
     if not math.isfinite(hi - lo):
         raise InputError(f"continuous range [{lo!r}, {hi!r}] is wider than float64 can hold")
     return np.unique(np.linspace(lo, hi, K_init + 1))  # collapse cells lost to float rounding

@@ -6,15 +6,19 @@ dimension in turn against the fixed cells of the others and accepts the
 single re-cut with the largest drop in total code length.  Stops when no
 re-cut helps or after ``i_max`` iterations.
 
-A fit builds one segmentation table per column with a candidate cut, from
-the column alone, and every re-cut of that column reuses it.  The rest of
-the fit's state is a :class:`FitState` beside the total code length in
-bits: the per-dimension bin sets, one (n, k) int64 label matrix, and each
-dimension's log2-volume and model-cost bits, which change only when that
-dimension is re-cut.  A re-cut reads the other dimensions' cells from the
-matrix; a dimension with no candidate cut re-cuts to +inf bits, so it is
-never accepted.  After each accepted re-cut the grid is rebuilt from the
-matrix and its score checked against the one the segmentation DP reported.
+A fit starts from one :class:`ColumnStart` per column, which
+:func:`start_column` builds from the column and the config alone: the
+column, its cut-free bin set over the candidate grid, its start labels and
+its segmentation table for K_max (none when the grid offers no cut).  No
+fit builds a table, so every fit and every re-cut that enters a column
+shares its start.  The rest of the fit's state is a :class:`FitState`
+beside the total code length in bits: the per-dimension bin sets, one
+(n, k) int64 label matrix, and each dimension's log2-volume and model-cost
+bits, which change only when that dimension is re-cut.  A re-cut reads the
+other dimensions' cells from the matrix; a dimension with no candidate cut
+re-cuts to +inf bits, so it is never accepted.  After each accepted re-cut
+the grid is rebuilt from the matrix and its score checked against the one
+the segmentation DP reported.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .data_model import (
     assign_labels,
     build_grid,
     cell_ids,
+    unique_ids,
 )
 from .errors import InputError, require_integer
 from .hist1d import SegmentTable, bin_budget, candidate_cuts, segment_table, solve_segmentation
@@ -111,19 +116,69 @@ class FitResult:
     trace: FitTrace
 
 
-def init_discretization(columns: list[MixedColumn],
-                        config: FitConfig) -> tuple[Grid, list[BinSet], np.ndarray]:
-    """Single-interval-plus-atoms starting model for every dimension.
+def column_table(column: MixedColumn, grid: np.ndarray, K_max: int) -> SegmentTable | None:
+    """The segmentation table of the column's continuous rows over ``grid``
+    for at most K_max intervals, or None when the grid offers no cut."""
+    if len(grid) <= 2:
+        return None
+    return segment_table(grid, _interval_index(column.unmasked, grid), K_max)
 
-    Returns its grid, its bin sets and the (n, k) label matrix the grid counts.
+
+@dataclass(frozen=True)
+class ColumnStart:
+    """Everything one column's fit starts from, fixed by the column and the
+    config: the column, its bin set of atoms and one interval over the
+    candidate grid, the read-only int64 label of each row under that bin set,
+    and its :func:`column_table` for K_max.  It records the config values it
+    was built for, ``t``, ``K_init`` and ``K_max``, and is fitted under no
+    other config; :func:`start_column` builds it.
     """
-    if not columns:
+
+    column: MixedColumn
+    binset: BinSet
+    labels: np.ndarray
+    table: SegmentTable | None
+    t: int
+    K_init: int
+    K_max: int
+
+    @property
+    def n(self) -> int:
+        return self.column.n
+
+
+def start_column(column: MixedColumn, config: FitConfig) -> ColumnStart:
+    """The start of ``column``, whose discrete points were detected with
+    ``config.t``, for fits under ``config``."""
+    K_init, K_max = config.k_init(column.n), config.k_max(column.n)
+    binset = BinSet(column.atoms, candidate_cuts(column, K_init))
+    labels = assign_labels(column, binset)
+    labels.setflags(write=False)
+    return ColumnStart(column=column, binset=binset, labels=labels,
+                       table=column_table(column, binset.grid, K_max),
+                       t=config.t, K_init=K_init, K_max=K_max)
+
+
+def init_discretization(starts: list[ColumnStart],
+                        config: FitConfig) -> tuple[Grid, list[BinSet], np.ndarray]:
+    """The starting model of the columns: every start's bin set, stacked.
+
+    Returns its grid, its bin sets and a fresh (n, k) label matrix the grid
+    counts.  Starts of another length than the first, or built for another
+    config, are rejected.
+    """
+    if not starts:
         raise InputError("empty dataset")
-    n = columns[0].n
-    if any(c.n != n for c in columns):
+    n = starts[0].n
+    if any(s.n != n for s in starts):
         raise InputError("columns disagree on sample size")
-    binsets = [BinSet(c.atoms, candidate_cuts(c, config.k_init(n))) for c in columns]
-    labels = np.column_stack([assign_labels(c, b) for c, b in zip(columns, binsets)])
+    want = (config.t, config.k_init(n), config.k_max(n))
+    for s in starts:
+        if (s.t, s.K_init, s.K_max) != want:
+            raise InputError(f"column start built for (t, K_init, K_max) = "
+                             f"{(s.t, s.K_init, s.K_max)} cannot be fitted under {want}")
+    binsets = [s.binset for s in starts]
+    labels = np.column_stack([s.labels for s in starts])
     return build_grid(labels, binsets), binsets, labels
 
 
@@ -138,10 +193,10 @@ def _dim_bits(labels: np.ndarray, binset: BinSet) -> float:
 class FitState:
     """What a re-cut reads, for one fit.
 
-    Per column: its sample and its segmentation table for K_max (None when
-    its grid offers no cut), both fixed for the fit.  Per dimension: its bin
-    set, its column of the (n, k) int64 label matrix and its
-    :func:`_dim_bits`, replaced together by :meth:`accept`.
+    Per column: its sample and its :func:`column_table` over its bin set's
+    grid for K_max, both fixed for the fit.  Per dimension: its bin set, its
+    column of the (n, k) int64 label matrix and its :func:`_dim_bits`,
+    computed here and replaced together by :meth:`accept`.
     """
 
     columns: list[MixedColumn]
@@ -149,18 +204,10 @@ class FitState:
     K_max: int
     binsets: list[BinSet]
     labels: np.ndarray
-    dim_bits: list[float]
+    dim_bits: list[float] = field(init=False)
 
-    @classmethod
-    def start(cls, columns: list[MixedColumn], binsets: list[BinSet], labels: np.ndarray,
-              K_max: int) -> "FitState":
-        """State of bin sets ``binsets`` labelling the rows as ``labels`` does,
-        with one table built per column that has a candidate cut."""
-        tables = [segment_table(b.grid, _interval_index(c.unmasked, b.grid), K_max)
-                  if b.n_candidates else None for c, b in zip(columns, binsets)]
-        return cls(columns=columns, tables=tables, K_max=K_max, binsets=binsets,
-                   labels=labels,
-                   dim_bits=[_dim_bits(labels[:, d], b) for d, b in enumerate(binsets)])
+    def __post_init__(self):
+        self.dim_bits = [_dim_bits(self.labels[:, d], b) for d, b in enumerate(self.binsets)]
 
     def accept(self, j: int, binset: BinSet) -> None:
         """Make ``binset``, a re-cut of dimension j, its bin set: its rows'
@@ -186,14 +233,14 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     # the other dimensions' cells over all rows, as compact ids
     others = [d for d in range(len(state.binsets)) if d != j]
     radices = [state.binsets[d].n_bins for d in others]
-    cells, other_ids = np.unique(cell_ids(labels[:, others], radices), return_inverse=True)
+    cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
 
     # what no cut can change: n·log2 n, the rows in this dimension's
     # singleton bins, and the other dimensions' log2 volumes and model costs
     disc = column.discrete_mask
     pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
                     [binset.n_bins, len(cells)])
-    c = np.unique(pair, return_counts=True)[1].astype(np.float64)
+    c = unique_ids(pair)[2].astype(np.float64)
     fixed_bits = (n * math.log2(n) - np.sum(c * np.log2(c))
                   + sum(state.dim_bits[d] for d in others))
 
@@ -215,11 +262,13 @@ def optimal_histogram_1d(column: MixedColumn, grid: np.ndarray, K_max: int) -> B
     ``grid``: the re-cut of a one-dimension fit that starts with no chosen cuts."""
     binset = BinSet(column.atoms, grid)
     labels = assign_labels(column, binset)[:, None]
-    return refine_dimension(0, FitState.start([column], [binset], labels, K_max)).binset
+    state = FitState([column], [column_table(column, grid, K_max)], K_max, [binset], labels)
+    return refine_dimension(0, state).binset
 
 
-def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> FitResult:
-    """Learn a joint adaptive histogram over all columns.
+def greedy_fit(starts: list[ColumnStart], config: FitConfig | None = None) -> FitResult:
+    """Learn a joint adaptive histogram over the columns of ``starts``, each
+    built by :func:`start_column` under ``config``.
 
     Every iteration computes a candidate re-cut for each dimension against the
     iteration-start bin sets and labels, and accepts the one with the largest
@@ -228,10 +277,11 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
     re-cut itself, since the other dimensions have not changed since.
     """
     config = config or FitConfig()
-    grid, binsets, labels = init_discretization(columns, config)
+    grid, binsets, labels = init_discretization(starts, config)
     score = total_score(grid)
     trace = FitTrace(init_score=score)
-    state = FitState.start(columns, binsets, labels, config.k_max(columns[0].n))
+    state = FitState([s.column for s in starts], [s.table for s in starts],
+                     starts[0].K_max, binsets, labels)
 
     accepted = None  # (dimension, its re-cut at no new ops) accepted last round
     for iteration in range(1, config.i_max + 1):
@@ -239,7 +289,7 @@ def greedy_fit(columns: list[MixedColumn], config: FitConfig | None = None) -> F
         # round is still that dimension's best
         results = [accepted[1] if accepted and d == accepted[0]
                    else refine_dimension(d, state)
-                   for d in range(len(columns))]
+                   for d in range(len(starts))]
         j = min(range(len(results)), key=lambda d: results[d].total_bits)
         best = results[j]
         if best.total_bits >= score - _GAIN_EPS:

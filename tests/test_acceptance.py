@@ -24,13 +24,14 @@ from histcmi import (
     continuous_entropy_terms,
     detect_discrete_points,
     generate,
-    greedy_fit,
+    fit_columns,
     ground_truth,
     log_regret,
     optimal_histogram_1d,
     pc_stable_skeleton,
     plugin_entropy,
     precision_recall,
+    prepare_column,
     replicate_seed,
     total_score,
     true_network_edges,
@@ -112,8 +113,8 @@ def test_criterion_05_volume_cancellation():
         xg = VariableGroup("X", tuple(dims[:split[0]]))
         yg = VariableGroup("Y", tuple(dims[split[0]:split[-1] if k > 2 else k]))
         zg = VariableGroup("Z", tuple(dims[split[-1]:]) if k > 2 else ())
-        fit = greedy_fit([detect_discrete_points(data[:, j], 5) for j in range(k)],
-                         FitConfig())
+        fit = fit_columns([prepare_column(data[:, j], FitConfig()) for j in range(k)],
+                          FitConfig())
         labels = fit.labels
         groups = {"xz": xg.dims + zg.dims, "yz": yg.dims + zg.dims,
                   "xyz": xg.dims + yg.dims + zg.dims, "z": zg.dims}

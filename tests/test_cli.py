@@ -12,8 +12,9 @@ from histcmi import (
     cmi_estimate,
     generate,
     pc_stable_skeleton,
+    prepare_column,
 )
-from histcmi import cli, estimators
+from histcmi import cli, estimators, histmd
 from histcmi.cli import main, make_ci_test, read_csv_dataset
 
 
@@ -111,6 +112,17 @@ class TestEstimate:
         code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
         assert code == 2
         assert "duplicate column names ['A']" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["1.7976931348623157e308", "-1.7976931348623157e308"])
+    def test_single_max_float_value_gives_a_finite_estimate(self, tmp_path, capsys, value):
+        # the one continuous value of column a gets its one-ULP cell on the
+        # finite side of ±max float, so no volume is inf
+        p = tmp_path / "maxfloat.csv"
+        p.write_text("a,b\n" + f"{value},0\n" + "".join(f"0.0,{i}\n" for i in range(1, 7)))
+        code, out, err = run(["estimate", str(p), "--x", "a", "--y", "b", "--z", ""], capsys)
+        assert (code, err) == (0, "")
+        assert np.isfinite(json.loads(out)["results"]["estimate_nats"])
 
     def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -373,6 +385,42 @@ class TestCiTestFitReuse:
             # each tested column once per level, though most enter several fits
             for names, preps in tested.values():
                 assert sorted(preps) == sorted(ds.column(name).tobytes() for name in names)
+
+    def test_one_table_per_column_and_level(self, monkeypatch):
+        # a column's segmentation table is built with its start, once per
+        # level, and every fit of the level that enters the column shares it
+        first = generate(ScenarioSpec("network", 2000, 1))
+        second = generate(ScenarioSpec("network", 2000, 2))
+        config = FitConfig()
+        with_cut = {id(ds): {name for name in ds.names
+                             if prepare_column(ds.column(name), config).table is not None}
+                    for ds in (first, second)}
+        built = []
+        real = histmd.segment_table
+
+        def counted(*args):
+            built.append(1)
+            return real(*args)
+        monkeypatch.setattr(histmd, "segment_table", counted)
+        ci = make_ci_test(config, "chi2", 0.01)
+        for ds in (first, second, first):
+            tested = {}  # level -> [column sets fitted, tables built during the level]
+
+            def recorded(ds, a, b, cond):
+                before = len(built)
+                verdict = ci(ds, a, b, cond)
+                level = tested.setdefault(len(cond), [set(), 0])
+                level[0].add(frozenset((a, b, *cond)))
+                level[1] += len(built) - before
+                return verdict
+            pc_stable_skeleton(ds, recorded)
+            assert len(tested) >= 2
+            shared = False
+            for sets, tables in tested.values():
+                columns = set().union(*sets) & with_cut[id(ds)]
+                assert tables == len(columns)
+                shared |= tables < sum(len(s & with_cut[id(ds)]) for s in sets)
+            assert shared
 
     def test_new_dataset_of_the_same_set_size_fits_its_own_columns(self, monkeypatch):
         first = generate(ScenarioSpec("network", 500, 1))

@@ -13,10 +13,11 @@ from histcmi import (
     InputError,
     ModelError,
     build_grid,
-    greedy_fit,
+    fit_columns,
     log_regret,
     model_cost,
     neg_log_likelihood,
+    prepare_column,
     total_score,
 )
 from histcmi import complexity
@@ -236,8 +237,8 @@ def _mixed_fit(seed):
         levels = np.floor(np.clip(base, -2.0, 2.0)) + rng.integers(0, 2, size=n)
         v = {"continuous": cont, "discrete": levels,
              "mixture": np.where(rng.random(n) < 0.4, levels, cont)}[kind]
-        cols.append(detect_discrete_points(v, t=5))
-    return greedy_fit(cols, FitConfig())
+        cols.append(prepare_column(v, FitConfig()))
+    return fit_columns(cols, FitConfig())
 
 
 class TestProjectedNegLogLikelihood:

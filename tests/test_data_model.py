@@ -13,7 +13,8 @@ from histcmi import (
     build_grid,
     detect_discrete_points,
 )
-from histcmi.data_model import cell_ids, degenerate_width
+from histcmi import data_model
+from histcmi.data_model import cell_ids, degenerate_width, unique_ids
 
 
 class TestDetectDiscretePoints:
@@ -90,8 +91,8 @@ class TestBins:
             BinSet(col.atoms, np.array([0.1, 0.4, 0.6, 0.9]), np.array(cuts))
 
     def test_degenerate_width_positive(self):
-        for x in (0.0, 1.0, -3.4, 1e12):
-            assert degenerate_width(x) > 0
+        for x in (0.0, 1.0, -3.4, 1e12, np.finfo(float).max, -np.finfo(float).max):
+            assert 0 < degenerate_width(x) < np.inf
 
 
 class TestAssignLabels:
@@ -223,6 +224,49 @@ class TestGrid:
         cells, counts = np.unique(mat, axis=0, return_counts=True)
         assert np.array_equal(grid.cells, cells)
         assert np.array_equal(grid.counts, counts)
+
+
+def _assert_same_as_np_unique(ids):
+    got = unique_ids(ids)
+    want = np.unique(ids, return_inverse=True, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestUniqueIds:
+    @staticmethod
+    @st.composite
+    def _ids(draw):
+        # a span at or under the counting bound, or a largest id past it
+        counted = draw(st.booleans())
+        n = draw(st.integers(0 if counted else 1, 200))
+        bound = data_model._COUNT_SPAN * n
+        high = max(bound - 1, 0) if counted else 2 ** 62
+        ids = draw(st.lists(st.integers(0, min(high, 3)) | st.integers(0, high),
+                            min_size=n, max_size=n))
+        if not counted and n:
+            ids[draw(st.integers(0, n - 1))] = draw(st.integers(bound, 2 ** 62))
+        return np.array(ids, dtype=np.int64), counted
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ids())
+    def test_equals_np_unique_on_both_sides_of_the_span_bound(self, case):
+        ids, counted = case
+        assert (int(ids.max(initial=-1)) + 1 <= data_model._COUNT_SPAN * len(ids)) == counted
+        _assert_same_as_np_unique(ids)
+
+    @pytest.mark.parametrize("ids", [
+        np.empty(0, dtype=np.int64),                            # no rows
+        np.zeros(50, dtype=np.int64),                           # one cell, counted
+        np.full(50, 2 ** 62, dtype=np.int64),                   # one cell, sorted
+        np.random.default_rng(0).permutation(100),              # all distinct, counted
+        np.random.default_rng(0).permutation(100) * 3,          # all distinct, sorted
+        np.array([0, 1, 2, 4 * data_model._COUNT_SPAN - 1]),    # span at the bound
+        np.array([0, 1, 2, 4 * data_model._COUNT_SPAN]),        # span one past it
+    ])
+    def test_edge_cases_equal_np_unique(self, ids):
+        _assert_same_as_np_unique(ids.astype(np.int64))
 
 
 class TestCellIds:

@@ -13,10 +13,11 @@ from histcmi import (
     cmi_estimate,
     continuous_entropy_terms,
     detect_discrete_points,
+    fit_columns,
     generate,
-    greedy_fit,
     ground_truth,
     plugin_entropy,
+    prepare_column,
     replicate_seed,
 )
 
@@ -153,8 +154,8 @@ class TestCmiEstimate:
     def test_monotone_under_group_extension_on_fixed_labels(self):
         # plug-in I(X;Y) <= I(X; Y u Z) on one shared discretization
         ds = generate(ScenarioSpec("exp4", 800, 5))
-        cols = [detect_discrete_points(ds.data[:, j], 5) for j in range(3)]
-        labels = greedy_fit(cols, FitConfig()).labels
+        starts = [prepare_column(ds.data[:, j], FitConfig()) for j in range(3)]
+        labels = fit_columns(starts, FitConfig()).labels
         i_xy = (plugin_entropy(labels[:, [0]]) + plugin_entropy(labels[:, [1]])
                 - plugin_entropy(labels[:, [0, 1]]))
         i_x_yz = (plugin_entropy(labels[:, [0]]) + plugin_entropy(labels[:, [1, 2]])
@@ -178,8 +179,8 @@ class TestContinuousEntropyTerms:
         rng = np.random.default_rng(0)
         data = np.column_stack([rng.integers(0, 3, 90).astype(float),
                                 rng.integers(0, 2, 90).astype(float)])
-        cols = [detect_discrete_points(data[:, j], 5) for j in range(2)]
-        fit = greedy_fit(cols, FitConfig())
+        starts = [prepare_column(data[:, j], FitConfig()) for j in range(2)]
+        fit = fit_columns(starts, FitConfig())
         terms = continuous_entropy_terms(fit.grid, {"all": (0, 1)})
         assert terms["all"] == pytest.approx(plugin_entropy(fit.labels), abs=1e-12)
 

@@ -94,8 +94,7 @@ def compute_mixed_digest() -> str:
     """sha256 over the seeded mixed fits, each with its estimate of I(X0; X1 | rest)."""
     import hashlib
 
-    from histcmi import (FitConfig, VariableGroup, cmi_estimate, detect_discrete_points,
-                         greedy_fit)
+    from histcmi import FitConfig, VariableGroup, cmi_estimate, fit_columns, prepare_column
 
     rng = np.random.default_rng(MIXED_SEED)
     digest = hashlib.sha256()
@@ -105,7 +104,7 @@ def compute_mixed_digest() -> str:
         base = rng.normal(size=n)
         data = np.column_stack([_mixed_column(rng, base) for _ in range(k)])
         config = FitConfig()
-        fit = greedy_fit([detect_discrete_points(data[:, j], config.t) for j in range(k)], config)
+        fit = fit_columns([prepare_column(data[:, j], config) for j in range(k)], config)
         est = cmi_estimate(data, VariableGroup("X", (0,)), VariableGroup("Y", (1,)),
                            VariableGroup("Z", tuple(range(2, k))), config, fit=fit)
         record = ([b.cuts.tolist() for b in fit.grid.dims],

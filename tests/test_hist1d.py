@@ -13,7 +13,7 @@ from histcmi import (
     optimal_histogram_1d,
     total_score,
 )
-from histcmi.data_model import _interval_index
+from histcmi.data_model import _interval_index, degenerate_width
 from histcmi.hist1d import _xlogx_segment_sums, bin_budget, segment_table, solve_segmentation
 
 from oracles import exhaustive_best_total, full_segmentation, xlogx_segment_sums
@@ -253,6 +253,18 @@ class TestCandidateCuts:
         col = detect_discrete_points([-1e308, 0.0, 1e308], t=5)
         with pytest.raises(InputError, match=r"range \[-1e\+308, 1e\+308\] is wider than float64"):
             candidate_cuts(col, 10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.finfo(float).max, -np.finfo(float).max])
+    def test_single_value_at_max_float_gets_a_finite_one_ulp_cell(self, value):
+        # no float lies past ±max, so the cell is built on the finite side
+        col = detect_discrete_points([value] + [0.0] * 6, t=5)
+        cand = candidate_cuts(col, 10)
+        assert np.all(np.isfinite(cand)) and cand[0] < cand[1]
+        assert value in cand.tolist()
+        assert cand[1] - cand[0] == degenerate_width(value)
+        assert np.nextafter(cand[0], np.inf) == cand[1]
+        assert BinSet(col.atoms, cand).n_candidates == 0
 
     def test_column_without_continuous_values_has_empty_grid(self):
         col = detect_discrete_points([2.0] * 5 + [3.0] * 5, t=5)

@@ -15,6 +15,7 @@ from histcmi import (
     init_discretization,
     optimal_histogram_1d,
     refine_dimension,
+    start_column,
     total_score,
 )
 from histcmi import histmd
@@ -22,9 +23,30 @@ from histcmi import histmd
 from oracles import exhaustive_best_total
 
 
+def _starts(cols, cfg):
+    return [start_column(c, cfg) for c in cols]
+
+
+def _init(cols, cfg):
+    return init_discretization(_starts(cols, cfg), cfg)
+
+
+def _fit(cols, cfg):
+    return greedy_fit(_starts(cols, cfg), cfg)
+
+
+def _state(cols, binsets, labels, K_max):
+    tables = [histmd.column_table(c, b.grid, K_max) for c, b in zip(cols, binsets)]
+    return histmd.FitState(cols, tables, K_max, binsets, labels)
+
+
+def _refuse_work(*args):
+    raise AssertionError("a rejected fit built a grid")
+
+
 def _refine(j, cols, binsets, K_max):
     labels = np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
-    return refine_dimension(j, histmd.FitState.start(cols, binsets, labels, K_max))
+    return refine_dimension(j, _state(cols, binsets, labels, K_max))
 
 
 class TestFitConfig:
@@ -61,21 +83,21 @@ class TestInitDiscretization:
     def test_two_continuous_dims_single_cell(self):
         rng = np.random.default_rng(0)
         cols = [detect_discrete_points(rng.normal(size=100), 5) for _ in range(2)]
-        grid, binsets, _ = init_discretization(cols, FitConfig())
+        grid, binsets, _ = _init(cols, FitConfig())
         assert grid.K == 1
         assert all(b.n_intervals == 1 and b.n_singletons == 0 for b in binsets)
 
     def test_atoms_plus_remainder(self):
         vals = np.concatenate([np.repeat([1.0, 2.0, 3.0], 6), np.linspace(0, 5, 30)])
         col = detect_discrete_points(vals, 5)
-        _, binsets, _ = init_discretization([col], FitConfig())
+        _, binsets, _ = _init([col], FitConfig())
         assert binsets[0].n_singletons == 3
         assert binsets[0].n_intervals == 1
         assert binsets[0].n_bins == 4
 
     def test_purely_discrete_dim(self):
         col = detect_discrete_points(np.repeat([0.0, 1.0, 2.0], 10), 5)
-        grid, binsets, labels = init_discretization([col], FitConfig())
+        grid, binsets, labels = _init([col], FitConfig())
         assert binsets[0].n_bins == 3
         assert binsets[0].n_intervals == 0
         assert grid.K == 3
@@ -86,13 +108,30 @@ class TestInitDiscretization:
         with pytest.raises(InputError):
             init_discretization([], FitConfig())
 
+    @pytest.mark.parametrize("other", [FitConfig(t=6), FitConfig(k_init_factor=25.0),
+                                       FitConfig(k_max_factor=4.0)])
+    def test_start_of_another_config_rejected_before_any_work(self, other, monkeypatch):
+        col = detect_discrete_points(np.random.default_rng(0).normal(size=100), 5)
+        starts = _starts([col, col], FitConfig())
+        monkeypatch.setattr(histmd, "build_grid", _refuse_work)
+        with pytest.raises(InputError, match="cannot be fitted under"):
+            greedy_fit(starts, other)
+
+    def test_starts_of_another_length_rejected_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        cols = [detect_discrete_points(rng.normal(size=n), 5) for n in (100, 101)]
+        starts = [start_column(c, FitConfig()) for c in cols]  # each for its own n
+        monkeypatch.setattr(histmd, "build_grid", _refuse_work)
+        with pytest.raises(InputError, match="disagree on sample size"):
+            greedy_fit(starts, FitConfig())
+
 
 class TestRefineDimension:
     def test_single_dim_equals_unconditional_dp(self):
         rng = np.random.default_rng(4)
         col = detect_discrete_points(rng.normal(size=600), 5)
         cfg = FitConfig()
-        _, binsets, _ = init_discretization([col], cfg)
+        _, binsets, _ = _init([col], cfg)
         res = _refine(0, [col], binsets, cfg.k_max(600))
         unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
         assert np.array_equal(res.binset.cuts, unc.cuts)
@@ -109,8 +148,8 @@ class TestRefineDimension:
         cols = [detect_discrete_points(rng.normal(size=n), 5) for _ in range(2)]
         cfg = FitConfig(k_max_factor=3 / math.log(n))
         assert cfg.k_max(n) == 3
-        fit1 = greedy_fit([cols[1]], cfg)
-        _, binsets, _ = init_discretization(cols, cfg)
+        fit1 = _fit([cols[1]], cfg)
+        _, binsets, _ = _init(cols, cfg)
         binsets = list(binsets)
         binsets[1] = fit1.grid.dims[0]
         res = _refine(0, cols, binsets, cfg.k_max(n))
@@ -126,7 +165,7 @@ class TestRefineDimension:
         y = np.sign(x) + 0.3 * rng.normal(size=n)
         cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
         cfg = FitConfig()
-        _, binsets, _ = init_discretization(cols, cfg)
+        _, binsets, _ = _init(cols, cfg)
         binsets = list(binsets)
         gridx = binsets[0].grid
         cut0 = 1 + np.argmin(np.abs(gridx[1:-1]))  # the interior candidate nearest 0
@@ -172,7 +211,7 @@ class TestRefineDimension:
             y = [x + noise, rng.integers(0, 3, len(x)).astype(float),
                  np.where(noise > 0.5, 2.0, x + noise)][trial % 3]
             cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
-            _, binsets, _ = init_discretization(cols, cfg)
+            _, binsets, _ = _init(cols, cfg)
             if binsets[1].n_intervals:
                 binsets[1] = BinSet(cols[1].atoms, candidate_cuts(cols[1], 6), np.array([2, 4]))
             check(0, cols, binsets)
@@ -182,7 +221,7 @@ class TestRefineDimension:
             noise = rng.normal(size=len(x))
             cols = [detect_discrete_points(v, 5)
                     for v in (x + noise, x, np.where(noise > 0.5, 2.0, x - noise))]
-            _, binsets, _ = init_discretization(cols, cfg)
+            _, binsets, _ = _init(cols, cfg)
             binsets[0] = BinSet(cols[0].atoms, candidate_cuts(cols[0], 6), np.array([2, 4]))
             binsets[2] = BinSet(cols[2].atoms, candidate_cuts(cols[2], 5), np.array([3]))
             check(1, cols, binsets)
@@ -194,7 +233,7 @@ class TestRefineDimension:
         cfg = FitConfig()
         for vals in (np.repeat([0.0, 1.0], 20), np.append(np.repeat([0.0, 1.0], 19), [0.5, 0.5])):
             col = detect_discrete_points(vals, 5)
-            _, binsets, _ = init_discretization([col, col_cont], cfg)
+            _, binsets, _ = _init([col, col_cont], cfg)
             assert binsets[0].n_candidates == 0
             res = _refine(0, [col, col_cont], binsets, cfg.k_max(40))
             assert res.binset is binsets[0]
@@ -215,7 +254,7 @@ class TestRefineDimension:
         rng = np.random.default_rng(12)
         col = detect_discrete_points(np.append(np.repeat([0.0, 3.0], 8), rng.normal(size=300)), 5)
         cfg = FitConfig()
-        _, binsets, _ = init_discretization([col], cfg)
+        _, binsets, _ = _init([col], cfg)
         res = _refine(0, [col], binsets, cfg.k_max(col.n))
         assert res.binset.cuts.size > 0
         assert res.binset.grid is binsets[0].grid
@@ -232,7 +271,7 @@ class TestRefineDimension:
         for m in (2, 4):
             z = rng.integers(0, m, size=n).astype(float)
             cols = [detect_discrete_points(x, 5), detect_discrete_points(z, 5)]
-            _, binsets, _ = init_discretization(cols, cfg)
+            _, binsets, _ = _init(cols, cfg)
             ops[m] = _refine(0, cols, binsets, cfg.k_max(n)).ops
         assert ops[4] == 2 * ops[2]
 
@@ -242,28 +281,28 @@ class TestGreedyFit:
         rng = np.random.default_rng(0)
         cols = [detect_discrete_points(rng.integers(0, 3, 60).astype(float), 5)
                 for _ in range(2)]
-        fit = greedy_fit(cols, FitConfig())
+        fit = _fit(cols, FitConfig())
         assert fit.trace.records == []
         assert fit.trace.converged
 
     def test_imax_one_refines_at_most_one_dimension(self):
         rng = np.random.default_rng(1)
         cols = [detect_discrete_points(rng.normal(size=300), 5) for _ in range(3)]
-        fit = greedy_fit(cols, FitConfig(i_max=1))
+        fit = _fit(cols, FitConfig(i_max=1))
         assert len(fit.trace.records) <= 1
 
     def test_score_never_increases(self):
         rng = np.random.default_rng(2)
         cols = [detect_discrete_points(rng.uniform(0, 1, 400), 5) for _ in range(2)]
-        fit = greedy_fit(cols, FitConfig())
+        fit = _fit(cols, FitConfig())
         assert fit.trace.final_score <= fit.trace.init_score + 1e-6
 
     def test_accepted_scores_strictly_decrease(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=800)
         y = x + 0.2 * rng.normal(size=800)
-        fit = greedy_fit([detect_discrete_points(x, 5), detect_discrete_points(y, 5)],
-                         FitConfig())
+        cols = [detect_discrete_points(x, 5), detect_discrete_points(y, 5)]
+        fit = _fit(cols, FitConfig())
         scores = [fit.trace.init_score] + [r.score_after for r in fit.trace.records]
         assert all(b < a for a, b in zip(scores, scores[1:]))
         for before, rec in zip(scores, fit.trace.records):
@@ -272,7 +311,7 @@ class TestGreedyFit:
     def test_terminates_within_imax(self):
         rng = np.random.default_rng(4)
         cols = [detect_discrete_points(rng.normal(size=500), 5) for _ in range(3)]
-        fit = greedy_fit(cols, FitConfig(i_max=2))
+        fit = _fit(cols, FitConfig(i_max=2))
         assert len(fit.trace.records) <= 2
 
     def test_rebuilt_grid_reproduces_counts(self):
@@ -280,7 +319,7 @@ class TestGreedyFit:
         vals = [np.concatenate([np.repeat(1.0, 30), rng.normal(size=300)]),
                 rng.exponential(size=330)]
         cols = [detect_discrete_points(v, 5) for v in vals]
-        fit = greedy_fit(cols, FitConfig())
+        fit = _fit(cols, FitConfig())
         rebuilt = build_grid(np.column_stack(
             [assign_labels(c, b) for c, b in zip(cols, fit.grid.dims)]), list(fit.grid.dims))
         assert np.array_equal(rebuilt.cells, fit.grid.cells)
@@ -308,7 +347,7 @@ class TestGreedyFit:
             return refine(j, *args)
 
         monkeypatch.setattr(histmd, "refine_dimension", counting)
-        fit = greedy_fit(cols, config)
+        fit = _fit(cols, config)
         k, records = len(cols), fit.trace.records
         assert fit.trace.converged == converged and len(records) >= 2
         rounds = len(records) + 1 if converged else config.i_max
@@ -319,14 +358,14 @@ class TestGreedyFit:
         # what the reuse rests on: the last accepted dimension, re-cut now,
         # gives back its own cuts at the score the fit ended on
         j = records[-1].dim
-        again = refine(j, histmd.FitState.start(cols, list(fit.grid.dims),
-                                                fit.labels.astype(np.int64),
-                                                config.k_max(cols[0].n)))
+        again = refine(j, _state(cols, list(fit.grid.dims), fit.labels.astype(np.int64),
+                                 config.k_max(cols[0].n)))
         assert again.binset.cuts.tolist() == fit.grid.dims[j].cuts.tolist()
         assert again.total_bits == pytest.approx(records[-1].score_after, abs=1e-6)
 
-    def test_one_segment_table_per_column_whatever_the_rounds(self, monkeypatch):
-        # tables depend on the column alone, so no re-cut or round builds one
+    def test_one_table_per_prepared_column_none_inside_a_fit(self, monkeypatch):
+        # tables depend on the column and the config alone: preparing a column
+        # builds its one table, and no fit, round or re-cut builds another
         rng = np.random.default_rng(7)
         x = rng.normal(size=300)
         cols = [detect_discrete_points(v, 5)
@@ -339,19 +378,23 @@ class TestGreedyFit:
             return real(*args)
 
         monkeypatch.setattr(histmd, "segment_table", counting)
+        starts = _starts(cols, FitConfig())
+        assert len(built) == 3
         rounds = set()
         for k in (2, 3):
-            for i_max in (1, 3, 5):
-                built.clear()
-                fit = greedy_fit(cols[:k], FitConfig(i_max=i_max))
-                assert len(built) == k
+            for i_max in (1, 3, 5):  # i_max is no part of a start
+                fit = greedy_fit(starts[:k], FitConfig(i_max=i_max))
                 rounds.add(len(fit.trace.records))
+        assert len(built) == 3
         assert len(rounds) >= 3
+        for c, start in zip(cols, starts):
+            assert not start.labels.flags.writeable
+            assert np.array_equal(start.labels, assign_labels(c, start.binset))
 
     def test_labeling_matches_binsets(self):
         rng = np.random.default_rng(6)
         cols = [detect_discrete_points(rng.normal(size=200), 5) for _ in range(2)]
-        fit = greedy_fit(cols, FitConfig())
+        fit = _fit(cols, FitConfig())
         for j, (c, b) in enumerate(zip(cols, fit.grid.dims)):
             assert np.array_equal(fit.labels[:, j], assign_labels(c, b))
         assert fit.labels.dtype == np.min_scalar_type(fit.labels.max())
