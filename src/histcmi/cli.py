@@ -215,22 +215,38 @@ def cmd_citest(args) -> RunReport:
                      args.seed, results, time.perf_counter() - t0)
 
 
+@dataclasses.dataclass
+class CiTestCounters:
+    """What one CI-test closure did over its life, counted as plain integers."""
+
+    starts: int = 0  # column starts built
+    fits: int = 0  # joint fits made
+    fit_hits: int = 0  # tests answered by a fit made for an earlier test
+    recut_hits: int = 0  # re-cuts priced from a start's memo instead of solved
+
+
 def make_ci_test(config: FitConfig, method: str, alpha: float):
     """CI-test closure for the skeleton search: ci(dataset, a, b, cond) -> bool.
 
     The joint fit depends only on the set of tested columns, so the closure
     fits each sorted column set once and reuses that fit for every
-    (a, b | cond) split of it, and prepares each column of those sets once,
-    by name, for every fit it enters.  Both caches belong to one dataset,
-    held by reference and matched by identity, and to one set size:
-    PC-stable tests the sets of one size at one level only, so a new dataset
-    or a new size clears them.  An unknown method or an alpha outside (0, 1)
-    is rejected here, before any fit.
+    (a, b | cond) split of it.  It prepares each column once per search, by
+    name, for every fit it enters, and the column's start keeps the re-cuts
+    its fits solved (``histmd.RecutMemo``), so a later fit that meets the
+    same other cells prices them instead of solving again.  Both caches
+    belong to one dataset, held by reference and matched by identity.  Fits
+    belong to one set size too: PC-stable tests the sets of one size at one
+    level only, so a new dataset or a new size clears them.  Column starts
+    last the whole search: levels only grow within a search, so a new
+    dataset or a smaller set size, a new search, clears them.  An unknown
+    method or an alpha outside (0, 1) is rejected here, before any fit.
+    The closure's ``counters`` attribute is its :class:`CiTestCounters`.
     """
     _check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
     columns: dict[str, ColumnStart] = {}
     fits_of, fits_size = None, 0
+    counters = CiTestCounters()
 
     def ci(dataset: Dataset, a: str, b: str, cond) -> bool:
         nonlocal fits_of, fits_size
@@ -240,22 +256,29 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
             raise InputError(f"CI test columns must be distinct, got {names}")
         key = tuple(sorted(names))
         sub = _stack_columns(dataset, key)
+        if dataset is not fits_of or len(key) < fits_size:
+            columns.clear()
         if dataset is not fits_of or len(key) != fits_size:
             fits.clear()
-            columns.clear()
             fits_of, fits_size = dataset, len(key)
         fit = fits.get(key)
         if fit is None:
             for j, name in enumerate(key):
                 if name not in columns:
                     columns[name] = prepare_column(sub[:, j], config)
+                    counters.starts += 1
             fit = fits[key] = fit_columns([columns[name] for name in key], config)
+            counters.fits += 1
+            counters.recut_hits += fit.trace.recut_hits
+        else:
+            counters.fit_hits += 1
         x = VariableGroup("X", (key.index(a),))
         y = VariableGroup("Y", (key.index(b),))
         z = VariableGroup("Z", tuple(key.index(c) for c in cond))
         if method == "chi2":
             return citest_chi2(sub, x, y, z, alpha=alpha, config=config, fit=fit).independent
         return citest_sc(sub, x, y, z, config=config, fit=fit).independent
+    ci.counters = counters
     return ci
 
 

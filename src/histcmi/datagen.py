@@ -283,22 +283,35 @@ def generate(spec: ScenarioSpec) -> Dataset:
                    scenario=spec.id, seed=spec.seed, truth_verdict=verdict)
 
 
-def _exp3_constant() -> float:
-    # 2 ln 2 - gamma - sum_{k>=2} ln(k) 2^-k, summed to convergence
-    s, k = 0.0, 2
-    while True:
-        term = math.log(k) * 2.0 ** (-k)
-        s += term
-        k += 1
-        if term < 1e-18:
-            break
-    return 2.0 * math.log(2.0) - np.euler_gamma - s
+def _exp3_truth() -> float:
+    """I(X; Y) = H(Y) - H(Y|X) of exp3, in nats.
+
+    X ~ Exp(1), and Y is 0 with probability a = 0.15, else Poisson(X); an
+    inflated zero and a Poisson zero are the same value.  With b = 1 - a,
+    p(y) = b·2^-(y+1) for y >= 1 and p(0) = a + b/2.  The y = 0 part of
+    H(Y|X) is -(1/b)·∫_a^1 v ln v dv, with v = a + b·e^-x, and each y >= 1
+    part uses ∫ e^-2x x^y ln x dx / y! = 2^-(y+1)·(ψ(y+1) - ln 2), with
+    ψ(y+1) = H_y - γ.
+    """
+    a, b = 0.15, 0.85
+    p0 = a + b / 2.0
+    h_y = -p0 * math.log(p0)
+    h_y_x = (0.25 + a * a / 2.0 * math.log(a) - a * a / 4.0) / b
+    log_fact, harmonic = 0.0, 0.0
+    for y in range(1, 100):  # terms near y·ln(y)·2^-y: below one ULP long before y = 100
+        log_fact += math.log(y)
+        harmonic += 1.0 / y
+        w = 2.0 ** -(y + 1)
+        h_y -= b * w * math.log(b * w)
+        h_y_x -= b * w * (math.log(b) - log_fact - (y + 1) / 2.0
+                          + y * (harmonic - np.euler_gamma - math.log(2.0)))
+    return h_y - h_y_x
 
 
 _TRUTHS = {
     "exp1": -0.5 * math.log(1.0 - 0.6 ** 2),
     "exp2": math.log(5.0) - 4.0 * math.log(2.0) / 5.0,
-    "exp3": 0.85 * _exp3_constant(),
+    "exp3": _exp3_truth(),
     "exp4": 0.0,
     "exp5": 0.4 * math.log(0.4 / 0.25) + 0.1 * math.log(0.1 / 0.25)
             - 0.25 * math.log(1.0 - 0.8 ** 2),

@@ -37,6 +37,16 @@ Which boundaries are kept, the candidate cell of every row, each segment's
 so they form one :class:`SegmentTable` per column, which every re-cut of
 that column reuses: a re-cut computes only G and the regret, which depend
 on the other dimensions' cells.
+
+A solve is a cost part and a pricing part.  The cost part, in
+:func:`solve_segmentation`, takes the prefix counts, the kernel, the cost
+matrix, its floor, the DP rounds and the walk-back from the rows; what it
+keeps of them, a :class:`SegmentCosts`, does not depend on ``fixed_bits``,
+the singleton count or the other cells' count ``K_other``.  The pricing
+part adds those, applies the stop rule and picks the count.  A caller that
+meets the same rows and other cells again prices the kept costs with
+:func:`price_segmentation` instead of solving again; both go through one
+pricing routine, so each total is the same float sum either way.
 """
 
 from __future__ import annotations
@@ -163,11 +173,68 @@ def segment_table(boundaries: np.ndarray, cell_idx: np.ndarray, K_max: int) -> S
                         mcost=model_cost(B - 1, np.arange(m_cap)))
 
 
+@dataclass(slots=True)
+class SegmentCosts:
+    """What a solve took from its rows, kept so it can be priced again.
+
+    ``floor`` is the data cost of all unit cells, ``ends[m - 1]`` the best
+    data cost of m segments, for every round the solve computed, as one
+    float64 array, and ``cuts`` the cuts walked back for the count ``m`` the
+    solve chose.  None of it depends on ``fixed_bits``, ``n_singletons`` or
+    ``K_other``, which enter only the pricing.  A caller may keep many, so
+    it holds few objects.
+    """
+
+    floor: float
+    ends: np.ndarray
+    m: int
+    cuts: np.ndarray
+
+
 @dataclass(frozen=True)
 class SegmentationResult:
     cut_indices: np.ndarray  # chosen interior boundary indices, ascending
     total_bits: float
     ops: int  # active other cells × kept boundaries², the segment costs' work
+    costs: SegmentCosts
+
+
+def _price(floor: float, ends, next_end, table: SegmentTable, n_total: int,
+           n_singletons: int, fixed_bits: float, K_other: int):
+    """The count m whose total ``ends[m - 1] + fixed_bits + regret + model
+    cost`` is smallest, and that total, or None when the rounds go past
+    ``ends`` and ``next_end`` is None.  ``next_end(m)`` computes round m's
+    end, which is appended to the list ``ends``.
+
+    Splitting a segment never raises its data cost (log-sum inequality), so
+    no count's best data cost falls below ``floor``, and no count from
+    m on totals less than that plus the least penalty from m on: once that
+    bound passes the best total so far, no later count can win.  Among
+    totals that are equal as floats the fewest bins win.
+    """
+    m_cap = min(len(table.mcost), len(table.pos) - 1)  # m nonempty segments need m kept cells
+    m = np.arange(1, m_cap + 1)
+    regret = log_regret(n_total, (n_singletons + m) * K_other)
+    mcost = table.mcost[:m_cap]
+    fixed_bits = float(fixed_bits)
+    bound = (floor + np.minimum.accumulate((fixed_bits + regret + mcost)[::-1])[::-1]).tolist()
+    # Python floats add as float64 scalars do, only faster; summed in this
+    # order, each total is bit-identical to the full DP's
+    regret, mcost = regret.tolist(), mcost.tolist()
+    best, m_star = ends[0] + fixed_bits + regret[0] + mcost[0], 1
+    for m in range(2, m_cap + 1):
+        # far above the rounding in F, the floor and the totals, so a tie at
+        # the level of one ULP never decides the stop
+        if bound[m - 1] > best + 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor)):
+            break
+        if m > len(ends):
+            if next_end is None:
+                return None
+            ends.append(next_end(m))
+        total = ends[m - 1] + fixed_bits + regret[m - 1] + mcost[m - 1]
+        if total < best:  # strictly: the fewest bins win ties
+            best, m_star = total, m
+    return best, m_star
 
 
 def solve_segmentation(
@@ -194,13 +261,14 @@ def solve_segmentation(
     G and the regret depend on the other dimensions; the rest is the
     table's, and the kernel and the DP run over its kept boundaries.
 
-    The rounds over interval counts stop once no larger count can beat the
-    best total so far, and the chosen count's cuts are walked back from one
-    table of best prefix costs.  Among totals that are equal as floats the
-    fewest bins win, and among equal-cost predecessors the leftmost split.
-    A tie below double precision is decided by rounding: two mirrored
-    segmentations with equal counts on a ``linspace`` grid can cost a few
-    ULPs apart, and then the cheaper float wins, whichever side it is on.
+    The rounds over interval counts run as :func:`_price` asks for them, and
+    the chosen count's cuts are walked back from one table of best prefix
+    costs; the result's ``costs`` holds what :func:`price_segmentation`
+    needs to price them again.  Among equal-cost predecessors the leftmost
+    split wins.  A tie below double precision is decided by rounding: two
+    mirrored segmentations with equal counts on a ``linspace`` grid can cost
+    a few ULPs apart, and then the cheaper float wins, whichever side it is
+    on.
     """
     B = len(boundaries) - 1
     if table.pos[-1] != B or len(table.mcost) != min(K_max, B):
@@ -222,33 +290,20 @@ def solve_segmentation(
     # count are 0, and inf - G stays inf where no segment exists
     cost = table.seg_cost - G
 
-    # Splitting a segment never raises its data cost (log-sum inequality),
-    # so no count's best data cost falls below that of all unit cells, and no
-    # count from m on totals less than that plus the least penalty from m on:
-    # once that bound passes the best total so far, no later count can win.
-    m_cap = min(K_max, B, kept)  # m nonempty segments need m kept cells
-    m = np.arange(1, m_cap + 1)
-    regret = log_regret(n_total, (n_singletons + m) * K_other)
-    mcost = table.mcost[:m_cap]
-    floor = np.trace(cost, offset=1)
-    bound = floor + np.minimum.accumulate((fixed_bits + regret + mcost)[::-1])[::-1]
-
     # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments, inf
     # where m nonempty segments cannot end at b_j (j < m) and for the counts
     # the stop skips.  Only splits i >= m - 1 can end m - 1 nonempty segments.
-    F = np.full((m_cap, kept + 1), np.inf)
+    F = np.full((min(len(table.mcost), kept), kept + 1), np.inf)
     F[0] = cost[0]
-    # summed in this order, each total is bit-identical to the full DP's
-    best, m_star = F[0, kept] + fixed_bits + regret[0] + mcost[0], 1
-    for m in range(2, m_cap + 1):
-        # far above the rounding in F, the floor and the totals, so a tie at
-        # the level of one ULP never decides the stop
-        if bound[m - 1] > best + 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor)):
-            break
-        np.min(F[m - 2, m - 1:kept, None] + cost[m - 1:kept, m:], axis=0, out=F[m - 1, m:])
-        total = F[m - 1, kept] + fixed_bits + regret[m - 1] + mcost[m - 1]
-        if total < best:  # strictly: the fewest bins win ties
-            best, m_star = total, m
+
+    def next_end(m):  # the ufunc itself, without np.min's per-call wrapper
+        np.minimum.reduce(F[m - 2, m - 1:kept, None] + cost[m - 1:kept, m:], axis=0,
+                          out=F[m - 1, m:])
+        return float(F[m - 1, kept])
+
+    floor, ends = float(np.trace(cost, offset=1)), [float(F[0, kept])]
+    best, m_star = _price(floor, ends, next_end, table, n_total, n_singletons, fixed_bits,
+                          K_other)
 
     # from b_kept back: the leftmost best split over the sums each round minimized
     cuts = []
@@ -256,8 +311,23 @@ def solve_segmentation(
     for m in range(m_star, 1, -1):
         j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
         cuts.append(j)
-    return SegmentationResult(
-        cut_indices=table.pos[cuts[::-1]].astype(np.int64),
-        total_bits=float(best),
-        ops=ops,
-    )
+    cut_indices = table.pos[cuts[::-1]].astype(np.int64)
+    cut_indices.setflags(write=False)
+    return SegmentationResult(cut_indices=cut_indices, total_bits=float(best), ops=ops,
+                              costs=SegmentCosts(floor, np.array(ends), m_star, cut_indices))
+
+
+def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
+                       n_singletons: int, fixed_bits: float,
+                       K_other: int) -> SegmentationResult | None:
+    """The solve that ``costs`` came from, over the same ``table`` and other
+    cells, priced for this ``fixed_bits``, ``n_singletons`` and ``K_other``:
+    the same cuts and the same total, bit for bit, as solving it afresh, at
+    0 ops.  None when that solve would need a round ``costs`` does not
+    hold, or would choose another count than ``costs.m``."""
+    priced = _price(costs.floor, costs.ends, None, table, n_total, n_singletons, fixed_bits,
+                    K_other)
+    if priced is None or priced[1] != costs.m:
+        return None
+    return SegmentationResult(cut_indices=costs.cuts, total_bits=float(priced[0]), ops=0,
+                              costs=costs)

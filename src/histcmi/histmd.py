@@ -8,21 +8,30 @@ re-cut helps or after ``i_max`` iterations.
 
 A fit starts from one :class:`ColumnStart` per column, which
 :func:`start_column` builds from the column and the config alone: the
-column, its cut-free bin set over the candidate grid, its start labels and
-its segmentation table for K_max (none when the grid offers no cut).  No
-fit builds a table, so every fit and every re-cut that enters a column
-shares its start.  The rest of the fit's state is a :class:`FitState`
-beside the total code length in bits: the per-dimension bin sets, one
-(n, k) int64 label matrix, and each dimension's log2-volume and model-cost
-bits, which change only when that dimension is re-cut.  A re-cut reads the
-other dimensions' cells from the matrix; a dimension with no candidate cut
-re-cuts to +inf bits, so it is never accepted.  After each accepted re-cut
-the grid is rebuilt from the matrix and its score checked against the one
-the segmentation DP reported.
+column, its cut-free bin set over the candidate grid, its start labels, its
+segmentation table for K_max (none when the grid offers no cut) and its
+:class:`RecutMemo`.  No fit builds a table, so every fit and every re-cut
+that enters a column shares its start.  The rest of the fit's state is a
+:class:`FitState` beside the total code length in bits: the per-dimension
+bin sets, one (n, k) int64 label matrix, and each dimension's log2-volume
+and model-cost bits, which change only when that dimension is re-cut.  A
+re-cut reads the other dimensions' cells from the matrix; a dimension with
+no candidate cut re-cuts to +inf bits, so it is never accepted.  After each
+accepted re-cut the grid is rebuilt from the matrix and its score checked
+against the one the segmentation DP reported.
+
+A re-cut's cuts depend only on its column's start and on the other
+dimensions' cells over its rows, and those cells only on each other
+dimension with more than one bin: its start and its cuts.  So the start's
+memo keeps each solve's costs (:class:`hist1d.SegmentCosts`) under that
+key, and a re-cut that meets the key again, in this fit or in any other fit
+that shares the start, prices them with its own ``fixed_bits`` and
+``K_other`` instead of building the cells and solving again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -40,11 +49,20 @@ from .data_model import (
     unique_ids,
 )
 from .errors import InputError, require_integer
-from .hist1d import SegmentTable, bin_budget, candidate_cuts, segment_table, solve_segmentation
+from .hist1d import (
+    SegmentTable,
+    bin_budget,
+    candidate_cuts,
+    price_segmentation,
+    segment_table,
+    solve_segmentation,
+)
 
 # accepted refinements must beat the current score by this many bits, so
 # float noise can never masquerade as an improvement
 _GAIN_EPS = 1e-9
+
+_SERIALS = itertools.count()  # RecutMemo identities, never reused in a process
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,7 @@ class FitTrace:
     init_score: float
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
+    recut_hits: int = 0  # re-cuts priced from a start's memo, not solved
 
     @property
     def final_score(self) -> float:
@@ -124,14 +143,31 @@ def column_table(column: MixedColumn, grid: np.ndarray, K_max: int) -> SegmentTa
     return segment_table(grid, _interval_index(column.unmasked, grid), K_max)
 
 
+@dataclass(eq=False)
+class RecutMemo:
+    """The solved re-cuts of one column start, for every fit that shares it.
+
+    ``entries`` maps a key, each other dimension with more than one bin as
+    (its memo's ``serial``, its cuts), to the singleton-pair ``Σ c·log2 c``
+    of ``fixed_bits`` and the solve's :class:`hist1d.SegmentCosts`.  A
+    serial is an integer no other memo of the process gets, so a key never
+    matches a dimension it was not built from.
+    """
+
+    serial: int = field(default_factory=lambda: next(_SERIALS))
+    entries: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class ColumnStart:
     """Everything one column's fit starts from, fixed by the column and the
     config: the column, its bin set of atoms and one interval over the
-    candidate grid, the read-only int64 label of each row under that bin set,
-    and its :func:`column_table` for K_max.  It records the config values it
-    was built for, ``t``, ``K_init`` and ``K_max``, and is fitted under no
-    other config; :func:`start_column` builds it.
+    candidate grid, the read-only label of each row under that bin set in
+    the narrowest integer type that holds its bin count, and its
+    :func:`column_table` for K_max.  It records the config values it was
+    built for, ``t``, ``K_init`` and ``K_max``, and is fitted under no other
+    config; :func:`start_column` builds it.  Its ``recuts`` memo fills as
+    fits re-cut the column, and lives as long as the start.
     """
 
     column: MixedColumn
@@ -141,6 +177,8 @@ class ColumnStart:
     t: int
     K_init: int
     K_max: int
+    recuts: RecutMemo = field(init=False, default_factory=RecutMemo, compare=False,
+                              repr=False)
 
     @property
     def n(self) -> int:
@@ -152,7 +190,7 @@ def start_column(column: MixedColumn, config: FitConfig) -> ColumnStart:
     ``config.t``, for fits under ``config``."""
     K_init, K_max = config.k_init(column.n), config.k_max(column.n)
     binset = BinSet(column.atoms, candidate_cuts(column, K_init))
-    labels = assign_labels(column, binset)
+    labels = assign_labels(column, binset).astype(np.min_scalar_type(binset.n_bins))
     labels.setflags(write=False)
     return ColumnStart(column=column, binset=binset, labels=labels,
                        table=column_table(column, binset.grid, K_max),
@@ -163,9 +201,9 @@ def init_discretization(starts: list[ColumnStart],
                         config: FitConfig) -> tuple[Grid, list[BinSet], np.ndarray]:
     """The starting model of the columns: every start's bin set, stacked.
 
-    Returns its grid, its bin sets and a fresh (n, k) label matrix the grid
-    counts.  Starts of another length than the first, or built for another
-    config, are rejected.
+    Returns its grid, its bin sets and a fresh, writable (n, k) int64 label
+    matrix the grid counts.  Starts of another length than the first, or
+    built for another config, are rejected.
     """
     if not starts:
         raise InputError("empty dataset")
@@ -178,7 +216,7 @@ def init_discretization(starts: list[ColumnStart],
             raise InputError(f"column start built for (t, K_init, K_max) = "
                              f"{(s.t, s.K_init, s.K_max)} cannot be fitted under {want}")
     binsets = [s.binset for s in starts]
-    labels = np.column_stack([s.labels for s in starts])
+    labels = np.stack([s.labels for s in starts], axis=1, dtype=np.int64)
     return build_grid(labels, binsets), binsets, labels
 
 
@@ -193,10 +231,12 @@ def _dim_bits(labels: np.ndarray, binset: BinSet) -> float:
 class FitState:
     """What a re-cut reads, for one fit.
 
-    Per column: its sample and its :func:`column_table` over its bin set's
-    grid for K_max, both fixed for the fit.  Per dimension: its bin set, its
-    column of the (n, k) int64 label matrix and its :func:`_dim_bits`,
-    computed here and replaced together by :meth:`accept`.
+    Per column: its sample, its :func:`column_table` over its bin set's
+    grid for K_max and its :class:`RecutMemo`, all fixed for the fit; the
+    memos of the columns' starts, or fresh ones.  Per dimension: its bin
+    set, its column of the (n, k) int64 label matrix and its
+    :func:`_dim_bits`, computed here and replaced together by
+    :meth:`accept`.  ``recut_hits`` counts the re-cuts priced from a memo.
     """
 
     columns: list[MixedColumn]
@@ -204,9 +244,13 @@ class FitState:
     K_max: int
     binsets: list[BinSet]
     labels: np.ndarray
+    memos: list[RecutMemo] | None = None
     dim_bits: list[float] = field(init=False)
+    recut_hits: int = field(init=False, default=0)
 
     def __post_init__(self):
+        if self.memos is None:
+            self.memos = [RecutMemo() for _ in self.columns]
         self.dim_bits = [_dim_bits(self.labels[:, d], b) for d, b in enumerate(self.binsets)]
 
     def accept(self, j: int, binset: BinSet) -> None:
@@ -223,26 +267,42 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     given the other dimensions' cells in the state's label matrix.
 
     A dimension without a candidate cut comes back unchanged at +inf bits:
-    the minimum over an empty set of re-cuts.
+    the minimum over an empty set of re-cuts.  A re-cut whose key is in
+    dimension j's memo is priced from it at 0 ops, unless it needs a round
+    the memo lacks or chooses another count; then it is solved, and the
+    memo keeps the new solve.
     """
     column, binset, labels = state.columns[j], state.binsets[j], state.labels
     n = len(labels)
     if binset.n_candidates == 0:
         return RefineResult(binset, math.inf, 0)
 
-    # the other dimensions' cells over all rows, as compact ids
-    others = [d for d in range(len(state.binsets)) if d != j]
-    radices = [state.binsets[d].n_bins for d in others]
-    cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
-
     # what no cut can change: n·log2 n, the rows in this dimension's
     # singleton bins, and the other dimensions' log2 volumes and model costs
+    others = [d for d in range(len(state.binsets)) if d != j]
+    radices = [state.binsets[d].n_bins for d in others]
+    other_bits = sum(state.dim_bits[d] for d in others)
+    K_other = math.prod(radices)
+
+    # a one-bin dimension adds nothing to the other cells' ids
+    key = tuple((state.memos[d].serial, tuple(state.binsets[d].cuts.tolist()))
+                for d, radix in zip(others, radices) if radix > 1)
+    memo = state.memos[j].entries
+    if key in memo:
+        pair_bits, costs = memo[key]
+        res = price_segmentation(costs, state.tables[j], n, binset.n_singletons,
+                                 n * math.log2(n) - pair_bits + other_bits, K_other)
+        if res is not None:
+            state.recut_hits += 1
+            return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, 0)
+
+    # the other dimensions' cells over all rows, as compact ids
+    cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
     disc = column.discrete_mask
     pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
                     [binset.n_bins, len(cells)])
     c = unique_ids(pair)[2].astype(np.float64)
-    fixed_bits = (n * math.log2(n) - np.sum(c * np.log2(c))
-                  + sum(state.dim_bits[d] for d in others))
+    pair_bits = float(np.sum(c * np.log2(c)))
 
     res = solve_segmentation(
         n_total=n,
@@ -250,10 +310,11 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
         table=state.tables[j],
         K_max=state.K_max,
         n_singletons=binset.n_singletons,
-        fixed_bits=fixed_bits,
-        K_other=math.prod(radices),
+        fixed_bits=n * math.log2(n) - pair_bits + other_bits,
+        K_other=K_other,
         other_cell_ids=other_ids[~disc],
     )
+    memo[key] = (pair_bits, res.costs)
     return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 
 
@@ -281,7 +342,7 @@ def greedy_fit(starts: list[ColumnStart], config: FitConfig | None = None) -> Fi
     score = total_score(grid)
     trace = FitTrace(init_score=score)
     state = FitState([s.column for s in starts], [s.table for s in starts],
-                     starts[0].K_max, binsets, labels)
+                     starts[0].K_max, binsets, labels, [s.recuts for s in starts])
 
     accepted = None  # (dimension, its re-cut at no new ops) accepted last round
     for iteration in range(1, config.i_max + 1):
@@ -308,6 +369,7 @@ def greedy_fit(starts: list[ColumnStart], config: FitConfig | None = None) -> Fi
         score = after
         accepted = (j, replace(best, ops=0))
 
+    trace.recut_hits = state.recut_hits
     labels = state.labels.astype(np.min_scalar_type(state.labels.max()))
     labels.setflags(write=False)
     return FitResult(grid=grid, labels=labels, trace=trace)

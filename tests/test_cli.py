@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -13,9 +14,11 @@ from histcmi import (
     generate,
     pc_stable_skeleton,
     prepare_column,
+    replicate_seed,
+    true_network_edges,
 )
 from histcmi import cli, estimators, histmd
-from histcmi.cli import main, make_ci_test, read_csv_dataset
+from histcmi.cli import CiTestCounters, main, make_ci_test, read_csv_dataset
 
 
 def run(argv, capsys):
@@ -359,7 +362,7 @@ class TestCiTestFitReuse:
             ci(ds, "B", "C", ("A",))
         assert len(calls) == 3
 
-    def test_each_column_prepared_once_per_dataset_and_level(self, monkeypatch):
+    def test_each_column_prepared_once_per_search(self, monkeypatch):
         first = generate(ScenarioSpec("network", 500, 1))
         second = generate(ScenarioSpec("network", 500, 2))
         prepared = []
@@ -371,24 +374,23 @@ class TestCiTestFitReuse:
         monkeypatch.setattr(estimators, "detect_discrete_points", counted)
         ci = make_ci_test(FitConfig(), "chi2", 0.01)
         for ds in (first, second, first):
-            tested = {}  # level -> (columns tested, preparations during the level)
+            before = len(prepared)
+            levels, names = set(), set()
 
             def recorded(ds, a, b, cond):
-                before = len(prepared)
-                verdict = ci(ds, a, b, cond)
-                names, preps = tested.setdefault(len(cond), (set(), []))
+                levels.add(len(cond))
                 names.update((a, b, *cond))
-                preps.extend(prepared[before:])
-                return verdict
+                return ci(ds, a, b, cond)
             pc_stable_skeleton(ds, recorded)
-            assert len(tested) >= 2
-            # each tested column once per level, though most enter several fits
-            for names, preps in tested.values():
-                assert sorted(preps) == sorted(ds.column(name).tobytes() for name in names)
+            assert len(levels) >= 2
+            # each tested column once per search, though most enter fits of
+            # several levels
+            assert sorted(prepared[before:]) == sorted(ds.column(name).tobytes()
+                                                       for name in names)
 
-    def test_one_table_per_column_and_level(self, monkeypatch):
+    def test_one_table_per_column_and_search(self, monkeypatch):
         # a column's segmentation table is built with its start, once per
-        # level, and every fit of the level that enters the column shares it
+        # search, and every fit of every level that enters the column shares it
         first = generate(ScenarioSpec("network", 2000, 1))
         second = generate(ScenarioSpec("network", 2000, 2))
         config = FitConfig()
@@ -404,23 +406,40 @@ class TestCiTestFitReuse:
         monkeypatch.setattr(histmd, "segment_table", counted)
         ci = make_ci_test(config, "chi2", 0.01)
         for ds in (first, second, first):
-            tested = {}  # level -> [column sets fitted, tables built during the level]
+            before = len(built)
+            sets = set()
 
             def recorded(ds, a, b, cond):
-                before = len(built)
-                verdict = ci(ds, a, b, cond)
-                level = tested.setdefault(len(cond), [set(), 0])
-                level[0].add(frozenset((a, b, *cond)))
-                level[1] += len(built) - before
-                return verdict
+                sets.add((len(cond), frozenset((a, b, *cond))))
+                return ci(ds, a, b, cond)
             pc_stable_skeleton(ds, recorded)
-            assert len(tested) >= 2
-            shared = False
-            for sets, tables in tested.values():
-                columns = set().union(*sets) & with_cut[id(ds)]
-                assert tables == len(columns)
-                shared |= tables < sum(len(s & with_cut[id(ds)]) for s in sets)
-            assert shared
+            assert len({level for level, _ in sets}) >= 2
+            columns = set().union(*(s for _, s in sets)) & with_cut[id(ds)]
+            assert len(built) - before == len(columns)
+            assert len(columns) < sum(len(s & with_cut[id(ds)]) for _, s in sets)
+
+    def test_second_search_on_the_same_dataset_prepares_its_columns_again(self):
+        # PC-stable levels only grow, so a smaller set size starts a new
+        # search, even on the very dataset object of the last one
+        ds = generate(ScenarioSpec("network", 1000, 4))
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        first = _skeleton_run(ds, ci)
+        after_first = dataclasses.replace(ci.counters)
+        assert max(len(cond) for (_, _, cond), _ in first[0]) >= 1
+        assert after_first.starts == len(ds.names)
+        assert _skeleton_run(ds, ci) == first
+        assert ci.counters.starts == 2 * after_first.starts
+        assert ci.counters.fits == 2 * after_first.fits
+
+    def test_memo_hits_on_a_seeded_network_skeleton(self):
+        # the first network skeleton of seed 0 at n=10000: 72 of its 246
+        # segmentation solves meet a key an earlier solve of their column
+        # saw, all through fits of other column sets
+        ds = generate(ScenarioSpec("network", 10000, replicate_seed(0, 0)))
+        ci = make_ci_test(FitConfig(), "chi2", 0.01)
+        skeleton = pc_stable_skeleton(ds, ci)
+        assert skeleton.edges == true_network_edges()
+        assert ci.counters == CiTestCounters(starts=7, fits=48, fit_hits=21, recut_hits=72)
 
     def test_new_dataset_of_the_same_set_size_fits_its_own_columns(self, monkeypatch):
         first = generate(ScenarioSpec("network", 500, 1))

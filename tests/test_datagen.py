@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from histcmi import InputError, ScenarioSpec, generate, ground_truth, replicate_seed, true_network_edges
 from histcmi.cli import write_csv_dataset
@@ -148,11 +149,27 @@ class TestGroundTruth:
     def test_closed_forms(self):
         assert ground_truth(ScenarioSpec("exp1", 10, 0)) == pytest.approx(0.22314, abs=1e-5)
         assert ground_truth(ScenarioSpec("exp2", 10, 0)) == pytest.approx(1.05492, abs=1e-5)
-        assert ground_truth(ScenarioSpec("exp3", 10, 0)) == pytest.approx(0.2560, abs=5e-4)
+        assert ground_truth(ScenarioSpec("exp3", 10, 0)) == pytest.approx(0.2297759585, abs=1e-10)
         assert ground_truth(ScenarioSpec("exp4", 10, 0)) == 0.0
         assert ground_truth(ScenarioSpec("exp5", 10, 0)) == pytest.approx(0.352, abs=5e-4)
         assert ground_truth(ScenarioSpec("exp6", 10, 0)) == ground_truth(
             ScenarioSpec("exp2", 10, 0))
+
+    def test_exp3_truth_matches_quadrature(self):
+        # I(X; Y) = Σ_y ∫ p(x) p(y|x) ln(p(y|x) / p(y)) dx over exp3's generator:
+        # X ~ Exp(1), Y = 0 with probability 0.15, else Poisson(X)
+        a, b = 0.15, 0.85
+
+        def term(x, y, p_y):
+            p = (a if y == 0 else 0.0) + b * math.exp(special.xlogy(y, x) - x - math.lgamma(y + 1))
+            return math.exp(-x) * special.xlogy(p, p / p_y)
+
+        total = 0.0
+        for y in range(80):
+            p_y = a + b / 2 if y == 0 else b * 2.0 ** -(y + 1)
+            total += integrate.quad(term, 0.0, math.inf, args=(y, p_y),
+                                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert ground_truth(ScenarioSpec("exp3", 10, 0)) == pytest.approx(total, abs=1e-9)
 
     def test_structure_scenarios_have_no_value(self):
         for sid in ("network", "collider1", "noncollider4"):

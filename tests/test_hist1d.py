@@ -14,7 +14,13 @@ from histcmi import (
     total_score,
 )
 from histcmi.data_model import _interval_index, degenerate_width
-from histcmi.hist1d import _xlogx_segment_sums, bin_budget, segment_table, solve_segmentation
+from histcmi.hist1d import (
+    _xlogx_segment_sums,
+    bin_budget,
+    price_segmentation,
+    segment_table,
+    solve_segmentation,
+)
 
 from oracles import exhaustive_best_total, full_segmentation, xlogx_segment_sums
 
@@ -130,6 +136,35 @@ class TestEarlyStop:
                 cell_idx=np.array([int(rng.integers(0, B))]), K_max=B, n_singletons=0,
                 fixed_bits=float(rng.normal(0.0, 10.0)), K_other=1,
                 other_cell_ids=np.array([0])))
+
+
+class TestPricing:
+    """A solve's kept costs priced again against a fresh solve, bit for bit."""
+
+    def test_priced_costs_match_a_fresh_solve(self):
+        rng = np.random.default_rng(13)
+        priced = short = 0
+        for _ in range(1000):
+            kw = _random_segmentation(rng)
+            first = _solve(**kw)
+            again = dict(kw, fixed_bits=float(rng.normal(0.0, 2000.0)),
+                         K_other=int(rng.integers(1, 7)))
+            fresh = _solve(**again)
+            res = price_segmentation(
+                first.costs, segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"]),
+                again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
+            if res is None:
+                # the fresh solve ran a round, or chose a count, the first did not
+                m_star = len(fresh.cut_indices) + 1
+                assert (len(fresh.costs.ends) > len(first.costs.ends)
+                        or m_star != first.costs.m)
+                short += 1
+                continue
+            assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
+            assert res.total_bits.hex() == fresh.total_bits.hex()
+            assert res.ops == 0
+            priced += 1
+        assert priced > 300 and short > 50
 
 
 def _sparse_segmentation(rng):

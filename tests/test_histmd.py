@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from histcmi import (
     total_score,
 )
 from histcmi import histmd
+from histcmi.hist1d import SegmentCosts
 
 from oracles import exhaustive_best_total
 
@@ -116,6 +118,20 @@ class TestInitDiscretization:
         monkeypatch.setattr(histmd, "build_grid", _refuse_work)
         with pytest.raises(InputError, match="cannot be fitted under"):
             greedy_fit(starts, other)
+
+    def test_narrow_start_labels_stack_into_a_fresh_int64_matrix(self):
+        rng = np.random.default_rng(1)
+        cols = [detect_discrete_points(v, 5)
+                for v in (np.repeat(np.arange(300.0), 5), rng.normal(size=1500))]
+        starts = _starts(cols, FitConfig())
+        assert [s.labels.dtype for s in starts] == [np.uint16, np.uint8]
+        for s in starts:
+            assert s.labels.dtype == np.min_scalar_type(s.binset.n_bins)
+            assert not s.labels.flags.writeable
+        _, _, labels = init_discretization(starts, FitConfig())
+        assert labels.dtype == np.int64 and labels.flags.writeable
+        assert not any(np.shares_memory(labels, s.labels) for s in starts)
+        assert np.array_equal(labels, np.column_stack([s.labels for s in starts]))
 
     def test_starts_of_another_length_rejected_before_any_work(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -274,6 +290,72 @@ class TestRefineDimension:
             _, binsets, _ = _init(cols, cfg)
             ops[m] = _refine(0, cols, binsets, cfg.k_max(n)).ops
         assert ops[4] == 2 * ops[2]
+
+
+def _memo_state(starts, binsets, memos=True):
+    """A fit state over ``starts`` at ``binsets``, sharing the starts' memos
+    (or, with ``memos=False``, with fresh ones)."""
+    labels = np.column_stack([assign_labels(s.column, b) for s, b in zip(starts, binsets)])
+    return histmd.FitState([s.column for s in starts], [s.table for s in starts],
+                           starts[0].K_max, list(binsets), labels,
+                           [s.recuts for s in starts] if memos else None)
+
+
+class TestRecutMemo:
+    @staticmethod
+    def _starts():
+        # x and y dependent; u and w continuous and uncut, one bin each
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=400)
+        vals = (x, x + 0.5 * rng.normal(size=400), rng.uniform(size=400),
+                rng.exponential(size=400))
+        return _starts([detect_discrete_points(v, 5) for v in vals], FitConfig())
+
+    def test_hit_prices_another_fits_solve_as_a_fresh_solve(self):
+        x, y, u, w = self._starts()
+        y_cut = replace(y.binset, cuts=np.array([40, 80]))
+        first = _memo_state([x, y, u], [x.binset, y_cut, u.binset])
+        solved = refine_dimension(0, first)
+        assert first.recut_hits == 0 and solved.ops > 0 and len(x.recuts.entries) == 1
+        # w replaces u: one bin either way, so the other cells are the same,
+        # but fixed_bits differs by their volumes
+        binsets = [x.binset, y_cut, w.binset]
+        second = _memo_state([x, y, w], binsets)
+        hit = refine_dimension(0, second)
+        fresh = refine_dimension(0, _memo_state([x, y, w], binsets, memos=False))
+        assert second.recut_hits == 1 and hit.ops == 0 and fresh.ops == solved.ops
+        assert hit.binset.cuts.tolist() == fresh.binset.cuts.tolist()
+        assert hit.total_bits.hex() == fresh.total_bits.hex()
+        assert hit.total_bits != solved.total_bits
+        # the same cuts on another column are another key
+        third = _memo_state([x, w, u], [x.binset, replace(w.binset, cuts=np.array([40, 80])),
+                                        u.binset])
+        refine_dimension(0, third)
+        assert third.recut_hits == 0 and len(x.recuts.entries) == 2
+
+    def test_hit_that_needs_an_uncached_round_solves_it(self, monkeypatch):
+        x, y, _, _ = self._starts()
+        binsets = [x.binset, replace(y.binset, cuts=np.array([40, 80]))]
+        first = refine_dimension(0, _memo_state([x, y], binsets))
+        assert len(first.binset.cuts) >= 1  # the pricing reads round 2 at least
+        [(key, (pair_bits, costs))] = x.recuts.entries.items()
+        x.recuts.entries[key] = (pair_bits, SegmentCosts(costs.floor, costs.ends[:1], costs.m,
+                                                         costs.cuts))
+        solves = []
+        real = histmd.solve_segmentation
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(histmd, "solve_segmentation", counted)
+        state = _memo_state([x, y], binsets)
+        again = refine_dimension(0, state)
+        assert solves == [1] and state.recut_hits == 0 and again.ops == first.ops
+        assert again.binset.cuts.tolist() == first.binset.cuts.tolist()
+        assert again.total_bits.hex() == first.total_bits.hex()
+        assert x.recuts.entries[key][1].ends.tolist() == costs.ends.tolist()
+        assert refine_dimension(0, _memo_state([x, y], binsets)).ops == 0
+        assert solves == [1]
 
 
 class TestGreedyFit:
