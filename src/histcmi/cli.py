@@ -232,7 +232,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     fits each sorted column set once and reuses that fit for every
     (a, b | cond) split of it.  It prepares each column once per search, by
     name, for every fit it enters, and the column's start keeps the re-cuts
-    its fits solved (``histmd.RecutMemo``), so a later fit that meets the
+    its fits solved (``ColumnStart.recuts``), so a later fit that meets the
     same other cells prices them instead of solving again.  Both caches
     belong to one dataset, held by reference and matched by identity.  Fits
     belong to one set size too: PC-stable tests the sets of one size at one

@@ -62,10 +62,15 @@ from .errors import InputError
 
 
 def bin_budget(n: int, factor: float) -> int:
-    """ceil(factor · ln(n)), floored at 1."""
+    """ceil(factor · ln(n)), floored at 1; a budget that is not finite or
+    exceeds the largest array index is an input error."""
     if n < 1:
         raise InputError("sample size must be >= 1")
-    return max(1, math.ceil(factor * math.log(n)))
+    budget = factor * math.log(n)
+    if not (math.isfinite(budget) and budget <= np.iinfo(np.intp).max):
+        raise InputError(f"bin budget {factor!r} · ln({n}) = {budget!r} is not a finite "
+                         f"size an array can hold")
+    return max(1, math.ceil(budget))
 
 
 def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
@@ -179,15 +184,14 @@ class SegmentCosts:
 
     ``floor`` is the data cost of all unit cells, ``ends[m - 1]`` the best
     data cost of m segments, for every round the solve computed, as one
-    float64 array, and ``cuts`` the cuts walked back for the count ``m`` the
-    solve chose.  None of it depends on ``fixed_bits``, ``n_singletons`` or
-    ``K_other``, which enter only the pricing.  A caller may keep many, so
-    it holds few objects.
+    float64 array, and ``cuts`` the cuts walked back for the count the
+    solve chose, ``len(cuts) + 1``.  None of it depends on ``fixed_bits``,
+    ``n_singletons`` or ``K_other``, which enter only the pricing.  A
+    caller may keep many, so it holds few objects.
     """
 
     floor: float
     ends: np.ndarray
-    m: int
     cuts: np.ndarray
 
 
@@ -314,7 +318,7 @@ def solve_segmentation(
     cut_indices = table.pos[cuts[::-1]].astype(np.int64)
     cut_indices.setflags(write=False)
     return SegmentationResult(cut_indices=cut_indices, total_bits=float(best), ops=ops,
-                              costs=SegmentCosts(floor, np.array(ends), m_star, cut_indices))
+                              costs=SegmentCosts(floor, np.array(ends), cut_indices))
 
 
 def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
@@ -324,10 +328,10 @@ def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
     cells, priced for this ``fixed_bits``, ``n_singletons`` and ``K_other``:
     the same cuts and the same total, bit for bit, as solving it afresh, at
     0 ops.  None when that solve would need a round ``costs`` does not
-    hold, or would choose another count than ``costs.m``."""
+    hold, or would choose another count than ``costs`` did."""
     priced = _price(costs.floor, costs.ends, None, table, n_total, n_singletons, fixed_bits,
                     K_other)
-    if priced is None or priced[1] != costs.m:
+    if priced is None or priced[1] != len(costs.cuts) + 1:
         return None
     return SegmentationResult(cut_indices=costs.cuts, total_bits=float(priced[0]), ops=0,
                               costs=costs)

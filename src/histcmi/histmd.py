@@ -10,15 +10,17 @@ A fit starts from one :class:`ColumnStart` per column, which
 :func:`start_column` builds from the column and the config alone: the
 column, its cut-free bin set over the candidate grid, its start labels, its
 segmentation table for K_max (none when the grid offers no cut) and its
-:class:`RecutMemo`.  No fit builds a table, so every fit and every re-cut
-that enters a column shares its start.  The rest of the fit's state is a
-:class:`FitState` beside the total code length in bits: the per-dimension
-bin sets, one (n, k) int64 label matrix, and each dimension's log2-volume
-and model-cost bits, which change only when that dimension is re-cut.  A
-re-cut reads the other dimensions' cells from the matrix; a dimension with
-no candidate cut re-cuts to +inf bits, so it is never accepted.  After each
-accepted re-cut the grid is rebuilt from the matrix and its score checked
-against the one the segmentation DP reported.
+memo of solved re-cuts.  No fit builds a table, so every fit and every
+re-cut that enters a column shares its start.  A :class:`FitState` holds
+the starts, the fit's only per-column record, beside what the fit changes:
+the per-dimension bin sets, one (n, k) int64 label matrix, and each
+dimension's log2-volume and model-cost bits, which change only when that
+dimension is re-cut.  A re-cut reads the other dimensions' cells from the
+matrix; a dimension with no candidate cut re-cuts to +inf bits, so it is
+never accepted.  After each accepted re-cut the grid is rebuilt from the
+matrix and its score checked against the one the segmentation DP
+reported.  A column's 1-D histogram, :func:`optimal_histogram_1d`, is the
+first re-cut of a one-column fit of its start.
 
 A re-cut's cuts depend only on its column's start and on the other
 dimensions' cells over its rows, and those cells only on each other
@@ -62,7 +64,7 @@ from .hist1d import (
 # float noise can never masquerade as an improvement
 _GAIN_EPS = 1e-9
 
-_SERIALS = itertools.count()  # RecutMemo identities, never reused in a process
+_SERIALS = itertools.count()  # ColumnStart identities, never reused in a process
 
 
 @dataclass(frozen=True)
@@ -143,21 +145,6 @@ def column_table(column: MixedColumn, grid: np.ndarray, K_max: int) -> SegmentTa
     return segment_table(grid, _interval_index(column.unmasked, grid), K_max)
 
 
-@dataclass(eq=False)
-class RecutMemo:
-    """The solved re-cuts of one column start, for every fit that shares it.
-
-    ``entries`` maps a key, each other dimension with more than one bin as
-    (its memo's ``serial``, its cuts), to the singleton-pair ``Σ c·log2 c``
-    of ``fixed_bits`` and the solve's :class:`hist1d.SegmentCosts`.  A
-    serial is an integer no other memo of the process gets, so a key never
-    matches a dimension it was not built from.
-    """
-
-    serial: int = field(default_factory=lambda: next(_SERIALS))
-    entries: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class ColumnStart:
     """Everything one column's fit starts from, fixed by the column and the
@@ -166,8 +153,15 @@ class ColumnStart:
     the narrowest integer type that holds its bin count, and its
     :func:`column_table` for K_max.  It records the config values it was
     built for, ``t``, ``K_init`` and ``K_max``, and is fitted under no other
-    config; :func:`start_column` builds it.  Its ``recuts`` memo fills as
-    fits re-cut the column, and lives as long as the start.
+    config; :func:`start_column` builds it.
+
+    Its ``recuts`` memo fills as fits re-cut the column, and lives as long
+    as the start.  It maps a key, each other dimension with more than one
+    bin as (its start's ``serial``, its cuts), to the singleton-pair
+    ``Σ c·log2 c`` of ``fixed_bits`` and the solve's
+    :class:`hist1d.SegmentCosts`.  A serial is an integer no other start of
+    the process gets, so a key never matches a dimension it was not built
+    from.
     """
 
     column: MixedColumn
@@ -177,8 +171,8 @@ class ColumnStart:
     t: int
     K_init: int
     K_max: int
-    recuts: RecutMemo = field(init=False, default_factory=RecutMemo, compare=False,
-                              repr=False)
+    serial: int = field(init=False, default_factory=lambda: next(_SERIALS), compare=False)
+    recuts: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -231,40 +225,35 @@ def _dim_bits(labels: np.ndarray, binset: BinSet) -> float:
 class FitState:
     """What a re-cut reads, for one fit.
 
-    Per column: its sample, its :func:`column_table` over its bin set's
-    grid for K_max and its :class:`RecutMemo`, all fixed for the fit; the
-    memos of the columns' starts, or fresh ones.  Per dimension: its bin
-    set, its column of the (n, k) int64 label matrix and its
+    Per column: its :class:`ColumnStart`, whose column, table, K_max and
+    ``recuts`` memo are fixed for the fit.  Per dimension: its bin set over
+    its start's grid, its column of the (n, k) int64 label matrix and its
     :func:`_dim_bits`, computed here and replaced together by
     :meth:`accept`.  ``recut_hits`` counts the re-cuts priced from a memo.
     """
 
-    columns: list[MixedColumn]
-    tables: list[SegmentTable | None]
-    K_max: int
+    starts: list[ColumnStart]
     binsets: list[BinSet]
     labels: np.ndarray
-    memos: list[RecutMemo] | None = None
     dim_bits: list[float] = field(init=False)
     recut_hits: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.memos is None:
-            self.memos = [RecutMemo() for _ in self.columns]
         self.dim_bits = [_dim_bits(self.labels[:, d], b) for d, b in enumerate(self.binsets)]
 
     def accept(self, j: int, binset: BinSet) -> None:
         """Make ``binset``, a re-cut of dimension j, its bin set: its rows'
         labels come from the table's cell of each row."""
-        cont = ~self.columns[j].discrete_mask
+        start = self.starts[j]
+        cont = ~start.column.discrete_mask
         self.binsets[j] = binset
-        self.labels[cont, j] = binset.n_singletons + self.tables[j].intervals(binset.cuts)
+        self.labels[cont, j] = binset.n_singletons + start.table.intervals(binset.cuts)
         self.dim_bits[j] = _dim_bits(self.labels[:, j], binset)
 
 
 def refine_dimension(j: int, state: FitState) -> RefineResult:
-    """Best re-cut of dimension j's intervals, into at most ``state.K_max``,
-    given the other dimensions' cells in the state's label matrix.
+    """Best re-cut of dimension j's intervals, into at most its start's
+    K_max, given the other dimensions' cells in the state's label matrix.
 
     A dimension without a candidate cut comes back unchanged at +inf bits:
     the minimum over an empty set of re-cuts.  A re-cut whose key is in
@@ -272,7 +261,7 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     the memo lacks or chooses another count; then it is solved, and the
     memo keeps the new solve.
     """
-    column, binset, labels = state.columns[j], state.binsets[j], state.labels
+    start, binset, labels = state.starts[j], state.binsets[j], state.labels
     n = len(labels)
     if binset.n_candidates == 0:
         return RefineResult(binset, math.inf, 0)
@@ -285,12 +274,12 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     K_other = math.prod(radices)
 
     # a one-bin dimension adds nothing to the other cells' ids
-    key = tuple((state.memos[d].serial, tuple(state.binsets[d].cuts.tolist()))
+    key = tuple((state.starts[d].serial, tuple(state.binsets[d].cuts.tolist()))
                 for d, radix in zip(others, radices) if radix > 1)
-    memo = state.memos[j].entries
+    memo = start.recuts
     if key in memo:
         pair_bits, costs = memo[key]
-        res = price_segmentation(costs, state.tables[j], n, binset.n_singletons,
+        res = price_segmentation(costs, start.table, n, binset.n_singletons,
                                  n * math.log2(n) - pair_bits + other_bits, K_other)
         if res is not None:
             state.recut_hits += 1
@@ -298,7 +287,7 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
 
     # the other dimensions' cells over all rows, as compact ids
     cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
-    disc = column.discrete_mask
+    disc = start.column.discrete_mask
     pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
                     [binset.n_bins, len(cells)])
     c = unique_ids(pair)[2].astype(np.float64)
@@ -307,8 +296,8 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     res = solve_segmentation(
         n_total=n,
         boundaries=binset.grid,
-        table=state.tables[j],
-        K_max=state.K_max,
+        table=start.table,
+        K_max=start.K_max,
         n_singletons=binset.n_singletons,
         fixed_bits=n * math.log2(n) - pair_bits + other_bits,
         K_other=K_other,
@@ -318,16 +307,15 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
 
 
-def optimal_histogram_1d(column: MixedColumn, grid: np.ndarray, K_max: int) -> BinSet:
-    """MDL-optimal bin set for a single column over the candidate boundary
-    ``grid``: the re-cut of a one-dimension fit that starts with no chosen cuts."""
-    binset = BinSet(column.atoms, grid)
-    labels = assign_labels(column, binset)[:, None]
-    state = FitState([column], [column_table(column, grid, K_max)], K_max, [binset], labels)
+def optimal_histogram_1d(start: ColumnStart) -> BinSet:
+    """MDL-optimal bin set for the column of ``start`` over its candidate
+    grid, into at most its K_max intervals: the first re-cut of a
+    one-column fit of the start."""
+    state = FitState([start], [start.binset], start.labels.astype(np.int64)[:, None])
     return refine_dimension(0, state).binset
 
 
-def greedy_fit(starts: list[ColumnStart], config: FitConfig | None = None) -> FitResult:
+def greedy_fit(starts: list[ColumnStart], config: FitConfig) -> FitResult:
     """Learn a joint adaptive histogram over the columns of ``starts``, each
     built by :func:`start_column` under ``config``.
 
@@ -337,12 +325,10 @@ def greedy_fit(starts: list[ColumnStart], config: FitConfig | None = None) -> Fi
     in the previous iteration is not re-cut: its candidate is the accepted
     re-cut itself, since the other dimensions have not changed since.
     """
-    config = config or FitConfig()
     grid, binsets, labels = init_discretization(starts, config)
     score = total_score(grid)
     trace = FitTrace(init_score=score)
-    state = FitState([s.column for s in starts], [s.table for s in starts],
-                     starts[0].K_max, binsets, labels, [s.recuts for s in starts])
+    state = FitState(starts, binsets, labels)
 
     accepted = None  # (dimension, its re-cut at no new ops) accepted last round
     for iteration in range(1, config.i_max + 1):

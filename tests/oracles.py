@@ -9,8 +9,10 @@ from itertools import combinations
 
 import numpy as np
 
-from histcmi import BinSet, assign_labels, build_grid, log_regret, model_cost, total_score
+from histcmi.complexity import log_regret, model_cost, total_score
+from histcmi.data_model import BinSet, assign_labels, build_grid
 from histcmi.hist1d import _xlogx_segment_sums
+from histcmi.histmd import ColumnStart, column_table
 
 
 def multinomial_regret(n: int, K: int) -> float:
@@ -48,6 +50,17 @@ def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
                 if c >= 2.0:
                     G[i, j] += c * math.log2(c)
     return G
+
+
+def grid_start(column, grid, K_max: int) -> ColumnStart:
+    """A start of ``column`` over the candidate boundaries ``grid`` for at
+    most K_max intervals, for tests that choose the grid or K_max rather
+    than a config.  It records t = K_init = 0, a config no fit accepts."""
+    binset = BinSet(column.atoms, grid)
+    labels = assign_labels(column, binset)
+    labels.setflags(write=False)
+    return ColumnStart(column=column, binset=binset, labels=labels,
+                       table=column_table(column, grid, K_max), t=0, K_init=0, K_max=K_max)
 
 
 def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:

@@ -13,12 +13,12 @@ from histcmi import (
     InputError,
     ScenarioSpec,
     VariableGroup,
-    chi2_critical,
     citest_chi2,
     citest_sc,
     generate,
     replicate_seed,
 )
+from histcmi.citest import chi2_critical
 
 X = VariableGroup("X", (0,))
 Y = VariableGroup("Y", (1,))

@@ -13,10 +13,10 @@ from histcmi import (
     cmi_estimate,
     generate,
     pc_stable_skeleton,
-    prepare_column,
     replicate_seed,
     true_network_edges,
 )
+from histcmi.estimators import prepare_column
 from histcmi import cli, estimators, histmd
 from histcmi.cli import CiTestCounters, main, make_ci_test, read_csv_dataset
 
@@ -197,6 +197,14 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert "must be finite and > 0" in err
+
+    @pytest.mark.parametrize("factor", ["1e300", "1e308"])
+    def test_bin_budget_no_array_can_hold_is_data_error(self, factor, capsys):
+        code, out, err = run(["estimate", "exp1", "--x", "X", "--y", "Y", "--n", "200",
+                              "--kinit-factor", factor], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bin budget" in err
 
     def test_scenario_id_with_roles_fallback(self, capsys):
         code, out, _ = run(["estimate", "exp1", "--n", "300", "--seed", "2"], capsys)

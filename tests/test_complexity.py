@@ -7,21 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histcmi import (
-    BinSet,
-    FitConfig,
-    InputError,
-    ModelError,
-    build_grid,
-    fit_columns,
-    log_regret,
-    model_cost,
-    neg_log_likelihood,
-    prepare_column,
-    total_score,
-)
+from histcmi import FitConfig, InputError, ModelError
+from histcmi.complexity import log_regret, model_cost, neg_log_likelihood, total_score
+from histcmi.data_model import BinSet, assign_labels, build_grid, detect_discrete_points
+from histcmi.estimators import fit_columns, prepare_column
 from histcmi import complexity
-from histcmi.data_model import detect_discrete_points
 
 from oracles import multinomial_regret
 
@@ -151,8 +141,6 @@ def _single_interval_grid(values, width):
     col = detect_discrete_points(np.asarray(values, dtype=float), t=len(values) + 1)
     lo = float(min(values))
     bs = BinSet(col.atoms, np.array([lo, lo + width]))
-    from histcmi import assign_labels
-
     return build_grid(assign_labels(col, bs)[:, None], [bs]), bs
 
 
@@ -171,8 +159,6 @@ class TestNegLogLikelihood:
         vals = [0.1, 0.2, 1.3, 1.4]
         col = detect_discrete_points(np.asarray(vals), t=9)
         bs = BinSet(col.atoms, np.array([0.0, 1.0, 2.0]), np.array([1]))
-        from histcmi import assign_labels
-
         grid = build_grid(assign_labels(col, bs)[:, None], [bs])
         assert neg_log_likelihood(grid) == pytest.approx(4.0, abs=1e-9)
 
@@ -185,8 +171,6 @@ class TestNegLogLikelihood:
             lo, hi = float(vals.min()), float(vals.min()) + 6.0
             cut = lo + 1.5
             bs = BinSet(col.atoms, np.array([lo, cut, hi]), np.array([1]))
-            from histcmi import assign_labels
-
             grid = build_grid(assign_labels(col, bs)[:, None], [bs])
             assert all(v >= 1.0 for v in bs.volumes)
             assert neg_log_likelihood(grid) >= -1e-12
@@ -274,8 +258,6 @@ class TestTotalScore:
     def test_unused_candidate_raises_model_cost(self):
         vals = [0.1, 0.2, 1.3, 1.4]
         col = detect_discrete_points(np.asarray(vals), t=9)
-        from histcmi import assign_labels
-
         nlls, totals = [], []
         for cand, cuts in ((np.array([0.0, 1.0, 2.0]), [1]),
                            (np.array([0.0, 0.7, 1.0, 2.0]), [2])):

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histcmi import (
+from histcmi import InputError, LabelingError
+from histcmi import data_model
+from histcmi.data_model import (
     BinSet,
-    InputError,
-    LabelingError,
     assign_labels,
     build_grid,
+    cell_ids,
+    degenerate_width,
     detect_discrete_points,
+    unique_ids,
 )
-from histcmi import data_model
-from histcmi.data_model import cell_ids, degenerate_width, unique_ids
 
 
 class TestDetectDiscretePoints:

@@ -11,14 +11,16 @@ from histcmi import (
     ScenarioSpec,
     VariableGroup,
     cmi_estimate,
-    continuous_entropy_terms,
-    detect_discrete_points,
-    fit_columns,
     generate,
     ground_truth,
+    replicate_seed,
+)
+from histcmi.data_model import detect_discrete_points
+from histcmi.estimators import (
+    continuous_entropy_terms,
+    fit_columns,
     plugin_entropy,
     prepare_column,
-    replicate_seed,
 )
 
 X = VariableGroup("X", (0,))
@@ -143,6 +145,12 @@ class TestCmiEstimate:
         with pytest.raises(InputError, match="does not match"):
             cmi_estimate(ds.data[:300], X, Y, Z, fit=fit)
 
+    @pytest.mark.parametrize("factor", [1e300, 1e308])
+    def test_bin_budget_no_array_can_hold_rejected(self, factor):
+        data = generate(ScenarioSpec("exp1", 200, 3)).data
+        with pytest.raises(InputError, match="bin budget"):
+            cmi_estimate(data, X, Y, config=FitConfig(k_init_factor=factor))
+
     def test_permutation_invariance(self):
         ds = generate(ScenarioSpec("exp5", 500, 4))
         est = cmi_estimate(ds.data, X, Y, Z)
@@ -187,8 +195,7 @@ class TestContinuousEntropyTerms:
     def test_single_interval_width_two(self):
         vals = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         col = detect_discrete_points(vals, 9)
-        from histcmi import assign_labels, build_grid
-        from histcmi.data_model import BinSet
+        from histcmi.data_model import BinSet, assign_labels, build_grid
 
         bs = BinSet(col.atoms, np.array([0.0, 2.0]))
         grid = build_grid(assign_labels(col, bs)[:, None], [bs])

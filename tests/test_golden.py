@@ -94,7 +94,8 @@ def compute_mixed_digest() -> str:
     """sha256 over the seeded mixed fits, each with its estimate of I(X0; X1 | rest)."""
     import hashlib
 
-    from histcmi import FitConfig, VariableGroup, cmi_estimate, fit_columns, prepare_column
+    from histcmi import FitConfig, VariableGroup, cmi_estimate
+    from histcmi.estimators import fit_columns, prepare_column
 
     rng = np.random.default_rng(MIXED_SEED)
     digest = hashlib.sha256()

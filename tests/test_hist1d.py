@@ -3,26 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from histcmi import (
+from histcmi import FitConfig, InputError
+from histcmi.complexity import total_score
+from histcmi.data_model import (
     BinSet,
-    InputError,
+    _interval_index,
     assign_labels,
     build_grid,
-    candidate_cuts,
+    degenerate_width,
     detect_discrete_points,
-    optimal_histogram_1d,
-    total_score,
 )
-from histcmi.data_model import _interval_index, degenerate_width
 from histcmi.hist1d import (
     _xlogx_segment_sums,
     bin_budget,
+    candidate_cuts,
     price_segmentation,
     segment_table,
     solve_segmentation,
 )
+from histcmi.histmd import optimal_histogram_1d, start_column
 
-from oracles import exhaustive_best_total, full_segmentation, xlogx_segment_sums
+from oracles import exhaustive_best_total, full_segmentation, grid_start, xlogx_segment_sums
 
 
 def _total_of(col, binset):
@@ -35,6 +36,15 @@ class TestBinBudget:
 
     def test_floor_at_one(self):
         assert bin_budget(1, 20.0) == 1
+
+    @pytest.mark.parametrize("factor", [1e300, 1e308, 2.0**64 / math.log(3)])
+    def test_budget_past_the_largest_array_index_is_an_input_error(self, factor):
+        # 1e308 · ln n is inf, 1e300 · ln n a finite count no array can hold
+        with pytest.raises(InputError, match="bin budget"):
+            bin_budget(3, factor)
+
+    def test_budget_below_the_largest_array_index_is_a_count(self):
+        assert bin_budget(3, 2.0**62 / math.log(3)) == pytest.approx(2**62, rel=1e-15)
 
 
 def _prefix_rows(counts):
@@ -155,9 +165,8 @@ class TestPricing:
                 again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
             if res is None:
                 # the fresh solve ran a round, or chose a count, the first did not
-                m_star = len(fresh.cut_indices) + 1
                 assert (len(fresh.costs.ends) > len(first.costs.ends)
-                        or m_star != first.costs.m)
+                        or len(fresh.cut_indices) != len(first.costs.cuts))
                 short += 1
                 continue
             assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
@@ -310,7 +319,7 @@ class TestOptimalHistogram1D:
     def test_uniform_data_keeps_single_bin(self):
         rng = np.random.default_rng(1)
         col = detect_discrete_points(rng.uniform(0, 1, 300), t=5)
-        bs = optimal_histogram_1d(col, candidate_cuts(col, 20), K_max=5)
+        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 20), 5))
         assert bs.n_intervals == 1
         assert bs.cuts.size == 0
 
@@ -319,7 +328,7 @@ class TestOptimalHistogram1D:
         vals = np.concatenate([rng.uniform(0, 1, 100), rng.uniform(9, 10, 100)])
         col = detect_discrete_points(vals, t=5)
         cand = candidate_cuts(col, 20)
-        bs = optimal_histogram_1d(col, cand, K_max=5)
+        bs = optimal_histogram_1d(grid_start(col, cand, 5))
         assert bs.n_intervals == 3  # dense, empty middle, dense
         assert _total_of(col, bs) == pytest.approx(exhaustive_best_total(col, cand, 5), abs=1e-9)
         lo_cut, hi_cut = cand[bs.cuts]
@@ -328,7 +337,7 @@ class TestOptimalHistogram1D:
     def test_k_max_one_forces_single_bin(self):
         rng = np.random.default_rng(2)
         col = detect_discrete_points(rng.normal(size=400), t=5)
-        bs = optimal_histogram_1d(col, candidate_cuts(col, 30), K_max=1)
+        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 30), 1))
         assert bs.n_intervals == 1
 
     def test_matches_exhaustive_search(self):
@@ -341,7 +350,7 @@ class TestOptimalHistogram1D:
             K_init = int(rng.integers(4, 13))  # <= 12 interior candidates
             K_max = int(rng.integers(2, 5))
             cand = candidate_cuts(col, K_init)
-            bs = optimal_histogram_1d(col, cand, K_max)
+            bs = optimal_histogram_1d(grid_start(col, cand, K_max))
             assert bs.n_intervals <= K_max
             dp = _total_of(col, bs)
             assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
@@ -351,7 +360,7 @@ class TestOptimalHistogram1D:
             col = detect_discrete_points(rng.exponential(size=int(rng.integers(30, 90))), t=5)
             cand = candidate_cuts(col, int(rng.integers(2, 8)))
             K_max = len(cand) - 1 + int(rng.integers(0, 3))
-            bs = optimal_histogram_1d(col, cand, K_max)
+            bs = optimal_histogram_1d(grid_start(col, cand, K_max))
             dp = _total_of(col, bs)
             assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
 
@@ -363,15 +372,15 @@ class TestOptimalHistogram1D:
         grid = np.array([0.0, 1.0, 2.0, 3.0])
         left, right = (BinSet(col.atoms, grid, np.array([c])) for c in (1, 2))
         assert _total_of(col, left) == _total_of(col, right)
-        assert optimal_histogram_1d(col, grid, K_max=2).cuts.tolist() == [1]
+        assert optimal_histogram_1d(grid_start(col, grid, 2)).cuts.tolist() == [1]
 
     def test_never_worse_than_single_bin(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             col = detect_discrete_points(rng.exponential(size=200), t=5)
             cand = candidate_cuts(col, 25)
-            best = optimal_histogram_1d(col, cand, K_max=6)
-            single = optimal_histogram_1d(col, cand, K_max=1)
+            best = optimal_histogram_1d(grid_start(col, cand, 6))
+            single = optimal_histogram_1d(grid_start(col, cand, 1))
             assert _total_of(col, best) <= _total_of(col, single) + 1e-9
 
     def test_bin_count_grows_sublinearly(self):
@@ -382,7 +391,6 @@ class TestOptimalHistogram1D:
             counts = []
             for _ in range(5):
                 col = detect_discrete_points(rng.normal(size=n), t=5)
-                cand = candidate_cuts(col, bin_budget(n, 20.0))
-                counts.append(optimal_histogram_1d(col, cand, bin_budget(n, 5.0)).n_bins)
+                counts.append(optimal_histogram_1d(start_column(col, FitConfig())).n_bins)
             medians.append(np.median(counts))
         assert medians[0] < medians[1] < math.sqrt(2000)

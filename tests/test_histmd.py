@@ -4,25 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from histcmi import (
-    BinSet,
-    FitConfig,
-    InputError,
-    assign_labels,
-    build_grid,
-    candidate_cuts,
-    detect_discrete_points,
+from histcmi import FitConfig, InputError, histmd
+from histcmi.complexity import total_score
+from histcmi.data_model import BinSet, assign_labels, build_grid, detect_discrete_points
+from histcmi.hist1d import SegmentCosts, candidate_cuts
+from histcmi.histmd import (
     greedy_fit,
     init_discretization,
     optimal_histogram_1d,
     refine_dimension,
     start_column,
-    total_score,
 )
-from histcmi import histmd
-from histcmi.hist1d import SegmentCosts
 
-from oracles import exhaustive_best_total
+from oracles import exhaustive_best_total, grid_start
 
 
 def _starts(cols, cfg):
@@ -38,8 +32,8 @@ def _fit(cols, cfg):
 
 
 def _state(cols, binsets, labels, K_max):
-    tables = [histmd.column_table(c, b.grid, K_max) for c, b in zip(cols, binsets)]
-    return histmd.FitState(cols, tables, K_max, binsets, labels)
+    starts = [grid_start(c, b.grid, K_max) for c, b in zip(cols, binsets)]
+    return histmd.FitState(starts, binsets, labels)
 
 
 def _refuse_work(*args):
@@ -149,7 +143,7 @@ class TestRefineDimension:
         cfg = FitConfig()
         _, binsets, _ = _init([col], cfg)
         res = _refine(0, [col], binsets, cfg.k_max(600))
-        unc = optimal_histogram_1d(col, candidate_cuts(col, cfg.k_init(600)), cfg.k_max(600))
+        unc = optimal_histogram_1d(start_column(col, cfg))
         assert np.array_equal(res.binset.cuts, unc.cuts)
         labs = assign_labels(col, unc)
         assert res.total_bits == pytest.approx(
@@ -169,7 +163,7 @@ class TestRefineDimension:
         binsets = list(binsets)
         binsets[1] = fit1.grid.dims[0]
         res = _refine(0, cols, binsets, cfg.k_max(n))
-        unc = optimal_histogram_1d(cols[0], candidate_cuts(cols[0], cfg.k_init(n)), 3)
+        unc = optimal_histogram_1d(start_column(cols[0], cfg))
         assert np.array_equal(res.binset.cuts, unc.cuts)
 
     def test_conditioning_beats_unconditional_cuts(self):
@@ -188,8 +182,7 @@ class TestRefineDimension:
         binsets[0] = BinSet(cols[0].atoms, gridx, np.array([cut0]))
         res = _refine(1, cols, binsets, cfg.k_max(n))
 
-        unc = optimal_histogram_1d(cols[1], candidate_cuts(cols[1], cfg.k_init(n)),
-                                   cfg.k_max(n))
+        unc = optimal_histogram_1d(start_column(cols[1], cfg))
         alt = list(binsets)
         alt[1] = unc
         labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, alt)])
@@ -263,8 +256,33 @@ class TestRefineDimension:
         monkeypatch.setattr(histmd, "build_grid", refuse)
         monkeypatch.setattr(histmd, "total_score", refuse)
         col = detect_discrete_points(np.random.default_rng(9).normal(size=300), 5)
-        bs = optimal_histogram_1d(col, candidate_cuts(col, 40), 8)
+        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 40), 8))
         assert bs.cuts.size > 0
+
+    def test_1d_histogram_is_the_first_recut_of_a_one_column_fit(self, monkeypatch):
+        # each call gets its own start, so neither prices the other's solve
+        rng = np.random.default_rng(14)
+        cfg = FitConfig()
+        recuts = []
+        real = histmd.refine_dimension
+
+        def recording(j, state):
+            recuts.append(real(j, state))
+            return recuts[-1]
+
+        monkeypatch.setattr(histmd, "refine_dimension", recording)
+        for vals in (rng.normal(size=500),
+                     np.append(np.repeat([0.0, 2.0], 12), rng.exponential(size=400)),
+                     np.repeat([0.0, 1.0], 20)):
+            col = detect_discrete_points(vals, cfg.t)
+            recuts.clear()
+            bs = optimal_histogram_1d(start_column(col, cfg))
+            fit = greedy_fit([start_column(col, cfg)], cfg)
+            alone, first_round = recuts[:2]
+            assert bs.cuts.tolist() == first_round.binset.cuts.tolist()
+            assert alone.total_bits.hex() == first_round.total_bits.hex()
+            if fit.trace.records:
+                assert fit.grid.dims[0].cuts.tolist() == bs.cuts.tolist()
 
     def test_recut_shares_grid_and_singletons(self):
         rng = np.random.default_rng(12)
@@ -294,11 +312,10 @@ class TestRefineDimension:
 
 def _memo_state(starts, binsets, memos=True):
     """A fit state over ``starts`` at ``binsets``, sharing the starts' memos
-    (or, with ``memos=False``, with fresh ones)."""
+    (or, with ``memos=False``, over copies of the starts with fresh ones)."""
     labels = np.column_stack([assign_labels(s.column, b) for s, b in zip(starts, binsets)])
-    return histmd.FitState([s.column for s in starts], [s.table for s in starts],
-                           starts[0].K_max, list(binsets), labels,
-                           [s.recuts for s in starts] if memos else None)
+    return histmd.FitState(starts if memos else [replace(s) for s in starts],
+                           list(binsets), labels)
 
 
 class TestRecutMemo:
@@ -316,7 +333,7 @@ class TestRecutMemo:
         y_cut = replace(y.binset, cuts=np.array([40, 80]))
         first = _memo_state([x, y, u], [x.binset, y_cut, u.binset])
         solved = refine_dimension(0, first)
-        assert first.recut_hits == 0 and solved.ops > 0 and len(x.recuts.entries) == 1
+        assert first.recut_hits == 0 and solved.ops > 0 and len(x.recuts) == 1
         # w replaces u: one bin either way, so the other cells are the same,
         # but fixed_bits differs by their volumes
         binsets = [x.binset, y_cut, w.binset]
@@ -331,16 +348,15 @@ class TestRecutMemo:
         third = _memo_state([x, w, u], [x.binset, replace(w.binset, cuts=np.array([40, 80])),
                                         u.binset])
         refine_dimension(0, third)
-        assert third.recut_hits == 0 and len(x.recuts.entries) == 2
+        assert third.recut_hits == 0 and len(x.recuts) == 2
 
     def test_hit_that_needs_an_uncached_round_solves_it(self, monkeypatch):
         x, y, _, _ = self._starts()
         binsets = [x.binset, replace(y.binset, cuts=np.array([40, 80]))]
         first = refine_dimension(0, _memo_state([x, y], binsets))
         assert len(first.binset.cuts) >= 1  # the pricing reads round 2 at least
-        [(key, (pair_bits, costs))] = x.recuts.entries.items()
-        x.recuts.entries[key] = (pair_bits, SegmentCosts(costs.floor, costs.ends[:1], costs.m,
-                                                         costs.cuts))
+        [(key, (pair_bits, costs))] = x.recuts.items()
+        x.recuts[key] = (pair_bits, SegmentCosts(costs.floor, costs.ends[:1], costs.cuts))
         solves = []
         real = histmd.solve_segmentation
 
@@ -353,9 +369,32 @@ class TestRecutMemo:
         assert solves == [1] and state.recut_hits == 0 and again.ops == first.ops
         assert again.binset.cuts.tolist() == first.binset.cuts.tolist()
         assert again.total_bits.hex() == first.total_bits.hex()
-        assert x.recuts.entries[key][1].ends.tolist() == costs.ends.tolist()
+        assert x.recuts[key][1].ends.tolist() == costs.ends.tolist()
         assert refine_dimension(0, _memo_state([x, y], binsets)).ops == 0
         assert solves == [1]
+
+    def test_fit_solves_land_in_its_starts_recuts(self, monkeypatch):
+        starts = self._starts()
+        solved = []  # the table of each solve
+        real = histmd.solve_segmentation
+
+        def recording(*args, **kwargs):
+            solved.append(kwargs["table"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(histmd, "solve_segmentation", recording)
+        fit = greedy_fit(starts, FitConfig())
+        assert fit.trace.recut_hits == 0 and len(solved) > len(starts)
+        serials = {s.serial for s in starts}
+        for s in starts:
+            assert len(s.recuts) == sum(t is s.table for t in solved)
+            assert all({serial for serial, _ in key} <= serials - {s.serial} for key in s.recuts)
+        # a second fit of the same starts solves nothing
+        solved.clear()
+        again = greedy_fit(starts, FitConfig())
+        assert solved == [] and again.trace.recut_hits > 0
+        assert ([(r.dim, r.score_after) for r in again.trace.records]
+                == [(r.dim, r.score_after) for r in fit.trace.records])
 
 
 class TestGreedyFit:
