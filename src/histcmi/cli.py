@@ -88,6 +88,12 @@ def read_csv_dataset(path: str) -> Dataset:
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     names = tuple(rows[0])
+    for i, name in enumerate(names, start=1):
+        # --x/--y/--z split on ',', and separating-set keys join on '|'
+        if not name or "," in name or "|" in name:
+            raise InputError(f"{path}: column {i} is named {name!r}; a column name must be "
+                             f"nonempty and hold no ',' or '|', or the command line cannot "
+                             f"select it and reports cannot name it")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise InputError(f"{path}: duplicate column names {repeated}")

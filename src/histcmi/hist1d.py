@@ -18,8 +18,18 @@ rows costs ``-G + n·log2 w``, its conditional histogram cost, where G sums
 c·log2 c over the segment's row counts c per other cell, and a count of m
 intervals adds its regret and model cost.  G comes from one numpy kernel,
 ``_xlogx_segment_sums``, which touches per cell only the segments that can
-hold two or more of its rows.  The recursion over interval counts is the
-MDL-histogram DP of Kontkanen & Myllymäki (AISTATS 2007).
+hold two or more of its rows and reads each c·log2 c from a table over the
+integer counts.  The recursion over interval counts is the MDL-histogram DP
+of Kontkanen & Myllymäki (AISTATS 2007).
+
+The rounds stop on lower bounds of the best data cost F_m of m segments,
+kept as lines v - λ·m: the data cost of all unit cells, a line of slope 0,
+and up to ``_DUAL_TRIES`` dual lines, each from weak duality for a path
+that pays λ per segment, built from the rounds so far at the cost of about
+one more round (:func:`_dual_bound`).  Once the least over later counts of
+the highest line plus the count's penalty passes the best total by more
+than the rounding tolerance, no later count can win, so the stop leaves
+the chosen count, its total and its cuts those of the full DP.
 
 Like theirs, the DP cuts only next to data: the kernel and the DP run over
 the first and last boundary and every boundary beside a candidate cell that
@@ -40,13 +50,14 @@ on the other dimensions' cells.
 
 A solve is a cost part and a pricing part.  The cost part, in
 :func:`solve_segmentation`, takes the prefix counts, the kernel, the cost
-matrix, its floor, the DP rounds and the walk-back from the rows; what it
-keeps of them, a :class:`SegmentCosts`, does not depend on ``fixed_bits``,
-the singleton count or the other cells' count ``K_other``.  The pricing
-part adds those, applies the stop rule and picks the count.  A caller that
-meets the same rows and other cells again prices the kept costs with
-:func:`price_segmentation` instead of solving again; both go through one
-pricing routine, so each total is the same float sum either way.
+matrix, its floor, the DP rounds, the dual lines and the walk-back from the
+rows; what it keeps of them, a :class:`SegmentCosts`, does not depend on
+``fixed_bits``, the singleton count or the other cells' count ``K_other``.
+The pricing part adds those, applies the stop rule and picks the count.  A
+caller that meets the same rows and other cells again prices the kept
+rounds and lines with :func:`price_segmentation` instead of solving again;
+both go through one pricing routine, so each total is the same float sum
+either way.
 """
 
 from __future__ import annotations
@@ -95,20 +106,22 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
 def _xlogx_segment_sums(P):
     """G[i, j] = sum over rows of P of c·log2(c), with c = row[j] - row[i] where c >= 2.
 
-    Each row is a nondecreasing prefix count, so c >= 2 needs row[i] <= row[-1] - 2
-    and row[j] >= 2: a row adds only into G[:i_end, j_start:], and exactly 0
-    everywhere else.
+    Each row is a nondecreasing integer prefix count, so c >= 2 needs
+    row[i] <= row[-1] - 2 and row[j] >= 2: a row adds only into
+    G[:i_end, j_start:], and exactly 0 everywhere else.  Every c·log2(c) is
+    read from one table over 0..the largest row total, which holds the very
+    float the product gives, and 0 for c <= 1, where the clip sends every
+    negative c.
     """
     n_bounds = P.shape[1]
     G = np.zeros((n_bounds, n_bounds))
+    xlogx = np.maximum(np.arange(P[:, -1].max(initial=0) + 1, dtype=np.float64), 1.0)
+    xlogx *= np.log2(xlogx)
     # per row, the count of entries <= row[-1] - 2 and of entries < 2
-    i_ends = (P <= P[:, -1:] - 2.0).sum(axis=1)
-    j_starts = (P < 2.0).sum(axis=1)
+    i_ends = (P <= P[:, -1:] - 2).sum(axis=1)
+    j_starts = (P < 2).sum(axis=1)
     for row, i_end, j_start in zip(P, i_ends, j_starts):
-        c = row[None, j_start:] - row[:i_end, None]
-        np.maximum(c, 1.0, out=c)
-        c *= np.log2(c)
-        G[:i_end, j_start:] += c
+        G[:i_end, j_start:] += xlogx.take(row[None, j_start:] - row[:i_end, None], mode="clip")
     return G
 
 
@@ -178,19 +191,26 @@ def segment_table(boundaries: np.ndarray, cell_idx: np.ndarray, K_max: int) -> S
                         mcost=model_cost(B - 1, np.arange(m_cap)))
 
 
+# the most dual bounds one solve computes; each costs about one DP round
+_DUAL_TRIES = 2
+
+
 @dataclass(slots=True)
 class SegmentCosts:
     """What a solve took from its rows, kept so it can be priced again.
 
-    ``floor`` is the data cost of all unit cells, ``ends[m - 1]`` the best
-    data cost of m segments, for every round the solve computed, as one
-    float64 array, and ``cuts`` the cuts walked back for the count the
-    solve chose, ``len(cuts) + 1``.  None of it depends on ``fixed_bits``,
-    ``n_singletons`` or ``K_other``, which enter only the pricing.  A
-    caller may keep many, so it holds few objects.
+    ``lines`` holds lower bounds on the best data cost F_m of m segments,
+    one row (λ, v) each, meaning F_m >= v - λ·m for every count m: row 0 is
+    the data cost of all unit cells (λ = 0), and any further row a dual
+    bound the solve computed.  ``ends[m - 1]`` is F_m for every round the
+    solve computed, one float64 array as ``lines`` is, and ``cuts`` the
+    cuts walked back for the count the solve chose, ``len(cuts) + 1``.
+    None of it depends on ``fixed_bits``, ``n_singletons`` or ``K_other``,
+    which enter only the pricing.  A caller may keep many, so it holds few
+    objects.
     """
 
-    floor: float
+    lines: np.ndarray
     ends: np.ndarray
     cuts: np.ndarray
 
@@ -203,33 +223,58 @@ class SegmentationResult:
     costs: SegmentCosts
 
 
-def _price(floor: float, ends, next_end, table: SegmentTable, n_total: int,
+def _stop_bounds(lines, pen: np.ndarray) -> list:
+    """``bound[m - 1]``, a total that no count from m on goes below: the
+    least over m' >= m of the highest line at m' plus the penalty ``pen``
+    of m' intervals."""
+    lines = np.asarray(lines)
+    m = np.arange(1, len(pen) + 1)
+    lower = np.max(lines[:, 1:] - lines[:, :1] * m, axis=0) + pen
+    return np.minimum.accumulate(lower[::-1])[::-1].tolist()
+
+
+def _price(lines, ends, next_end, dual, table: SegmentTable, n_total: int,
            n_singletons: int, fixed_bits: float, K_other: int):
     """The count m whose total ``ends[m - 1] + fixed_bits + regret + model
     cost`` is smallest, and that total, or None when the rounds go past
     ``ends`` and ``next_end`` is None.  ``next_end(m)`` computes round m's
-    end, which is appended to the list ``ends``.
+    end, which is appended to the list ``ends``, and ``dual(t, λ)`` the
+    value v of a line (λ, v) from rounds 1..t, which is appended to the
+    list ``lines``.
 
-    Splitting a segment never raises its data cost (log-sum inequality), so
-    no count's best data cost falls below ``floor``, and no count from
-    m on totals less than that plus the least penalty from m on: once that
-    bound passes the best total so far, no later count can win.  Among
-    totals that are equal as floats the fewest bins win.
+    Every line (λ, v) bounds each count's best data cost F_m from below by
+    v - λ·m (see :class:`SegmentCosts`), so no count from m on totals less
+    than the least, over m' >= m, of the highest line at m' plus the
+    penalty of m': once that bound passes the best total so far, no later
+    count can win.  Splitting a segment never raises its data cost
+    (log-sum inequality), so the data cost of all unit cells is such a line
+    of slope 0.  That floor is weak when the penalty grows slowly, so after
+    a round t that does not improve the best total, a solve may ask for a
+    dual line.  Its slope λ is the least penalty slope past t: the estimate
+    below falls as λ grows, so that slope maximizes it.  It is asked for
+    only when the lines so far do not stop the rounds and the line through
+    ``min over m <= t of ends[m - 1] + λ·m``, which no dual line of slope λ
+    from rounds 1..t exceeds, would.  At most ``_DUAL_TRIES`` are asked
+    for.  Among totals that are equal as floats the fewest bins win.
     """
     m_cap = min(len(table.mcost), len(table.pos) - 1)  # m nonempty segments need m kept cells
     m = np.arange(1, m_cap + 1)
     regret = log_regret(n_total, (n_singletons + m) * K_other)
     mcost = table.mcost[:m_cap]
     fixed_bits = float(fixed_bits)
-    bound = (floor + np.minimum.accumulate((fixed_bits + regret + mcost)[::-1])[::-1]).tolist()
+    pen = fixed_bits + regret + mcost
+    bound = _stop_bounds(lines, pen)
+    floor = float(lines[0][1])
     # Python floats add as float64 scalars do, only faster; summed in this
     # order, each total is bit-identical to the full DP's
     regret, mcost = regret.tolist(), mcost.tolist()
     best, m_star = ends[0] + fixed_bits + regret[0] + mcost[0], 1
+    tries = 0
     for m in range(2, m_cap + 1):
-        # far above the rounding in F, the floor and the totals, so a tie at
-        # the level of one ULP never decides the stop
-        if bound[m - 1] > best + 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor)):
+        # far above the rounding in F, the floor, the dual lines and the
+        # totals, so a tie at the level of one ULP never decides the stop
+        tol = 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor))
+        if bound[m - 1] > best + tol:
             break
         if m > len(ends):
             if next_end is None:
@@ -238,7 +283,37 @@ def _price(floor: float, ends, next_end, table: SegmentTable, n_total: int,
         total = ends[m - 1] + fixed_bits + regret[m - 1] + mcost[m - 1]
         if total < best:  # strictly: the fewest bins win ties
             best, m_star = total, m
+        elif dual is not None and tries < _DUAL_TRIES and m < m_cap and bound[m] <= best + tol:
+            lam = float(np.min(np.diff(pen[m - 1:])))
+            top = min(ends[k - 1] + lam * k for k in range(1, m + 1))
+            if _stop_bounds(lines + [(lam, top)], pen)[m] > best + tol:
+                tries += 1
+                lines.append((lam, dual(m, lam)))
+                bound = _stop_bounds(lines, pen)
     return best, m_star
+
+
+def _dual_bound(F: np.ndarray, cost: np.ndarray, t: int, lam: float) -> float:
+    """A value v with F_m >= v - lam·m for every count m, where ``cost[i,
+    j]`` is the data cost of segment [i, j) (inf where j <= i), K + 1 =
+    ``len(cost)`` and ``F[m - 1, j]`` is the best data cost of m segments
+    over [0, j), read for the rounds m <= t.
+
+    Weak duality for a path that pays lam per segment: any pi with pi(0) =
+    0 and pi(j) - pi(i) <= cost[i, j] + lam for all i < j gives F_m >=
+    pi(K) - lam·m.  Let E(j) = min over m <= t of F[m - 1, j] + lam·m, with
+    E(0) = 0, and V(j) = lam + min over i < j of E(i) + cost[i, j], one
+    product the size of one round.  Then pi(j) = E(j) minus the sum of the
+    excesses max(0, E - V) over 1..j is such a pi, whatever E is: dropping
+    all excesses but the j-th, pi(j) - pi(i) <= min(E(j), V(j)) - E(i) <=
+    cost[i, j] + lam.  It is tight when no path of more than t segments
+    beats E at lam, where no E exceeds its V.
+    """
+    K = len(cost) - 1
+    E = np.min(F[:t] + lam * np.arange(1, t + 1)[:, None], axis=0)
+    E[0] = 0.0
+    V = lam + np.minimum.reduce(E[:K, None] + cost[:K, 1:], axis=0)
+    return float(E[K] - np.maximum(E[1:] - V, 0.0).sum())
 
 
 def solve_segmentation(
@@ -265,14 +340,14 @@ def solve_segmentation(
     G and the regret depend on the other dimensions; the rest is the
     table's, and the kernel and the DP run over its kept boundaries.
 
-    The rounds over interval counts run as :func:`_price` asks for them, and
-    the chosen count's cuts are walked back from one table of best prefix
-    costs; the result's ``costs`` holds what :func:`price_segmentation`
-    needs to price them again.  Among equal-cost predecessors the leftmost
-    split wins.  A tie below double precision is decided by rounding: two
-    mirrored segmentations with equal counts on a ``linspace`` grid can cost
-    a few ULPs apart, and then the cheaper float wins, whichever side it is
-    on.
+    The rounds over interval counts and the dual lines are computed as
+    :func:`_price` asks for them, and the chosen count's cuts are walked
+    back from one table of best prefix costs; the result's ``costs`` holds
+    what :func:`price_segmentation` needs to price them again.  Among
+    equal-cost predecessors the leftmost split wins.  A tie below double
+    precision is decided by rounding: two mirrored segmentations with equal
+    counts on a ``linspace`` grid can cost a few ULPs apart, and then the
+    cheaper float wins, whichever side it is on.
     """
     B = len(boundaries) - 1
     if table.pos[-1] != B or len(table.mcost) != min(K_max, B):
@@ -282,10 +357,10 @@ def solve_segmentation(
 
     # per-other-cell prefix counts over the kept boundaries
     counts = np.bincount(other_cell_ids * kept + table.cell_idx, minlength=n_other * kept)
-    P = np.zeros((n_other, kept + 1))
+    P = np.zeros((n_other, kept + 1), dtype=np.intp)
     np.cumsum(counts.reshape(n_other, kept), axis=1, out=P[:, 1:])
 
-    active = P[:, -1] >= 2.0  # cells with <2 rows contribute no c*log2(c) mass
+    active = P[:, -1] >= 2  # cells with <2 rows contribute no c*log2(c) mass
     G = _xlogx_segment_sums(P[active])
     ops = int(active.sum()) * (kept + 1) * (kept + 1)
 
@@ -305,9 +380,9 @@ def solve_segmentation(
                           out=F[m - 1, m:])
         return float(F[m - 1, kept])
 
-    floor, ends = float(np.trace(cost, offset=1)), [float(F[0, kept])]
-    best, m_star = _price(floor, ends, next_end, table, n_total, n_singletons, fixed_bits,
-                          K_other)
+    lines, ends = [(0.0, float(np.trace(cost, offset=1)))], [float(F[0, kept])]
+    best, m_star = _price(lines, ends, next_end, lambda t, lam: _dual_bound(F, cost, t, lam),
+                          table, n_total, n_singletons, fixed_bits, K_other)
 
     # from b_kept back: the leftmost best split over the sums each round minimized
     cuts = []
@@ -318,7 +393,7 @@ def solve_segmentation(
     cut_indices = table.pos[cuts[::-1]].astype(np.int64)
     cut_indices.setflags(write=False)
     return SegmentationResult(cut_indices=cut_indices, total_bits=float(best), ops=ops,
-                              costs=SegmentCosts(floor, np.array(ends), cut_indices))
+                              costs=SegmentCosts(np.array(lines), np.array(ends), cut_indices))
 
 
 def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
@@ -329,8 +404,8 @@ def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
     the same cuts and the same total, bit for bit, as solving it afresh, at
     0 ops.  None when that solve would need a round ``costs`` does not
     hold, or would choose another count than ``costs`` did."""
-    priced = _price(costs.floor, costs.ends, None, table, n_total, n_singletons, fixed_bits,
-                    K_other)
+    priced = _price(costs.lines, costs.ends, None, None, table, n_total, n_singletons,
+                    fixed_bits, K_other)
     if priced is None or priced[1] != len(costs.cuts) + 1:
         return None
     return SegmentationResult(cut_indices=costs.cuts, total_bits=float(priced[0]), ops=0,

@@ -36,7 +36,11 @@ def multinomial_regret(n: int, K: int) -> float:
 
 
 def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
-    """Direct loops: G[i, j] = sum over rows of c·log2(c), c = row[j] - row[i], where c >= 2."""
+    """Direct loops: G[i, j] = sum over rows of c·log2(c), c = row[j] - row[i], where c >= 2.
+
+    The log2 is numpy's, as the library's is: ``math.log2`` is one ULP off
+    it at some integers, such as 1621 and 3242.
+    """
     n_bounds = P.shape[1]
     G = np.zeros((n_bounds, n_bounds))
     for row in P:
@@ -48,7 +52,7 @@ def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
             for j in range(i + 1, n_bounds):
                 c = row[j] - pi
                 if c >= 2.0:
-                    G[i, j] += c * math.log2(c)
+                    G[i, j] += c * np.log2(c)
     return G
 
 
@@ -82,23 +86,24 @@ def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:
     return float(best)
 
 
-def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_bits,
-                      K_other, other_cell_ids):
-    """``hist1d.solve_segmentation`` without its early stop and without
+def full_dp(boundaries, cell_idx, K_max, other_cell_ids):
+    """The cost matrix and the table of best prefix costs of
+    ``hist1d.solve_segmentation`` without its early stop and without
     dropping boundaries inside empty runs: every interval count up to
     min(K_max, B) gets a full DP round over all (B+1)² cells.
 
-    Returns (cut indices, total bits).  The segment sums come from the
-    library kernel, which ``xlogx_segment_sums`` checks on its own.
+    ``F[m - 1, j]`` is the best data cost of m segments over [b_0, b_j).
+    The segment sums come from the library kernel, which
+    ``xlogx_segment_sums`` checks on its own.
     """
     B = len(boundaries) - 1
     m_cap = min(K_max, B)
     n_other = int(other_cell_ids.max(initial=0)) + 1
     counts = np.bincount(other_cell_ids * B + cell_idx,
                          minlength=n_other * B).reshape(n_other, B)
-    P = np.zeros((n_other, B + 1))
+    P = np.zeros((n_other, B + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=P[:, 1:])
-    G = _xlogx_segment_sums(P[P[:, -1] >= 2.0])
+    G = _xlogx_segment_sums(P[P[:, -1] >= 2])
 
     width = boundaries[None, :] - boundaries[:, None]
     segment = width > 0
@@ -111,7 +116,16 @@ def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_
     F[0] = cost[0]
     for m in range(2, m_cap + 1):
         np.min(F[m - 2, m - 1:, None] + cost[m - 1:], axis=0, out=F[m - 1])
-    m = np.arange(1, m_cap + 1)
+    return cost, F
+
+
+def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_bits,
+                      K_other, other_cell_ids):
+    """``hist1d.solve_segmentation`` over :func:`full_dp`: every count's
+    total, and the cuts of the least.  Returns (cut indices, total bits)."""
+    cost, F = full_dp(boundaries, cell_idx, K_max, other_cell_ids)
+    B = len(boundaries) - 1
+    m = np.arange(1, len(F) + 1)
     totals = (F[:, B] + fixed_bits
               + log_regret(n_total, (n_singletons + m) * K_other)
               + model_cost(B - 1, m - 1))

@@ -116,6 +116,22 @@ class TestEstimate:
         assert code == 2
         assert "duplicate column names ['A']" in err
 
+    @pytest.mark.parametrize("header, name", [("A,,B", "''"), ('A,"a,b",B', "'a,b'"),
+                                              ("A,c|d,B", "'c|d'")],
+                             ids=["empty", "comma", "bar"])
+    def test_name_the_command_line_cannot_address_is_data_error(self, tmp_path, capsys,
+                                                                header, name):
+        # discover would report a node '', --x "a,b" selects columns a and b,
+        # and separating-set keys "A|c|d" read two ways
+        rng = np.random.default_rng(0)
+        p = tmp_path / "names.csv"
+        p.write_text(header + "\n" + "".join(f"{a},{b},{c}\n"
+                                            for a, b, c in rng.normal(size=(40, 3)).tolist()))
+        code, out, err = run(["discover", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"column 2 is named {name}" in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1.7976931348623157e308", "-1.7976931348623157e308"])
     def test_single_max_float_value_gives_a_finite_estimate(self, tmp_path, capsys, value):

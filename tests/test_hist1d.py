@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from histcmi import FitConfig, InputError
+from histcmi import FitConfig, InputError, hist1d
 from histcmi.complexity import total_score
 from histcmi.data_model import (
     BinSet,
@@ -14,6 +14,7 @@ from histcmi.data_model import (
     detect_discrete_points,
 )
 from histcmi.hist1d import (
+    _dual_bound,
     _xlogx_segment_sums,
     bin_budget,
     candidate_cuts,
@@ -23,7 +24,13 @@ from histcmi.hist1d import (
 )
 from histcmi.histmd import optimal_histogram_1d, start_column
 
-from oracles import exhaustive_best_total, full_segmentation, grid_start, xlogx_segment_sums
+from oracles import (
+    exhaustive_best_total,
+    full_dp,
+    full_segmentation,
+    grid_start,
+    xlogx_segment_sums,
+)
 
 
 def _total_of(col, binset):
@@ -48,8 +55,8 @@ class TestBinBudget:
 
 
 def _prefix_rows(counts):
-    counts = np.asarray(counts, dtype=np.float64).reshape(len(counts), -1)
-    P = np.zeros((counts.shape[0], counts.shape[1] + 1))
+    counts = np.asarray(counts, dtype=np.int64).reshape(len(counts), -1)
+    P = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=P[:, 1:])
     return P
 
@@ -77,6 +84,23 @@ class TestSegmentSums:
         assert G[0, B] == pytest.approx(2 + 2 + 35 * math.log2(35) + 9 * math.log2(9))
         for no_mass in (P[:2], P[:0]):
             assert np.array_equal(_xlogx_segment_sums(no_mass), np.zeros((B + 1, B + 1)))
+
+    def test_matches_brute_force_at_row_totals_in_the_thousands(self):
+        # network-sized cells: the table reaches c = 1621, 3242, ..., where
+        # math.log2 is one ULP off numpy's
+        rng = np.random.default_rng(17)
+        tops = []
+        for _ in range(12):
+            B = int(rng.integers(2, 30))
+            rate = float(rng.choice([40.0, 150.0, 400.0]))
+            P = _prefix_rows(rng.poisson(rate, size=(int(rng.integers(1, 4)), B)))
+            assert np.array_equal(_xlogx_segment_sums(P), xlogx_segment_sums(P))
+            tops.append(int(P[:, -1].max()))
+        assert max(tops) > 3242
+        P = _prefix_rows([[1000, 621, 0, 1621]])
+        G = _xlogx_segment_sums(P)
+        assert G[0, 2].hex() == (1621 * np.log2(1621.0)).hex()
+        assert np.array_equal(G, xlogx_segment_sums(P))
 
 
 def _random_segmentation(rng):
@@ -164,9 +188,11 @@ class TestPricing:
                 first.costs, segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"]),
                 again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
             if res is None:
-                # the fresh solve ran a round, or chose a count, the first did not
+                # the fresh solve ran a round, or chose a count, the first did
+                # not, or stopped on a dual line the first solve's costs lack
                 assert (len(fresh.costs.ends) > len(first.costs.ends)
-                        or len(fresh.cut_indices) != len(first.costs.cuts))
+                        or len(fresh.cut_indices) != len(first.costs.cuts)
+                        or not _rows(fresh.costs.lines) <= _rows(first.costs.lines))
                 short += 1
                 continue
             assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
@@ -174,6 +200,94 @@ class TestPricing:
             assert res.ops == 0
             priced += 1
         assert priced > 300 and short > 50
+
+    def test_costs_priced_under_their_own_key_always_price(self):
+        # a memo key fixes the rows, the other cells, n_singletons and
+        # K_other, so only fixed_bits moves: the kept rounds and dual lines
+        # stop the pricing where the fresh solve stopped
+        rng = np.random.default_rng(14)
+        with_dual = 0
+        for _ in range(1000):
+            kw = _random_segmentation(rng)
+            first = _solve(**kw)
+            again = dict(kw, fixed_bits=float(rng.normal(0.0, 2000.0)))
+            fresh = _solve(**again)
+            res = price_segmentation(
+                first.costs, segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"]),
+                again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
+            assert res is not None
+            assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
+            assert res.total_bits.hex() == fresh.total_bits.hex()
+            with_dual += len(first.costs.lines) > 1
+        assert with_dual > 300
+
+
+def _rows(lines):
+    return {tuple(row) for row in lines.tolist()}
+
+
+class TestDualBound:
+    """Dual lines against the full DP's best data cost of every count."""
+
+    @staticmethod
+    def _assert_below(lam, v, F_end):
+        m = np.arange(1, len(F_end) + 1)
+        tol = 1e-9 * np.maximum(1.0, np.abs(F_end))
+        assert np.all(v - lam * m <= F_end + tol)
+
+    def test_any_slope_and_round_bounds_every_count(self):
+        rng = np.random.default_rng(31)
+        tight = 0
+        for _ in range(300):
+            kw = _random_segmentation(rng)
+            cost, F = full_dp(kw["boundaries"], kw["cell_idx"], kw["K_max"],
+                              kw["other_cell_ids"])
+            F_end = F[:, -1]
+            scale = float(np.abs(np.diff(F_end)).max(initial=1.0))
+            for _ in range(4):
+                t = int(rng.integers(1, len(F) + 1))
+                lam = float(rng.choice([0.0, -1.0, 1.0])) * scale * float(rng.exponential())
+                v = _dual_bound(F, cost, t, lam)
+                self._assert_below(lam, v, F_end)
+                # with no excess, the line runs through E(B)
+                tight += v == pytest.approx(min(F_end[:t] + lam * np.arange(1, t + 1)))
+        assert tight > 300
+
+    def test_lines_a_solve_keeps_bound_its_kept_grid(self):
+        rng = np.random.default_rng(32)
+        lines = 0
+        for _ in range(400):
+            kw = _sparse_segmentation(rng) if rng.random() < 0.5 else _random_segmentation(rng)
+            table = segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"])
+            res = _solve(**kw)
+            _, F = full_dp(kw["boundaries"][table.pos], table.cell_idx, kw["K_max"],
+                           kw["other_cell_ids"])
+            for lam, v in res.costs.lines.tolist():
+                self._assert_below(lam, v, F[:, -1])
+            lines += len(res.costs.lines) - 1
+        assert lines > 100
+
+    def test_dual_stops_a_network_sized_solve_early(self, monkeypatch):
+        # 10,000 rows over 150 cells, 40 other cells: the floor lies far
+        # below every count's data cost, so only the dual stops near m*
+        rng = np.random.default_rng(8)
+        n, B, n_other = 10_000, 150, 40
+        other = rng.integers(0, n_other, size=n)
+        x = rng.normal(other % 5, 1.0 + other % 3)
+        boundaries = np.linspace(x.min(), x.max(), B + 1)
+        cell_idx = np.clip(np.searchsorted(boundaries, x, side="right") - 1, 0, B - 1)
+        kw = dict(n_total=n, boundaries=boundaries, cell_idx=cell_idx, K_max=47,
+                  n_singletons=0, fixed_bits=n * math.log2(n), K_other=n_other,
+                  other_cell_ids=other)
+        res = _solve(**kw)
+        cuts, total = full_segmentation(**kw)
+        assert res.cut_indices.tolist() == cuts.tolist()
+        assert res.total_bits.hex() == total.hex()
+        monkeypatch.setattr(hist1d, "_DUAL_TRIES", 0)
+        floor_only = _solve(**kw)
+        assert floor_only.total_bits.hex() == total.hex()
+        assert len(res.costs.lines) > 1
+        assert len(res.costs.ends) < len(floor_only.costs.ends)
 
 
 def _sparse_segmentation(rng):

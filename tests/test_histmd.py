@@ -356,7 +356,7 @@ class TestRecutMemo:
         first = refine_dimension(0, _memo_state([x, y], binsets))
         assert len(first.binset.cuts) >= 1  # the pricing reads round 2 at least
         [(key, (pair_bits, costs))] = x.recuts.items()
-        x.recuts[key] = (pair_bits, SegmentCosts(costs.floor, costs.ends[:1], costs.cuts))
+        x.recuts[key] = (pair_bits, SegmentCosts(costs.lines, costs.ends[:1], costs.cuts))
         solves = []
         real = histmd.solve_segmentation
 
