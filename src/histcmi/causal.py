@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, require_integer
 
 
 @dataclass
@@ -37,8 +37,10 @@ def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skelet
         raise InputError("need at least two variables")
     if len(set(names)) != len(names):
         raise InputError("variable names must be unique")
-    if max_level is not None and max_level < 0:
-        raise InputError(f"max_level must be >= 0, got {max_level}")
+    if max_level is not None:
+        require_integer("max_level", max_level)
+        if max_level < 0:
+            raise InputError(f"max_level must be >= 0, got {max_level}")
     nodes = tuple(sorted(names))
 
     adj: dict[str, set[str]] = {a: set(nodes) - {a} for a in nodes}

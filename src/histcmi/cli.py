@@ -228,7 +228,7 @@ class CiTestCounters:
     starts: int = 0  # column starts built
     fits: int = 0  # joint fits made
     fit_hits: int = 0  # tests answered by a fit made for an earlier test
-    recut_hits: int = 0  # re-cuts priced from a start's memo instead of solved
+    recut_hits: int = 0  # re-cuts taken from a start's memo instead of solved
 
 
 def make_ci_test(config: FitConfig, method: str, alpha: float):
@@ -239,7 +239,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     (a, b | cond) split of it.  It prepares each column once per search, by
     name, for every fit it enters, and the column's start keeps the re-cuts
     its fits solved (``ColumnStart.recuts``), so a later fit that meets the
-    same other cells prices them instead of solving again.  Both caches
+    same other cells reuses them instead of solving again.  Both caches
     belong to one dataset, held by reference and matched by identity.  Fits
     belong to one set size too: PC-stable tests the sets of one size at one
     level only, so a new dataset or a new size clears them.  Column starts

@@ -24,6 +24,8 @@ RNG_NAME = "pcg64-v1"
 
 def replicate_seed(base_seed: int, index: int) -> int:
     """Deterministic per-replicate seed: first word of SeedSequence((base, index))."""
+    require_integer("base_seed", base_seed)
+    require_integer("index", index)
     if base_seed < 0 or index < 0:
         raise InputError(f"replicate seeds need base and index >= 0, got ({base_seed}, {index})")
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1, np.uint64)[0])

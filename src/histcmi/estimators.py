@@ -22,7 +22,7 @@ import numpy as np
 
 from .complexity import neg_log_likelihood
 from .data_model import Grid, cell_ids, detect_discrete_points, unique_ids
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, require_integer
 from .histmd import ColumnStart, FitConfig, FitResult, greedy_fit, start_column
 
 _CANCELLATION_TOL = 1e-9
@@ -36,6 +36,8 @@ class VariableGroup:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        for d in self.dims:
+            require_integer(f"group {self.name!r} dimension", d)
         if len(set(self.dims)) != len(self.dims):
             raise InputError(f"group {self.name!r} repeats a dimension")
 

@@ -13,7 +13,7 @@ The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
 is the case with no other dimension (``histmd.optimal_histogram_1d``).  The
 code length of a re-cut splits into what its cuts change and one constant,
-``fixed_bits``, which the caller sums once: a segment of width w holding n
+``fixed_bits``, which the solve leaves out and the caller adds: a segment of width w holding n
 rows costs ``-G + n·log2 w``, its conditional histogram cost, where G sums
 c·log2 c over the segment's row counts c per other cell, and a count of m
 intervals adds its regret and model cost.  G comes from one numpy kernel,
@@ -48,16 +48,9 @@ so they form one :class:`SegmentTable` per column, which every re-cut of
 that column reuses: a re-cut computes only G and the regret, which depend
 on the other dimensions' cells.
 
-A solve is a cost part and a pricing part.  The cost part, in
-:func:`solve_segmentation`, takes the prefix counts, the kernel, the cost
-matrix, its floor, the DP rounds, the dual lines and the walk-back from the
-rows; what it keeps of them, a :class:`SegmentCosts`, does not depend on
-``fixed_bits``, the singleton count or the other cells' count ``K_other``.
-The pricing part adds those, applies the stop rule and picks the count.  A
-caller that meets the same rows and other cells again prices the kept
-rounds and lines with :func:`price_segmentation` instead of solving again;
-both go through one pricing routine, so each total is the same float sum
-either way.
+So a solve's result depends only on its rows, their other cells, the
+singleton count and ``K_other``, and a caller that meets them again can
+keep the result and add its own ``fixed_bits``.
 """
 
 from __future__ import annotations
@@ -195,32 +188,14 @@ def segment_table(boundaries: np.ndarray, cell_idx: np.ndarray, K_max: int) -> S
 _DUAL_TRIES = 2
 
 
-@dataclass(slots=True)
-class SegmentCosts:
-    """What a solve took from its rows, kept so it can be priced again.
-
-    ``lines`` holds lower bounds on the best data cost F_m of m segments,
-    one row (λ, v) each, meaning F_m >= v - λ·m for every count m: row 0 is
-    the data cost of all unit cells (λ = 0), and any further row a dual
-    bound the solve computed.  ``ends[m - 1]`` is F_m for every round the
-    solve computed, one float64 array as ``lines`` is, and ``cuts`` the
-    cuts walked back for the count the solve chose, ``len(cuts) + 1``.
-    None of it depends on ``fixed_bits``, ``n_singletons`` or ``K_other``,
-    which enter only the pricing.  A caller may keep many, so it holds few
-    objects.
-    """
-
-    lines: np.ndarray
-    ends: np.ndarray
-    cuts: np.ndarray
-
-
 @dataclass(frozen=True)
 class SegmentationResult:
     cut_indices: np.ndarray  # chosen interior boundary indices, ascending
-    total_bits: float
+    # the chosen count's data cost + regret + model cost: the total code
+    # length less the caller's fixed_bits
+    cut_bits: float
     ops: int  # active other cells × kept boundaries², the segment costs' work
-    costs: SegmentCosts
+    rounds: int  # DP rounds computed, one per interval count from m = 1
 
 
 def _stop_bounds(lines, pen: np.ndarray) -> list:
@@ -231,66 +206,6 @@ def _stop_bounds(lines, pen: np.ndarray) -> list:
     m = np.arange(1, len(pen) + 1)
     lower = np.max(lines[:, 1:] - lines[:, :1] * m, axis=0) + pen
     return np.minimum.accumulate(lower[::-1])[::-1].tolist()
-
-
-def _price(lines, ends, next_end, dual, table: SegmentTable, n_total: int,
-           n_singletons: int, fixed_bits: float, K_other: int):
-    """The count m whose total ``ends[m - 1] + fixed_bits + regret + model
-    cost`` is smallest, and that total, or None when the rounds go past
-    ``ends`` and ``next_end`` is None.  ``next_end(m)`` computes round m's
-    end, which is appended to the list ``ends``, and ``dual(t, λ)`` the
-    value v of a line (λ, v) from rounds 1..t, which is appended to the
-    list ``lines``.
-
-    Every line (λ, v) bounds each count's best data cost F_m from below by
-    v - λ·m (see :class:`SegmentCosts`), so no count from m on totals less
-    than the least, over m' >= m, of the highest line at m' plus the
-    penalty of m': once that bound passes the best total so far, no later
-    count can win.  Splitting a segment never raises its data cost
-    (log-sum inequality), so the data cost of all unit cells is such a line
-    of slope 0.  That floor is weak when the penalty grows slowly, so after
-    a round t that does not improve the best total, a solve may ask for a
-    dual line.  Its slope λ is the least penalty slope past t: the estimate
-    below falls as λ grows, so that slope maximizes it.  It is asked for
-    only when the lines so far do not stop the rounds and the line through
-    ``min over m <= t of ends[m - 1] + λ·m``, which no dual line of slope λ
-    from rounds 1..t exceeds, would.  At most ``_DUAL_TRIES`` are asked
-    for.  Among totals that are equal as floats the fewest bins win.
-    """
-    m_cap = min(len(table.mcost), len(table.pos) - 1)  # m nonempty segments need m kept cells
-    m = np.arange(1, m_cap + 1)
-    regret = log_regret(n_total, (n_singletons + m) * K_other)
-    mcost = table.mcost[:m_cap]
-    fixed_bits = float(fixed_bits)
-    pen = fixed_bits + regret + mcost
-    bound = _stop_bounds(lines, pen)
-    floor = float(lines[0][1])
-    # Python floats add as float64 scalars do, only faster; summed in this
-    # order, each total is bit-identical to the full DP's
-    regret, mcost = regret.tolist(), mcost.tolist()
-    best, m_star = ends[0] + fixed_bits + regret[0] + mcost[0], 1
-    tries = 0
-    for m in range(2, m_cap + 1):
-        # far above the rounding in F, the floor, the dual lines and the
-        # totals, so a tie at the level of one ULP never decides the stop
-        tol = 1e-9 * max(1.0, abs(best), abs(fixed_bits), abs(floor))
-        if bound[m - 1] > best + tol:
-            break
-        if m > len(ends):
-            if next_end is None:
-                return None
-            ends.append(next_end(m))
-        total = ends[m - 1] + fixed_bits + regret[m - 1] + mcost[m - 1]
-        if total < best:  # strictly: the fewest bins win ties
-            best, m_star = total, m
-        elif dual is not None and tries < _DUAL_TRIES and m < m_cap and bound[m] <= best + tol:
-            lam = float(np.min(np.diff(pen[m - 1:])))
-            top = min(ends[k - 1] + lam * k for k in range(1, m + 1))
-            if _stop_bounds(lines + [(lam, top)], pen)[m] > best + tol:
-                tries += 1
-                lines.append((lam, dual(m, lam)))
-                bound = _stop_bounds(lines, pen)
-    return best, m_star
 
 
 def _dual_bound(F: np.ndarray, cost: np.ndarray, t: int, lam: float) -> float:
@@ -322,29 +237,39 @@ def solve_segmentation(
     table: SegmentTable,
     K_max: int,
     n_singletons: int,
-    fixed_bits: float,
     K_other: int,
     other_cell_ids: np.ndarray,
 ) -> SegmentationResult:
-    """Pick interval cuts minimizing the full joint code length.
+    """Pick interval cuts minimizing the joint code length.
 
     ``table`` is ``segment_table(boundaries, cell_idx, K_max)`` of the
     continuous rows of the dimension being cut, and ``other_cell_ids`` the
     fixed joint cell of all remaining dimensions for those same rows, as
-    small nonnegative ids (an unused id is an empty cell).  ``fixed_bits``
-    is every part of the code length that no cut can change: ``n·log2 n``,
-    the ``-c·log2 c`` of the rows in this dimension's singleton bins, and
-    the other dimensions' log2 volumes and model costs.  A segment [b_i,
-    b_j) then costs ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its
-    width, and a count of m intervals adds its regret and model cost.  Only
-    G and the regret depend on the other dimensions; the rest is the
-    table's, and the kernel and the DP run over its kept boundaries.
+    small nonnegative ids (an unused id is an empty cell).  A segment [b_i,
+    b_j) costs ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its
+    width, and a count of m intervals adds its regret and model cost; the
+    result's ``cut_bits`` is the least such sum.  The code length that no
+    cut can change, ``fixed_bits`` (``n·log2 n``, the ``-c·log2 c`` of the
+    rows in this dimension's singleton bins, and the other dimensions'
+    log2 volumes and model costs), is left to the caller: a constant added
+    to every count's total cannot change which count wins.  Only G and the
+    regret depend on the other dimensions; the rest is the table's, and
+    the kernel and the DP run over its kept boundaries.
 
-    The rounds over interval counts and the dual lines are computed as
-    :func:`_price` asks for them, and the chosen count's cuts are walked
-    back from one table of best prefix costs; the result's ``costs`` holds
-    what :func:`price_segmentation` needs to price them again.  Among
-    equal-cost predecessors the leftmost split wins.  A tie below double
+    Round m computes F_m, the best data cost of m segments, for m = 1, 2,
+    ... until the lines stop the rounds (see the module docstring).
+    Splitting a segment never raises its data cost (log-sum inequality), so
+    the data cost of all unit cells is a line of slope 0.  That floor is
+    weak when the penalty grows slowly, so after a round t that does not
+    improve the best total, the solve may compute a dual line.  Its slope λ
+    is the least penalty slope past t: the estimate below falls as λ grows,
+    so that slope maximizes it.  It is computed only when the lines so far
+    do not stop the rounds and the line through ``min over m <= t of F_m +
+    λ·m``, which no dual line of slope λ from rounds 1..t exceeds, would.
+
+    The chosen count's cuts are walked back from one table of best prefix
+    costs.  Among totals that are equal as floats the fewest bins win, and
+    among equal-cost predecessors the leftmost split.  A tie below double
     precision is decided by rounding: two mirrored segmentations with equal
     counts on a ``linspace`` grid can cost a few ULPs apart, and then the
     cheaper float wins, whichever side it is on.
@@ -371,18 +296,43 @@ def solve_segmentation(
 
     # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments, inf
     # where m nonempty segments cannot end at b_j (j < m) and for the counts
-    # the stop skips.  Only splits i >= m - 1 can end m - 1 nonempty segments.
-    F = np.full((min(len(table.mcost), kept), kept + 1), np.inf)
+    # the stop skips.  Only splits i >= m - 1 can end m - 1 nonempty segments,
+    # and m nonempty segments need m kept cells.
+    m_cap = min(len(table.mcost), kept)
+    F = np.full((m_cap, kept + 1), np.inf)
     F[0] = cost[0]
 
-    def next_end(m):  # the ufunc itself, without np.min's per-call wrapper
+    regret = log_regret(n_total, (n_singletons + np.arange(1, m_cap + 1)) * K_other)
+    mcost = table.mcost[:m_cap]
+    pen = regret + mcost
+    floor = float(np.trace(cost, offset=1))
+    lines, ends = [(0.0, floor)], [float(F[0, kept])]
+    bound = _stop_bounds(lines, pen)
+    # Python floats add as float64 scalars do, only faster; summed in this
+    # order, each total is bit-identical to the full DP's
+    regret, mcost = regret.tolist(), mcost.tolist()
+    best, m_star = ends[0] + regret[0] + mcost[0], 1
+    tries = 0
+    for m in range(2, m_cap + 1):
+        # far above the rounding in F, the floor, the dual lines and the
+        # totals, so a tie at the level of one ULP never decides the stop
+        tol = 1e-9 * max(1.0, abs(best), abs(floor))
+        if bound[m - 1] > best + tol:
+            break
+        # the ufunc itself, without np.min's per-call wrapper
         np.minimum.reduce(F[m - 2, m - 1:kept, None] + cost[m - 1:kept, m:], axis=0,
                           out=F[m - 1, m:])
-        return float(F[m - 1, kept])
-
-    lines, ends = [(0.0, float(np.trace(cost, offset=1)))], [float(F[0, kept])]
-    best, m_star = _price(lines, ends, next_end, lambda t, lam: _dual_bound(F, cost, t, lam),
-                          table, n_total, n_singletons, fixed_bits, K_other)
+        ends.append(float(F[m - 1, kept]))
+        total = ends[m - 1] + regret[m - 1] + mcost[m - 1]
+        if total < best:  # strictly: the fewest bins win ties
+            best, m_star = total, m
+        elif tries < _DUAL_TRIES and m < m_cap and bound[m] <= best + tol:
+            lam = float(np.min(np.diff(pen[m - 1:])))
+            top = min(ends[k - 1] + lam * k for k in range(1, m + 1))
+            if _stop_bounds(lines + [(lam, top)], pen)[m] > best + tol:
+                tries += 1
+                lines.append((lam, _dual_bound(F, cost, m, lam)))
+                bound = _stop_bounds(lines, pen)
 
     # from b_kept back: the leftmost best split over the sums each round minimized
     cuts = []
@@ -391,22 +341,6 @@ def solve_segmentation(
         j = m - 1 + int(np.argmin(F[m - 2, m - 1:] + cost[m - 1:, j]))
         cuts.append(j)
     cut_indices = table.pos[cuts[::-1]].astype(np.int64)
-    cut_indices.setflags(write=False)
-    return SegmentationResult(cut_indices=cut_indices, total_bits=float(best), ops=ops,
-                              costs=SegmentCosts(np.array(lines), np.array(ends), cut_indices))
-
-
-def price_segmentation(costs: SegmentCosts, table: SegmentTable, n_total: int,
-                       n_singletons: int, fixed_bits: float,
-                       K_other: int) -> SegmentationResult | None:
-    """The solve that ``costs`` came from, over the same ``table`` and other
-    cells, priced for this ``fixed_bits``, ``n_singletons`` and ``K_other``:
-    the same cuts and the same total, bit for bit, as solving it afresh, at
-    0 ops.  None when that solve would need a round ``costs`` does not
-    hold, or would choose another count than ``costs`` did."""
-    priced = _price(costs.lines, costs.ends, None, None, table, n_total, n_singletons,
-                    fixed_bits, K_other)
-    if priced is None or priced[1] != len(costs.cuts) + 1:
-        return None
-    return SegmentationResult(cut_indices=costs.cuts, total_bits=float(priced[0]), ops=0,
-                              costs=costs)
+    cut_indices.setflags(write=False)  # a caller's memo may hand it out again
+    return SegmentationResult(cut_indices=cut_indices, cut_bits=best, ops=ops,
+                              rounds=len(ends))

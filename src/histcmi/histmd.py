@@ -25,10 +25,10 @@ first re-cut of a one-column fit of its start.
 A re-cut's cuts depend only on its column's start and on the other
 dimensions' cells over its rows, and those cells only on each other
 dimension with more than one bin: its start and its cuts.  So the start's
-memo keeps each solve's costs (:class:`hist1d.SegmentCosts`) under that
-key, and a re-cut that meets the key again, in this fit or in any other fit
-that shares the start, prices them with its own ``fixed_bits`` and
-``K_other`` instead of building the cells and solving again.
+memo keeps each solve's result (:class:`hist1d.SegmentationResult`, which
+leaves ``fixed_bits`` out) under that key, and a re-cut that meets the key
+again, in this fit or in any other fit that shares the start, adds its own
+``fixed_bits`` to it instead of building the cells and solving again.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .hist1d import (
     SegmentTable,
     bin_budget,
     candidate_cuts,
-    price_segmentation,
     segment_table,
     solve_segmentation,
 )
@@ -113,7 +112,7 @@ class FitTrace:
     init_score: float
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
-    recut_hits: int = 0  # re-cuts priced from a start's memo, not solved
+    recut_hits: int = 0  # re-cuts taken from a start's memo, not solved
 
     @property
     def final_score(self) -> float:
@@ -159,9 +158,9 @@ class ColumnStart:
     as the start.  It maps a key, each other dimension with more than one
     bin as (its start's ``serial``, its cuts), to the singleton-pair
     ``Σ c·log2 c`` of ``fixed_bits`` and the solve's
-    :class:`hist1d.SegmentCosts`.  A serial is an integer no other start of
-    the process gets, so a key never matches a dimension it was not built
-    from.
+    :class:`hist1d.SegmentationResult`.  A serial is an integer no other
+    start of the process gets, so a key never matches a dimension it was
+    not built from.
     """
 
     column: MixedColumn
@@ -229,7 +228,7 @@ class FitState:
     ``recuts`` memo are fixed for the fit.  Per dimension: its bin set over
     its start's grid, its column of the (n, k) int64 label matrix and its
     :func:`_dim_bits`, computed here and replaced together by
-    :meth:`accept`.  ``recut_hits`` counts the re-cuts priced from a memo.
+    :meth:`accept`.  ``recut_hits`` counts the re-cuts taken from a memo.
     """
 
     starts: list[ColumnStart]
@@ -257,54 +256,48 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
 
     A dimension without a candidate cut comes back unchanged at +inf bits:
     the minimum over an empty set of re-cuts.  A re-cut whose key is in
-    dimension j's memo is priced from it at 0 ops, unless it needs a round
-    the memo lacks or chooses another count; then it is solved, and the
-    memo keeps the new solve.
+    dimension j's memo takes the solve kept there, at 0 ops; any other is
+    solved, and the memo keeps the solve.
     """
     start, binset, labels = state.starts[j], state.binsets[j], state.labels
     n = len(labels)
     if binset.n_candidates == 0:
         return RefineResult(binset, math.inf, 0)
 
-    # what no cut can change: n·log2 n, the rows in this dimension's
-    # singleton bins, and the other dimensions' log2 volumes and model costs
     others = [d for d in range(len(state.binsets)) if d != j]
     radices = [state.binsets[d].n_bins for d in others]
-    other_bits = sum(state.dim_bits[d] for d in others)
-    K_other = math.prod(radices)
-
     # a one-bin dimension adds nothing to the other cells' ids
     key = tuple((state.starts[d].serial, tuple(state.binsets[d].cuts.tolist()))
                 for d, radix in zip(others, radices) if radix > 1)
-    memo = start.recuts
-    if key in memo:
-        pair_bits, costs = memo[key]
-        res = price_segmentation(costs, start.table, n, binset.n_singletons,
-                                 n * math.log2(n) - pair_bits + other_bits, K_other)
-        if res is not None:
-            state.recut_hits += 1
-            return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, 0)
+    hit = start.recuts.get(key)
+    if hit is not None:
+        state.recut_hits += 1
+        pair_bits, res = hit
+        ops = 0
+    else:
+        # the other dimensions' cells over all rows, as compact ids
+        cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
+        disc = start.column.discrete_mask
+        pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
+                        [binset.n_bins, len(cells)])
+        c = unique_ids(pair)[2].astype(np.float64)
+        pair_bits = float(np.sum(c * np.log2(c)))
+        res = solve_segmentation(
+            n_total=n,
+            boundaries=binset.grid,
+            table=start.table,
+            K_max=start.K_max,
+            n_singletons=binset.n_singletons,
+            K_other=math.prod(radices),
+            other_cell_ids=other_ids[~disc],
+        )
+        start.recuts[key] = (pair_bits, res)
+        ops = res.ops
 
-    # the other dimensions' cells over all rows, as compact ids
-    cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
-    disc = start.column.discrete_mask
-    pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
-                    [binset.n_bins, len(cells)])
-    c = unique_ids(pair)[2].astype(np.float64)
-    pair_bits = float(np.sum(c * np.log2(c)))
-
-    res = solve_segmentation(
-        n_total=n,
-        boundaries=binset.grid,
-        table=start.table,
-        K_max=start.K_max,
-        n_singletons=binset.n_singletons,
-        fixed_bits=n * math.log2(n) - pair_bits + other_bits,
-        K_other=K_other,
-        other_cell_ids=other_ids[~disc],
-    )
-    memo[key] = (pair_bits, res.costs)
-    return RefineResult(replace(binset, cuts=res.cut_indices), res.total_bits, res.ops)
+    # what no cut can change: n·log2 n, the rows in this dimension's
+    # singleton bins, and the other dimensions' log2 volumes and model costs
+    fixed_bits = n * math.log2(n) - pair_bits + sum(state.dim_bits[d] for d in others)
+    return RefineResult(replace(binset, cuts=res.cut_indices), fixed_bits + res.cut_bits, ops)
 
 
 def optimal_histogram_1d(start: ColumnStart) -> BinSet:

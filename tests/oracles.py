@@ -119,14 +119,14 @@ def full_dp(boundaries, cell_idx, K_max, other_cell_ids):
     return cost, F
 
 
-def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, fixed_bits,
-                      K_other, other_cell_ids):
+def full_segmentation(n_total, boundaries, cell_idx, K_max, n_singletons, K_other,
+                      other_cell_ids):
     """``hist1d.solve_segmentation`` over :func:`full_dp`: every count's
-    total, and the cuts of the least.  Returns (cut indices, total bits)."""
+    total, and the cuts of the least.  Returns (cut indices, cut bits)."""
     cost, F = full_dp(boundaries, cell_idx, K_max, other_cell_ids)
     B = len(boundaries) - 1
     m = np.arange(1, len(F) + 1)
-    totals = (F[:, B] + fixed_bits
+    totals = (F[:, B]
               + log_regret(n_total, (n_singletons + m) * K_other)
               + model_cost(B - 1, m - 1))
     m_star = int(np.argmin(totals)) + 1

@@ -65,6 +65,20 @@ class TestPCStableMechanics:
         with pytest.raises(InputError, match="max_level"):
             pc_stable_skeleton(["A", "B", "C"], ci, max_level=-1)
 
+    @pytest.mark.parametrize("max_level", [1.5, True, "2", 0.0])
+    def test_max_level_that_is_not_an_integer_rejected(self, max_level):
+        def ci(*args):
+            raise AssertionError("no CI test may run")
+        with pytest.raises(InputError, match="max_level must be an integer"):
+            pc_stable_skeleton(["A", "B", "C"], ci, max_level=max_level)
+
+    def test_numpy_integer_max_level_accepted(self):
+        edges = [("A", "B"), ("B", "C")]
+        nodes = ["A", "B", "C"]
+        oracle = make_dsep_oracle(edges, nodes)
+        assert (pc_stable_skeleton(nodes, oracle, max_level=np.int64(0)).edges
+                == pc_stable_skeleton(nodes, oracle, max_level=0).edges)
+
     def test_needs_two_variables(self):
         with pytest.raises(InputError):
             pc_stable_skeleton(["A"], lambda *a: True)

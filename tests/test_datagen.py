@@ -69,6 +69,15 @@ class TestReproducibility:
         assert replicate_seed(5, 3) == replicate_seed(5, 3)
         assert replicate_seed(5, 3) != replicate_seed(5, 4)
 
+    @pytest.mark.parametrize("base,index", [(True, 0), (0, False), (1.5, 0), (0, 2.0),
+                                            ("3", 0), (0, "3")])
+    def test_replicate_seed_rejects_what_is_not_an_integer(self, base, index):
+        with pytest.raises(InputError, match="must be an integer"):
+            replicate_seed(base, index)
+
+    def test_replicate_seed_accepts_numpy_integers(self):
+        assert replicate_seed(np.int64(5), np.uint8(3)) == replicate_seed(5, 3)
+
     @pytest.mark.parametrize("base,index", [(-1, 0), (0, -1)])
     def test_replicate_seed_rejects_negative_base_or_index(self, base, index):
         with pytest.raises(InputError, match=">= 0"):

@@ -88,6 +88,18 @@ class TestVariableGroups:
         with pytest.raises(InputError):
             VariableGroup("X", (0, 0))
 
+    @pytest.mark.parametrize("dim", [True, False, 0.0, 1.5, "0"])
+    def test_dimension_that_is_not_an_integer_rejected(self, dim):
+        # True == 1 and 0.0 == 0 would pass the coverage check, then index badly
+        with pytest.raises(InputError, match="must be an integer"):
+            VariableGroup("X", (dim,))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        data = np.random.default_rng(0).normal(size=(60, 3))
+        dims = np.arange(3)
+        groups = [VariableGroup(name, (d,)) for name, d in zip("XYZ", dims)]
+        assert cmi_estimate(data, *groups).value == cmi_estimate(data, X, Y, Z).value
+
     def test_groups_must_cover_dataset(self):
         data = np.random.default_rng(0).normal(size=(50, 3))
         with pytest.raises(InputError):

@@ -18,7 +18,6 @@ from histcmi.hist1d import (
     _xlogx_segment_sums,
     bin_budget,
     candidate_cuts,
-    price_segmentation,
     segment_table,
     solve_segmentation,
 )
@@ -105,8 +104,8 @@ class TestSegmentSums:
 
 def _random_segmentation(rng):
     """Arguments of one random ``solve_segmentation`` call: equal-width or
-    irregular grid, flat, skewed or uniform counts over 1-4 other cells,
-    K_max in {1, B-1, B, B+3} and fixed_bits of either sign."""
+    irregular grid, flat, skewed or uniform counts over 1-4 other cells and
+    K_max in {1, B-1, B, B+3}."""
     B = int(rng.integers(1, 41))
     if rng.random() < 0.5:
         boundaries = np.linspace(-1.0, rng.uniform(0.1, 50.0), B + 1)
@@ -122,11 +121,11 @@ def _random_segmentation(rng):
         cell_idx = rng.integers(0, B, size=int(rng.integers(1, 400)))
     n_other = int(rng.integers(1, 5))
     n_singletons = int(rng.integers(0, 3))
-    return dict(n_total=cell_idx.size + n_singletons * int(rng.integers(0, 20)),
-                boundaries=boundaries, cell_idx=cell_idx,
-                K_max=int(rng.choice([1, max(1, B - 1), B, B + 3])),
-                n_singletons=n_singletons, fixed_bits=float(rng.normal(0.0, 2000.0)),
-                K_other=n_other + int(rng.integers(0, 3)),
+    n_total = cell_idx.size + n_singletons * int(rng.integers(0, 20))
+    K_max = int(rng.choice([1, max(1, B - 1), B, B + 3]))
+    rng.normal(0.0, 2000.0)  # unused: keeps the later cases' random streams
+    return dict(n_total=n_total, boundaries=boundaries, cell_idx=cell_idx, K_max=K_max,
+                n_singletons=n_singletons, K_other=n_other + int(rng.integers(0, 3)),
                 other_cell_ids=rng.integers(0, n_other, size=cell_idx.size))
 
 
@@ -144,7 +143,7 @@ class TestEarlyStop:
         res = _solve(**kw)
         cuts, total = full_segmentation(**kw)
         assert res.cut_indices.tolist() == cuts.tolist()
-        assert res.total_bits.hex() == total.hex()
+        assert res.cut_bits.hex() == total.hex()
         return len(cuts) + 1
 
     def test_matches_full_dp_on_random_instances(self):
@@ -159,71 +158,18 @@ class TestEarlyStop:
 
     def test_exact_ties_between_counts_stay_with_the_full_dp(self):
         # one row on B equal cells of width w: one interval and B intervals
-        # both cost log2(B·w) bits plus fixed_bits, so their floats differ
-        # only by rounding, and the stop must not be what decides between them
+        # both cost log2(B·w) bits, so their floats differ only by rounding,
+        # and the stop must not be what decides between them
         rng = np.random.default_rng(3)
         for _ in range(2000):
             B = int(rng.integers(2, 9))
             w = float(rng.uniform(0.01, 100.0))
+            cell = int(rng.integers(0, B))
+            rng.normal(0.0, 10.0)  # unused: keeps the later cases' random streams
             self._assert_same_as_full_dp(dict(
                 n_total=1, boundaries=np.linspace(0.0, B * w, B + 1),
-                cell_idx=np.array([int(rng.integers(0, B))]), K_max=B, n_singletons=0,
-                fixed_bits=float(rng.normal(0.0, 10.0)), K_other=1,
+                cell_idx=np.array([cell]), K_max=B, n_singletons=0, K_other=1,
                 other_cell_ids=np.array([0])))
-
-
-class TestPricing:
-    """A solve's kept costs priced again against a fresh solve, bit for bit."""
-
-    def test_priced_costs_match_a_fresh_solve(self):
-        rng = np.random.default_rng(13)
-        priced = short = 0
-        for _ in range(1000):
-            kw = _random_segmentation(rng)
-            first = _solve(**kw)
-            again = dict(kw, fixed_bits=float(rng.normal(0.0, 2000.0)),
-                         K_other=int(rng.integers(1, 7)))
-            fresh = _solve(**again)
-            res = price_segmentation(
-                first.costs, segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"]),
-                again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
-            if res is None:
-                # the fresh solve ran a round, or chose a count, the first did
-                # not, or stopped on a dual line the first solve's costs lack
-                assert (len(fresh.costs.ends) > len(first.costs.ends)
-                        or len(fresh.cut_indices) != len(first.costs.cuts)
-                        or not _rows(fresh.costs.lines) <= _rows(first.costs.lines))
-                short += 1
-                continue
-            assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
-            assert res.total_bits.hex() == fresh.total_bits.hex()
-            assert res.ops == 0
-            priced += 1
-        assert priced > 300 and short > 50
-
-    def test_costs_priced_under_their_own_key_always_price(self):
-        # a memo key fixes the rows, the other cells, n_singletons and
-        # K_other, so only fixed_bits moves: the kept rounds and dual lines
-        # stop the pricing where the fresh solve stopped
-        rng = np.random.default_rng(14)
-        with_dual = 0
-        for _ in range(1000):
-            kw = _random_segmentation(rng)
-            first = _solve(**kw)
-            again = dict(kw, fixed_bits=float(rng.normal(0.0, 2000.0)))
-            fresh = _solve(**again)
-            res = price_segmentation(
-                first.costs, segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"]),
-                again["n_total"], again["n_singletons"], again["fixed_bits"], again["K_other"])
-            assert res is not None
-            assert res.cut_indices.tolist() == fresh.cut_indices.tolist()
-            assert res.total_bits.hex() == fresh.total_bits.hex()
-            with_dual += len(first.costs.lines) > 1
-        assert with_dual > 300
-
-
-def _rows(lines):
-    return {tuple(row) for row in lines.tolist()}
 
 
 class TestDualBound:
@@ -253,19 +199,34 @@ class TestDualBound:
                 tight += v == pytest.approx(min(F_end[:t] + lam * np.arange(1, t + 1)))
         assert tight > 300
 
-    def test_lines_a_solve_keeps_bound_its_kept_grid(self):
+    @staticmethod
+    def _record_lines(monkeypatch):
+        """The (λ, v) of every dual line the solves compute from here on."""
+        lines = []
+        real = hist1d._dual_bound
+
+        def recording(F, cost, t, lam):
+            lines.append((lam, real(F, cost, t, lam)))
+            return lines[-1][1]
+        monkeypatch.setattr(hist1d, "_dual_bound", recording)
+        return lines
+
+    def test_lines_a_solve_computes_bound_its_kept_grid(self, monkeypatch):
         rng = np.random.default_rng(32)
-        lines = 0
+        lines = self._record_lines(monkeypatch)
+        n_lines = 0
         for _ in range(400):
             kw = _sparse_segmentation(rng) if rng.random() < 0.5 else _random_segmentation(rng)
             table = segment_table(kw["boundaries"], kw["cell_idx"], kw["K_max"])
-            res = _solve(**kw)
-            _, F = full_dp(kw["boundaries"][table.pos], table.cell_idx, kw["K_max"],
-                           kw["other_cell_ids"])
-            for lam, v in res.costs.lines.tolist():
+            lines.clear()
+            _solve(**kw)
+            cost, F = full_dp(kw["boundaries"][table.pos], table.cell_idx, kw["K_max"],
+                              kw["other_cell_ids"])
+            # the floor, the data cost of all unit cells, and the dual lines
+            for lam, v in [(0.0, float(np.trace(cost, offset=1)))] + lines:
                 self._assert_below(lam, v, F[:, -1])
-            lines += len(res.costs.lines) - 1
-        assert lines > 100
+            n_lines += len(lines)
+        assert n_lines > 100
 
     def test_dual_stops_a_network_sized_solve_early(self, monkeypatch):
         # 10,000 rows over 150 cells, 40 other cells: the floor lies far
@@ -277,17 +238,17 @@ class TestDualBound:
         boundaries = np.linspace(x.min(), x.max(), B + 1)
         cell_idx = np.clip(np.searchsorted(boundaries, x, side="right") - 1, 0, B - 1)
         kw = dict(n_total=n, boundaries=boundaries, cell_idx=cell_idx, K_max=47,
-                  n_singletons=0, fixed_bits=n * math.log2(n), K_other=n_other,
-                  other_cell_ids=other)
+                  n_singletons=0, K_other=n_other, other_cell_ids=other)
+        lines = self._record_lines(monkeypatch)
         res = _solve(**kw)
         cuts, total = full_segmentation(**kw)
         assert res.cut_indices.tolist() == cuts.tolist()
-        assert res.total_bits.hex() == total.hex()
+        assert res.cut_bits.hex() == total.hex()
         monkeypatch.setattr(hist1d, "_DUAL_TRIES", 0)
         floor_only = _solve(**kw)
-        assert floor_only.total_bits.hex() == total.hex()
-        assert len(res.costs.lines) > 1
-        assert len(res.costs.ends) < len(floor_only.costs.ends)
+        assert floor_only.cut_bits.hex() == total.hex()
+        assert len(lines) >= 1
+        assert (res.rounds, floor_only.rounds) == (15, 43)
 
 
 def _sparse_segmentation(rng):
@@ -313,10 +274,10 @@ def _sparse_segmentation(rng):
     n_other = int(rng.integers(1, 5))
     n_singletons = int(rng.integers(0, 3))
     K_max = B // 2 + 1 if rng.random() < 0.6 else int(rng.choice([B - 1, B, B + 3]))
-    return dict(n_total=cell_idx.size + n_singletons * int(rng.integers(0, 20)),
-                boundaries=boundaries, cell_idx=cell_idx, K_max=max(1, K_max),
-                n_singletons=n_singletons, fixed_bits=float(rng.normal(0.0, 2000.0)),
-                K_other=n_other + int(rng.integers(0, 3)),
+    n_total = cell_idx.size + n_singletons * int(rng.integers(0, 20))
+    rng.normal(0.0, 2000.0)  # unused: keeps the later cases' random streams
+    return dict(n_total=n_total, boundaries=boundaries, cell_idx=cell_idx, K_max=max(1, K_max),
+                n_singletons=n_singletons, K_other=n_other + int(rng.integers(0, 3)),
                 other_cell_ids=rng.integers(0, n_other, size=cell_idx.size))
 
 
@@ -337,7 +298,7 @@ class TestPruning:
             res = _solve(**kw)
             cuts, total = full_segmentation(**kw)
             assert res.cut_indices.tolist() == cuts.tolist()
-            assert res.total_bits.hex() == total.hex()
+            assert res.cut_bits.hex() == total.hex()
             B = len(kw["boundaries"]) - 1
             falls = 2 * (min(kw["K_max"], B) - 1) > B
             pruned[falls] += res.ops < _active_cells(kw) * (B + 1) ** 2
@@ -351,7 +312,7 @@ class TestPruning:
         # empty run, so 6 of the 11 boundaries stay
         kw = dict(n_total=40, boundaries=np.arange(11.0),
                   cell_idx=np.repeat([0, 1, 8, 9], 10), n_singletons=0,
-                  fixed_bits=0.0, K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
+                  K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
         assert _solve(**kw, K_max=3).ops == 6 ** 2
         # at K_max = B the model cost falls past m = 6, and every boundary stays
         assert _solve(**kw, K_max=10).ops == 11 ** 2
@@ -376,8 +337,8 @@ class TestSegmentTable:
                                   assign_labels(col, bs)[~col.discrete_mask])
 
     def test_table_of_another_grid_or_budget_rejected(self):
-        kw = dict(n_total=40, boundaries=np.arange(11.0), n_singletons=0, fixed_bits=0.0,
-                  K_other=1, other_cell_ids=np.zeros(40, dtype=np.int64))
+        kw = dict(n_total=40, boundaries=np.arange(11.0), n_singletons=0, K_other=1,
+                  other_cell_ids=np.zeros(40, dtype=np.int64))
         cell_idx = np.repeat([0, 1, 7, 8], 10)
         for boundaries, K_max in ((np.arange(10.0), 3), (np.arange(11.0), 4)):
             with pytest.raises(InputError, match="another grid or K_max"):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from histcmi import FitConfig, InputError, histmd
+from histcmi.causal import pc_stable_skeleton
+from histcmi.cli import make_ci_test
 from histcmi.complexity import total_score
 from histcmi.data_model import BinSet, assign_labels, build_grid, detect_discrete_points
-from histcmi.hist1d import SegmentCosts, candidate_cuts
+from histcmi.datagen import ScenarioSpec, generate, replicate_seed
+from histcmi.hist1d import candidate_cuts
 from histcmi.histmd import (
     greedy_fit,
     init_discretization,
@@ -350,28 +353,27 @@ class TestRecutMemo:
         refine_dimension(0, third)
         assert third.recut_hits == 0 and len(x.recuts) == 2
 
-    def test_hit_that_needs_an_uncached_round_solves_it(self, monkeypatch):
-        x, y, _, _ = self._starts()
-        binsets = [x.binset, replace(y.binset, cuts=np.array([40, 80]))]
-        first = refine_dimension(0, _memo_state([x, y], binsets))
-        assert len(first.binset.cuts) >= 1  # the pricing reads round 2 at least
-        [(key, (pair_bits, costs))] = x.recuts.items()
-        x.recuts[key] = (pair_bits, SegmentCosts(costs.lines, costs.ends[:1], costs.cuts))
-        solves = []
-        real = histmd.solve_segmentation
+    def test_every_hit_of_a_network_search_equals_a_fresh_solve(self, monkeypatch):
+        # the seeded network skeleton at n=2000: each re-cut taken from a
+        # memo against the same re-cut solved with empty memos, bit for bit
+        ds = generate(ScenarioSpec("network", 2000, replicate_seed(0, 0)))
+        real = histmd.refine_dimension
+        hits = []
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(histmd, "solve_segmentation", counted)
-        state = _memo_state([x, y], binsets)
-        again = refine_dimension(0, state)
-        assert solves == [1] and state.recut_hits == 0 and again.ops == first.ops
-        assert again.binset.cuts.tolist() == first.binset.cuts.tolist()
-        assert again.total_bits.hex() == first.total_bits.hex()
-        assert x.recuts[key][1].ends.tolist() == costs.ends.tolist()
-        assert refine_dimension(0, _memo_state([x, y], binsets)).ops == 0
-        assert solves == [1]
+        def checked(j, state):
+            before = state.recut_hits
+            res = real(j, state)
+            if state.recut_hits > before:
+                fresh = real(j, _memo_state(state.starts, state.binsets, memos=False))
+                assert fresh.ops > 0 and res.ops == 0
+                assert res.binset.cuts.tolist() == fresh.binset.cuts.tolist()
+                assert res.total_bits.hex() == fresh.total_bits.hex()
+                hits.append(j)
+            return res
+
+        monkeypatch.setattr(histmd, "refine_dimension", checked)
+        pc_stable_skeleton(ds, make_ci_test(FitConfig(), "chi2", 0.01))
+        assert len(hits) > 50
 
     def test_fit_solves_land_in_its_starts_recuts(self, monkeypatch):
         starts = self._starts()
