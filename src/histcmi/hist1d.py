@@ -17,10 +17,15 @@ code length of a re-cut splits into what its cuts change and one constant,
 rows costs ``-G + n·log2 w``, its conditional histogram cost, where G sums
 c·log2 c over the segment's row counts c per other cell, and a count of m
 intervals adds its regret and model cost.  G comes from one numpy kernel,
-``_xlogx_segment_sums``, which touches per cell only the segments that can
-hold two or more of its rows and reads each c·log2 c from a table over the
-integer counts.  The recursion over interval counts is the MDL-histogram DP
-of Kontkanen & Myllymäki (AISTATS 2007).
+``_xlogx_segment_sums``, over per-cell prefix counts in the narrowest signed
+integer type whose maximum holds n_total.  Each cell adds into the
+contiguous leading rows of G whose segments can hold two or more of its
+rows, where the entries left of its first count of two add exactly +0.0; a
+cell whose first count of two lies past half the width adds into that
+block alone.  Every c·log2 c is read from a table over the integer counts.
+The DP's rounds, too, write and reduce whole contiguous rows.  The
+recursion over interval counts is the MDL-histogram DP of Kontkanen &
+Myllymäki (AISTATS 2007).
 
 The rounds stop on lower bounds of the best data cost F_m of m segments,
 kept as lines v - λ·m: the data cost of all unit cells, a line of slope 0,
@@ -99,22 +104,31 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
 def _xlogx_segment_sums(P):
     """G[i, j] = sum over rows of P of c·log2(c), with c = row[j] - row[i] where c >= 2.
 
-    Each row is a nondecreasing integer prefix count, so c >= 2 needs
-    row[i] <= row[-1] - 2 and row[j] >= 2: a row adds only into
-    G[:i_end, j_start:], and exactly 0 everywhere else.  Every c·log2(c) is
-    read from one table over 0..the largest row total, which holds the very
-    float the product gives, and 0 for c <= 1, where the clip sends every
-    negative c.
+    Each row is a nondecreasing prefix count in a signed integer type that
+    holds every difference of two of its entries, so c >= 2 needs row[i] <=
+    row[-1] - 2 and row[j] >= 2: a row adds only into G[:i_end, j_start:].
+    It adds into the contiguous leading rows G[:i_end], which are faster to
+    write than that strided block, since every entry left of j_start gets
+    exactly +0.0; a row whose block starts past half the width keeps the
+    block, as most of such a row would be zeros.  Every c·log2(c) is read
+    from one table over 0..the largest row total, which holds the very float
+    the product gives, and 0 for c <= 1, where the clip sends every negative
+    c.
     """
     n_bounds = P.shape[1]
     G = np.zeros((n_bounds, n_bounds))
-    xlogx = np.maximum(np.arange(P[:, -1].max(initial=0) + 1, dtype=np.float64), 1.0)
+    # a Python int: the largest total of a narrow type plus 1 would wrap
+    xlogx = np.maximum(np.arange(int(P[:, -1].max(initial=0)) + 1, dtype=np.float64), 1.0)
     xlogx *= np.log2(xlogx)
     # per row, the count of entries <= row[-1] - 2 and of entries < 2
     i_ends = (P <= P[:, -1:] - 2).sum(axis=1)
     j_starts = (P < 2).sum(axis=1)
     for row, i_end, j_start in zip(P, i_ends, j_starts):
-        G[:i_end, j_start:] += xlogx.take(row[None, j_start:] - row[:i_end, None], mode="clip")
+        if 2 * j_start > n_bounds:
+            G[:i_end, j_start:] += xlogx.take(row[None, j_start:] - row[:i_end, None],
+                                              mode="clip")
+        else:
+            G[:i_end] += xlogx.take(row - row[:i_end, None], mode="clip")
     return G
 
 
@@ -227,8 +241,8 @@ def _dual_bound(F: np.ndarray, cost: np.ndarray, t: int, lam: float) -> float:
     K = len(cost) - 1
     E = np.min(F[:t] + lam * np.arange(1, t + 1)[:, None], axis=0)
     E[0] = 0.0
-    V = lam + np.minimum.reduce(E[:K, None] + cost[:K, 1:], axis=0)
-    return float(E[K] - np.maximum(E[1:] - V, 0.0).sum())
+    V = lam + np.minimum.reduce(E[:K, None] + cost[:K], axis=0)  # V[0] is unused
+    return float(E[K] - np.maximum(E[1:] - V[1:], 0.0).sum())
 
 
 def solve_segmentation(
@@ -245,8 +259,10 @@ def solve_segmentation(
     ``table`` is ``segment_table(boundaries, cell_idx, K_max)`` of the
     continuous rows of the dimension being cut, and ``other_cell_ids`` the
     fixed joint cell of all remaining dimensions for those same rows, as
-    small nonnegative ids (an unused id is an empty cell).  A segment [b_i,
-    b_j) costs ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its
+    small nonnegative ids (an unused id is an empty cell).  ``n_total``,
+    the sample size, bounds the continuous rows and so sets the type of
+    their prefix counts; more rows than that is an input error.  A segment
+    [b_i, b_j) costs ``-G[i, j] + n_s·log2 w``, with n_s its rows and w its
     width, and a count of m intervals adds its regret and model cost; the
     result's ``cut_bits`` is the least such sum.  The code length that no
     cut can change, ``fixed_bits`` (``n·log2 n``, the ``-c·log2 c`` of the
@@ -277,12 +293,16 @@ def solve_segmentation(
     B = len(boundaries) - 1
     if table.pos[-1] != B or len(table.mcost) != min(K_max, B):
         raise InputError("segment table was built for another grid or K_max")
+    if len(table.cell_idx) > n_total:
+        raise InputError("more continuous rows than n_total")
     kept = len(table.pos) - 1  # the kept grid's cells
     n_other = int(other_cell_ids.max(initial=0)) + 1
 
-    # per-other-cell prefix counts over the kept boundaries
+    # per-other-cell prefix counts over the kept boundaries, in the narrowest
+    # signed type whose maximum holds n_total, so every difference of two
+    # counts fits too (cumsum's out= would wrap a count that does not)
     counts = np.bincount(other_cell_ids * kept + table.cell_idx, minlength=n_other * kept)
-    P = np.zeros((n_other, kept + 1), dtype=np.intp)
+    P = np.zeros((n_other, kept + 1), dtype=np.min_scalar_type(-n_total - 1))
     np.cumsum(counts.reshape(n_other, kept), axis=1, out=P[:, 1:])
 
     active = P[:, -1] >= 2  # cells with <2 rows contribute no c*log2(c) mass
@@ -292,7 +312,7 @@ def solve_segmentation(
     # cost[i, j] = what the rows falling in [b_i, b_j) add to the code length
     # beyond fixed_bits: an empty segment costs exactly 0 since its G and row
     # count are 0, and inf - G stays inf where no segment exists
-    cost = table.seg_cost - G
+    cost = np.subtract(table.seg_cost, G, out=G)
 
     # F[m-1, j] = best data cost of covering [b_0, b_j) with m segments, inf
     # where m nonempty segments cannot end at b_j (j < m) and for the counts
@@ -301,6 +321,7 @@ def solve_segmentation(
     m_cap = min(len(table.mcost), kept)
     F = np.full((m_cap, kept + 1), np.inf)
     F[0] = cost[0]
+    buf = np.empty_like(cost)  # each round's sums, over whole contiguous rows
 
     regret = log_regret(n_total, (n_singletons + np.arange(1, m_cap + 1)) * K_other)
     mcost = table.mcost[:m_cap]
@@ -319,9 +340,10 @@ def solve_segmentation(
         tol = 1e-9 * max(1.0, abs(best), abs(floor))
         if bound[m - 1] > best + tol:
             break
-        # the ufunc itself, without np.min's per-call wrapper
-        np.minimum.reduce(F[m - 2, m - 1:kept, None] + cost[m - 1:kept, m:], axis=0,
-                          out=F[m - 1, m:])
+        # whole rows: the columns j < m add only inf, which F holds there, and
+        # the ufunc itself runs without np.min's per-call wrapper
+        np.add(F[m - 2, m - 1:kept, None], cost[m - 1:kept], out=buf[m - 1:kept])
+        np.minimum.reduce(buf[m - 1:kept], axis=0, out=F[m - 1])
         ends.append(float(F[m - 1, kept]))
         total = ends[m - 1] + regret[m - 1] + mcost[m - 1]
         if total < best:  # strictly: the fewest bins win ties

@@ -82,6 +82,12 @@ class FitConfig:
             raise InputError("i_max must be >= 1")
         if self.t < 2:
             raise InputError("t must be >= 2")
+        for name in ("k_init_factor", "k_max_factor"):
+            # True would silently mean 1.0, and a string or None fail deep in a comparison
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise InputError(f"{name} must be a real number, got {value!r}")
         if not all(math.isfinite(f) and f > 0 for f in (self.k_init_factor, self.k_max_factor)):
             raise InputError("k_init_factor and k_max_factor must be finite and > 0")
         if self.k_max_factor > self.k_init_factor:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from histcmi import FitConfig, InputError, hist1d
+from histcmi import FitConfig, InputError, VariableGroup, cmi_estimate, hist1d
 from histcmi.complexity import total_score
 from histcmi.data_model import (
     BinSet,
@@ -100,6 +100,62 @@ class TestSegmentSums:
         G = _xlogx_segment_sums(P)
         assert G[0, 2].hex() == (1621 * np.log2(1621.0)).hex()
         assert np.array_equal(G, xlogx_segment_sums(P))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_late_and_early_start_rows_in_every_count_type(self, dtype):
+        # a row whose first count >= 2 lies past half the width adds into its
+        # block, any other row into whole leading rows; the prefix counts come
+        # in every type the solve picks, with totals up to int8's largest
+        rng = np.random.default_rng(23)
+        B = 24
+        rows = []
+        for _ in range(10):
+            start = int(rng.integers(0, B))
+            row = np.zeros(B, dtype=np.int64)
+            row[start:] = rng.poisson(rng.choice([0.3, 2.0]), size=B - start)
+            rows.append(row)
+        rows += [np.eye(B, dtype=np.int64)[B - 1] * 127,   # all at the right end
+                 np.eye(B, dtype=np.int64)[0] * 127,       # all at the left end
+                 np.full(B, 5, dtype=np.int64)]            # total 120, no flat stretch
+        P = _prefix_rows(rows)
+        assert P[:, -1].max() == np.iinfo(np.int8).max
+        late = 2 * (P < 2).sum(axis=1) > B + 1
+        assert late.any() and (~late & (P[:, -1] >= 2)).any()
+        G = _xlogx_segment_sums(P.astype(dtype))
+        assert np.array_equal(G, xlogx_segment_sums(P))
+
+
+class TestPrefixCountType:
+    """The prefix counts take the narrowest signed type whose maximum holds
+    n_total; at each side of int8's and int16's largest value, a one-column
+    histogram and a two-column estimate are those of int64 counts."""
+
+    # Î of the estimate below, computed with int64 prefix counts
+    ESTIMATES = {127: "0x1.995bc4fcc03f8p-2", 128: "0x1.ea79af5a5f8b8p-2",
+                 32767: "0x1.5b4fcae881ec0p-2", 32768: "0x1.6476b40cef440p-2"}
+
+    @pytest.mark.parametrize("n", [127, 128, 32767, 32768])
+    def test_all_rows_in_one_cell_at_the_type_limits(self, n):
+        # n continuous rows in one other cell: the count n itself must fit
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = x + rng.normal(size=n)
+        start = start_column(detect_discrete_points(x, t=5), FitConfig())
+        grid = start.binset.grid
+        cuts, _ = full_segmentation(n, grid, _interval_index(x, grid), start.K_max, 0, 1,
+                                    np.zeros(n, dtype=np.int64))
+        assert optimal_histogram_1d(start).cuts.tolist() == cuts.tolist()
+        est = cmi_estimate(np.column_stack([x, y]), VariableGroup("X", (0,)),
+                           VariableGroup("Y", (1,)))
+        assert est.value.hex() == self.ESTIMATES[n]
+
+    def test_more_rows_than_n_total_is_an_input_error(self):
+        # n_total sizes the count type, so it must bound the rows
+        boundaries = np.linspace(0.0, 1.0, 4)
+        cell_idx = np.array([0, 1, 2, 2])
+        with pytest.raises(InputError, match="n_total"):
+            _solve(cell_idx, n_total=3, boundaries=boundaries, K_max=3, n_singletons=0,
+                   K_other=1, other_cell_ids=np.zeros(4, dtype=np.int64))
 
 
 def _random_segmentation(rng):

@@ -77,6 +77,19 @@ class TestFitConfig:
         cfg = FitConfig(i_max=np.int64(3), t=np.int32(4))
         assert (cfg.i_max, cfg.t) == (3, 4)
 
+    @pytest.mark.parametrize("field", ["k_init_factor", "k_max_factor"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "20", None, 5 + 0j])
+    def test_non_real_factors_rejected_at_construction(self, field, value):
+        # True would silently be a factor of 1.0, so K_max = 7 at n = 1000
+        with pytest.raises(InputError, match=f"{field} must be a real number"):
+            FitConfig(**{field: value})
+
+    @pytest.mark.parametrize("k_init, k_max", [(20, 5), (np.int64(20), np.int32(5)),
+                                               (np.float32(20.0), np.float64(5.0))])
+    def test_python_and_numpy_real_factors_accepted(self, k_init, k_max):
+        cfg = FitConfig(k_init_factor=k_init, k_max_factor=k_max)
+        assert (cfg.k_init(1000), cfg.k_max(1000)) == (139, 35)
+
 
 class TestInitDiscretization:
     def test_two_continuous_dims_single_cell(self):
