@@ -38,16 +38,47 @@ def chi2_critical(alpha: float, df: int) -> float:
     return float(chdtri(df, alpha))
 
 
+CI_TESTS = ("chi2", "sc")
+
+
+def check_ci_test(method: str, alpha: float):
+    """Reject an unknown CI-test method, or an alpha outside (0, 1) even where
+    the method (sc) does not read it."""
+    if method not in CI_TESTS:
+        raise InputError(f"unknown CI test {method!r}; known: {list(CI_TESTS)}")
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class CITestResult:
     raw: float          # nats
     correction: float   # nats, <= 0
-    corrected: float    # max(0, raw + correction)
+    corrected: float    # max(0, raw + correction), 0 where a side has one bin
     independent: bool
     method: str
     detail: dict = field(default_factory=dict)
     estimate: EstimateResult | None = None
     sc_correction_clamped: bool = False
+
+
+def _verdict(est: EstimateResult, method: str, correction: float, detail: dict,
+             clamped: bool = False) -> CITestResult:
+    """Result of either test: independent iff max{0, I_n + C_n} = 0.
+
+    A side with one bin is independent of everything, with no correction and
+    no clamp: I_n and C_n are 0 there in exact arithmetic, since H(XZ) = H(Z),
+    H(XYZ) = H(YZ), K_XZ = K_Z and K_XYZ = K_YZ, and only rounding residues of
+    their sums could read as dependence or as a positive correction.
+    """
+    if est.dom_x == 1 or est.dom_y == 1:
+        correction = corrected = 0.0
+        clamped = False
+    else:
+        corrected = max(0.0, est.value + correction)
+    return CITestResult(raw=est.value, correction=correction, corrected=corrected,
+                        independent=corrected == 0.0, method=method, detail=detail,
+                        estimate=est, sc_correction_clamped=clamped)
 
 
 def citest_chi2(
@@ -63,23 +94,12 @@ def citest_chi2(
 
     ``fit`` reuses a joint fit of the same data, as in :func:`cmi_estimate`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    check_ci_test("chi2", alpha)
     est = cmi_estimate(dataset, x, y, z, config, fit=fit)
     df = (est.dom_x - 1) * (est.dom_y - 1) * est.dom_z
-    if df == 0:
-        # a constant is independent of everything
-        return CITestResult(raw=est.value, correction=0.0, corrected=0.0,
-                            independent=True, method="chi2",
-                            detail={"df": 0, "critical": 0.0, "alpha": alpha},
-                            estimate=est)
-    crit = chi2_critical(alpha, df)
-    correction = -crit / (2.0 * est.n)
-    corrected = max(0.0, est.value + correction)
-    return CITestResult(
-        raw=est.value, correction=correction, corrected=corrected,
-        independent=corrected == 0.0, method="chi2",
-        detail={"df": df, "critical": crit, "alpha": alpha}, estimate=est)
+    crit = chi2_critical(alpha, df) if df else 0.0
+    return _verdict(est, "chi2", -crit / (2.0 * est.n),
+                    {"df": df, "critical": crit, "alpha": alpha})
 
 
 def citest_sc(
@@ -98,20 +118,10 @@ def citest_sc(
     of the same data, as in :func:`cmi_estimate`.
     """
     est = cmi_estimate(dataset, x, y, z, config, fit=fit)
-    n = est.n
-    k_xz = est.dom_x * est.dom_z
-    k_yz = est.dom_y * est.dom_z
-    k_xyz = est.dom_x * est.dom_y * est.dom_z
-    k_z = est.dom_z
-    parts = {s: log_regret(n, k) for s, k in
-             (("xz", k_xz), ("yz", k_yz), ("xyz", k_xyz), ("z", k_z))}
-    correction = (parts["xz"] + parts["yz"] - parts["xyz"] - parts["z"]) * _LN2 / n
+    K = {"xz": est.dom_x * est.dom_z, "yz": est.dom_y * est.dom_z,
+         "xyz": est.dom_x * est.dom_y * est.dom_z, "z": est.dom_z}
+    parts = {s: log_regret(est.n, k) for s, k in K.items()}
+    correction = (parts["xz"] + parts["yz"] - parts["xyz"] - parts["z"]) * _LN2 / est.n
     clamped = correction > 0.0
-    if clamped:
-        correction = 0.0
-    corrected = max(0.0, est.value + correction)
-    return CITestResult(
-        raw=est.value, correction=correction, corrected=corrected,
-        independent=corrected == 0.0, method="sc",
-        detail={"regret_bits": parts, "K": {"xz": k_xz, "yz": k_yz, "xyz": k_xyz, "z": k_z}},
-        estimate=est, sc_correction_clamped=clamped)
+    return _verdict(est, "sc", 0.0 if clamped else correction,
+                    {"regret_bits": parts, "K": K}, clamped)

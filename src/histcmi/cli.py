@@ -18,19 +18,11 @@ import time
 import numpy as np
 
 from .causal import pc_stable_skeleton, precision_recall
-from .citest import citest_chi2, citest_sc
-from .datagen import (
-    RNG_NAME,
-    SCENARIOS,
-    Dataset,
-    ScenarioSpec,
-    generate,
-    ground_truth,
-    replicate_seed,
-    true_network_edges,
-)
+from .citest import CI_TESTS, check_ci_test, citest_chi2, citest_sc
+from .datagen import RNG_NAME, SCENARIOS, Dataset, ScenarioSpec, generate, true_network_edges
 from .errors import InputError
-from .estimators import VariableGroup, cmi_estimate, fit_columns, prepare_column
+from .estimators import (VariableGroup, cmi_estimate, fit_columns, prepare_column,
+                         run_estimation_benchmark, select_groups, stack_columns)
 from .histmd import ColumnStart, FitConfig, FitResult
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -123,27 +115,6 @@ def _split_names(arg: str | None) -> tuple[str, ...]:
     return tuple(s for s in (arg or "").split(",") if s)
 
 
-def _stack_columns(dataset: Dataset, names) -> np.ndarray:
-    for name in names:
-        if name not in dataset.names:
-            raise InputError(f"unknown column {name!r}; have {list(dataset.names)}")
-    return np.column_stack([dataset.column(c) for c in names])
-
-
-def _select_groups(dataset: Dataset, xs, ys, zs):
-    """Project the dataset onto the selected columns and build X/Y/Z groups.
-
-    A column may be selected more than once (e.g. --x A --y A for
-    self-information); every selection becomes its own fitted dimension.
-    """
-    picked = list(xs) + list(ys) + list(zs)
-    sub = _stack_columns(dataset, picked)
-    x = VariableGroup("X", tuple(range(len(xs))))
-    y = VariableGroup("Y", tuple(range(len(xs), len(xs) + len(ys))))
-    z = VariableGroup("Z", tuple(range(len(xs) + len(ys), len(picked))))
-    return sub, x, y, z, tuple(picked)
-
-
 def _roles_from_args(dataset: Dataset, args):
     xs = _split_names(args.x) or dataset.x
     ys = _split_names(args.y) or dataset.y
@@ -169,7 +140,7 @@ def cmd_estimate(args) -> RunReport:
     dataset = _load_dataset(args.data, args)
     config = _config_from(args)
     xs, ys, zs = _roles_from_args(dataset, args)
-    sub, x, y, z, picked = _select_groups(dataset, xs, ys, zs)
+    sub, x, y, z, picked = select_groups(dataset, xs, ys, zs)
     est = cmi_estimate(sub, x, y, z, config)
     results = {
         "estimate_nats": est.value,
@@ -184,25 +155,13 @@ def cmd_estimate(args) -> RunReport:
                      time.perf_counter() - t0)
 
 
-_CI_TESTS = ("chi2", "sc")
-
-
-def _check_ci_test(method: str, alpha: float):
-    """Reject an unknown CI-test method, or an alpha outside (0, 1) even where
-    the method (sc) does not read it."""
-    if method not in _CI_TESTS:
-        raise InputError(f"unknown CI test {method!r}; known: {list(_CI_TESTS)}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def cmd_citest(args) -> RunReport:
     t0 = time.perf_counter()
-    _check_ci_test(args.test, args.alpha)
+    check_ci_test(args.test, args.alpha)
     dataset = _load_dataset(args.data, args)
     config = _config_from(args)
     xs, ys, zs = _roles_from_args(dataset, args)
-    sub, x, y, z, picked = _select_groups(dataset, xs, ys, zs)
+    sub, x, y, z, picked = select_groups(dataset, xs, ys, zs)
     if args.test == "chi2":
         res = citest_chi2(sub, x, y, z, alpha=args.alpha, config=config)
     else:
@@ -248,7 +207,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     method or an alpha outside (0, 1) is rejected here, before any fit.
     The closure's ``counters`` attribute is its :class:`CiTestCounters`.
     """
-    _check_ci_test(method, alpha)
+    check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
     columns: dict[str, ColumnStart] = {}
     fits_of, fits_size = None, 0
@@ -261,7 +220,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
         if len(set(names)) != len(names):
             raise InputError(f"CI test columns must be distinct, got {names}")
         key = tuple(sorted(names))
-        sub = _stack_columns(dataset, key)
+        sub = stack_columns(dataset, key)
         if dataset is not fits_of or len(key) < fits_size:
             columns.clear()
         if dataset is not fits_of or len(key) != fits_size:
@@ -336,42 +295,6 @@ def _parse_n_list(text: str) -> list[int]:
         raise InputError(f"bad --n value {text!r}") from e
 
 
-def run_estimation_benchmark(scenario: str, ns: list[int], reps: int, seed: int,
-                             config: FitConfig, k: int | None = None) -> list[dict]:
-    """Mean estimate and MSE against ground truth per sample size.
-
-    Replicates are independently seeded via replicate_seed(seed, task_index)
-    with task_index enumerating the (n, rep) grid row-major, so they are
-    order-independent and safe to run in parallel.
-    """
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
-    extra = {"k": k} if k is not None else {}
-    truth = ground_truth(ScenarioSpec(id=scenario, n=max(ns), seed=0, extra=extra))
-    if truth is None:
-        raise InputError(f"scenario {scenario!r} has no ground-truth value to benchmark")
-    rows = []
-    task = 0
-    for n in ns:
-        values = []
-        for _ in range(reps):
-            ds = generate(ScenarioSpec(id=scenario, n=n,
-                                       seed=replicate_seed(seed, task), extra=extra))
-            sub, x, y, z, _ = _select_groups(ds, ds.x, ds.y, ds.z)
-            values.append(cmi_estimate(sub, x, y, z, config).value)
-            task += 1
-        values = np.asarray(values)
-        rows.append({
-            "scenario": scenario,
-            "n": n,
-            "replicate_count": reps,
-            "mean_estimate": float(values.mean()),
-            "mse": float(np.mean((values - truth) ** 2)),
-            "truth": truth,
-        })
-    return rows
-
-
 def cmd_benchmark(args) -> RunReport:
     t0 = time.perf_counter()
     config = _config_from(args)
@@ -437,7 +360,7 @@ def build_parser() -> _Parser:
         p.add_argument("--z", help="comma-separated Z columns (may be empty)")
     for p in (citest, discover):
         p.add_argument("--alpha", type=float, default=0.01)
-        p.add_argument("--test", choices=_CI_TESTS, default="chi2")
+        p.add_argument("--test", choices=CI_TESTS, default="chi2")
     discover.add_argument("--max-level", type=int, default=None)
 
     datagen = add("datagen", cmd_datagen)

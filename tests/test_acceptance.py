@@ -32,10 +32,11 @@ from histcmi.estimators import (
     fit_columns,
     plugin_entropy,
     prepare_column,
+    run_estimation_benchmark,
 )
 from histcmi.hist1d import candidate_cuts
 from histcmi.histmd import optimal_histogram_1d, start_column
-from histcmi.cli import make_ci_test, run_estimation_benchmark
+from histcmi.cli import make_ci_test
 
 from dsep import enumerate_dags, make_dsep_oracle
 from oracles import exhaustive_best_total, grid_start, multinomial_regret

@@ -15,12 +15,14 @@ from histcmi import (
     ground_truth,
     replicate_seed,
 )
+from histcmi import estimators
 from histcmi.data_model import detect_discrete_points
 from histcmi.estimators import (
     continuous_entropy_terms,
     fit_columns,
     plugin_entropy,
     prepare_column,
+    run_estimation_benchmark,
 )
 
 X = VariableGroup("X", (0,))
@@ -236,3 +238,18 @@ class TestContinuousEntropyTerms:
         bad = dataclasses.replace(fit, grid=dataclasses.replace(fit.grid, counts=counts))
         with pytest.raises(ModelError, match="cancellation"):
             cmi_estimate(ds.data, X, Y, Z, fit=bad)
+
+
+class TestRunEstimationBenchmark:
+    @pytest.mark.parametrize("ns,reps,match", [([], 2, "at least one sample size"),
+                                               ([100], True, "reps must be an integer"),
+                                               ([100], 2.0, "reps must be an integer"),
+                                               ([100, 2.5], 2, "n must be an integer"),
+                                               ([100, 0], 2, "n must be >= 1")])
+    def test_rejects_bad_sizes_and_counts_before_any_estimate(self, ns, reps, match,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimated before checking its inputs")
+        monkeypatch.setattr(estimators, "cmi_estimate", refuse)
+        with pytest.raises(InputError, match=match):
+            run_estimation_benchmark("exp1", ns, reps=reps, seed=0, config=FitConfig())
