@@ -10,7 +10,7 @@ any deterministic CI test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError, require_integer
 
@@ -49,32 +49,24 @@ def pc_stable_skeleton(dataset, ci_test, max_level: int | None = None) -> Skelet
     level = 0
     while max_level is None or level <= max_level:
         frozen = {a: sorted(adj[a]) for a in nodes}
-        pairs = [(a, b) for a, b in combinations(nodes, 2) if b in adj[a]]
-        testable = [
-            (a, b) for a, b in pairs
-            if len(frozen[a]) - 1 >= level or len(frozen[b]) - 1 >= level
-        ]
-        if not testable:
-            break
-        for a, b in testable:
+        searched = False  # whether some edge had a size-l subset to test
+        for a, b in combinations(nodes, 2):
+            if b not in adj[a]:
+                continue
+            sides = ([v for v in frozen[a] if v != b], [v for v in frozen[b] if v != a])
             tested: set[tuple[str, ...]] = set()
-            removed = False
-            for side, other in ((a, b), (b, a)):
-                candidates = [v for v in frozen[side] if v != other]
-                if len(candidates) < level:
+            for cond in chain.from_iterable(combinations(side, level) for side in sides):
+                searched = True
+                if cond in tested:
                     continue
-                for cond in combinations(candidates, level):
-                    if cond in tested:
-                        continue
-                    tested.add(cond)
-                    if ci_test(dataset, a, b, cond):
-                        adj[a].discard(b)
-                        adj[b].discard(a)
-                        sepsets[(a, b)] = cond
-                        removed = True
-                        break
-                if removed:
+                tested.add(cond)
+                if ci_test(dataset, a, b, cond):
+                    adj[a].discard(b)
+                    adj[b].discard(a)
+                    sepsets[(a, b)] = cond
                     break
+        if not searched:
+            break
         level += 1
 
     edges = {(a, b) for a, b in combinations(nodes, 2) if b in adj[a]}

@@ -12,42 +12,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from scipy.special import chdtri
 
 from .complexity import log_regret
-from .errors import InputError
+from .errors import InputError, require_real
 from .estimators import EstimateResult, VariableGroup, cmi_estimate
 from .histmd import FitConfig, FitResult
 
 _LN2 = math.log(2.0)
 
 
-@lru_cache(maxsize=None)
+CI_TESTS = ("chi2", "sc")
+
+
+def check_ci_test(method: str, alpha: float):
+    """Reject an unknown CI-test method, or an alpha that is not a real number
+    in (0, 1) even where the method (sc) does not read it."""
+    if method not in CI_TESTS:
+        raise InputError(f"unknown CI test {method!r}; known: {list(CI_TESTS)}")
+    require_real("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def chi2_critical(alpha: float, df: int) -> float:
     """(1-alpha) quantile of the chi-squared distribution with df degrees of freedom.
 
     ``scipy.special.chdtri`` inverts the upper tail directly, which keeps
     ``scipy.optimize`` out of the import path.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    check_ci_test("chi2", alpha)
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
     return float(chdtri(df, alpha))
-
-
-CI_TESTS = ("chi2", "sc")
-
-
-def check_ci_test(method: str, alpha: float):
-    """Reject an unknown CI-test method, or an alpha outside (0, 1) even where
-    the method (sc) does not read it."""
-    if method not in CI_TESTS:
-        raise InputError(f"unknown CI test {method!r}; known: {list(CI_TESTS)}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)

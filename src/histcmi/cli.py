@@ -50,10 +50,11 @@ class RunReport:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--t", type=int, default=5, help="discreteness detection threshold")
-    p.add_argument("--imax", type=int, default=5, help="max greedy iterations")
-    p.add_argument("--kinit-factor", type=float, default=20.0)
-    p.add_argument("--kmax-factor", type=float, default=5.0)
+    default = FitConfig()
+    p.add_argument("--t", type=int, default=default.t, help="discreteness detection threshold")
+    p.add_argument("--imax", type=int, default=default.i_max, help="max greedy iterations")
+    p.add_argument("--kinit-factor", type=float, default=default.k_init_factor)
+    p.add_argument("--kmax-factor", type=float, default=default.k_max_factor)
 
 
 def _config_from(args) -> FitConfig:
@@ -115,32 +116,39 @@ def _split_names(arg: str | None) -> tuple[str, ...]:
     return tuple(s for s in (arg or "").split(",") if s)
 
 
-def _roles_from_args(dataset: Dataset, args):
+def _generate(scenario: str, args) -> Dataset:
+    extra = {"k": args.k} if args.k is not None else {}
+    n = _SCENARIO_N if args.n is None else args.n
+    return generate(ScenarioSpec(id=scenario, n=n, seed=args.seed, extra=extra))
+
+
+def _load_dataset(target: str, args) -> Dataset:
+    if target in SCENARIOS:
+        return _generate(target, args)
+    for flag, value in (("--k", args.k), ("--n", args.n)):
+        if value is not None:
+            raise InputError(f"{flag} is a scenario parameter and does not apply to a CSV file")
+    if args.seed < 0:  # a scenario id has ScenarioSpec check its seed
+        raise InputError(f"seed must be >= 0, got {args.seed}")
+    return read_csv_dataset(target)
+
+
+def _select(args):
+    """Load the data, build the fit config, then pick the X, Y, Z columns:
+    (config, the columns echoed as lists, select_groups' result)."""
+    dataset = _load_dataset(args.data, args)
+    config = _config_from(args)
     xs = _split_names(args.x) or dataset.x
     ys = _split_names(args.y) or dataset.y
     zs = _split_names(args.z) if args.z is not None else dataset.z
     if not xs or not ys:
         raise InputError("--x and --y are required (no declared roles to fall back on)")
-    return xs, ys, zs
+    columns = {"x": list(xs), "y": list(ys), "z": list(zs)}
+    return config, columns, select_groups(dataset, xs, ys, zs)
 
 
-def _load_dataset(target: str, args) -> Dataset:
-    if target in SCENARIOS:
-        extra = {"k": args.k} if args.k is not None else {}
-        n = _SCENARIO_N if args.n is None else args.n
-        return generate(ScenarioSpec(id=target, n=n, seed=args.seed, extra=extra))
-    for flag, value in (("--k", args.k), ("--n", args.n)):
-        if value is not None:
-            raise InputError(f"{flag} is a scenario parameter and does not apply to a CSV file")
-    return read_csv_dataset(target)
-
-
-def cmd_estimate(args) -> RunReport:
-    t0 = time.perf_counter()
-    dataset = _load_dataset(args.data, args)
-    config = _config_from(args)
-    xs, ys, zs = _roles_from_args(dataset, args)
-    sub, x, y, z, picked = select_groups(dataset, xs, ys, zs)
+def cmd_estimate(args):
+    config, columns, (sub, x, y, z, picked) = _select(args)
     est = cmi_estimate(sub, x, y, z, config)
     results = {
         "estimate_nats": est.value,
@@ -149,23 +157,16 @@ def cmd_estimate(args) -> RunReport:
         "domain_sizes": {"X": est.dom_x, "Y": est.dom_y, "Z": est.dom_z},
         "bins_per_column": dict(zip(picked, est.bins_per_dim)),
         "n": est.n,
-        "columns": {"x": list(xs), "y": list(ys), "z": list(zs)},
+        "columns": columns,
     }
-    return RunReport("estimate", _config_echo(config), args.seed, results,
-                     time.perf_counter() - t0)
+    return _config_echo(config), results
 
 
-def cmd_citest(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_citest(args):
     check_ci_test(args.test, args.alpha)
-    dataset = _load_dataset(args.data, args)
-    config = _config_from(args)
-    xs, ys, zs = _roles_from_args(dataset, args)
-    sub, x, y, z, picked = select_groups(dataset, xs, ys, zs)
-    if args.test == "chi2":
-        res = citest_chi2(sub, x, y, z, alpha=args.alpha, config=config)
-    else:
-        res = citest_sc(sub, x, y, z, config=config)
+    config, columns, (sub, x, y, z, _) = _select(args)
+    res = (citest_chi2(sub, x, y, z, alpha=args.alpha, config=config) if args.test == "chi2"
+           else citest_sc(sub, x, y, z, config=config))
     results = {
         "independent": res.independent,
         "raw_nats": res.raw,
@@ -173,11 +174,10 @@ def cmd_citest(args) -> RunReport:
         "corrected_nats": res.corrected,
         "method": res.method,
         "detail": res.detail,
-        "columns": {"x": list(xs), "y": list(ys), "z": list(zs)},
+        "columns": columns,
         "n": res.estimate.n,
     }
-    return RunReport("citest", _config_echo(config, test=args.test, alpha=args.alpha),
-                     args.seed, results, time.perf_counter() - t0)
+    return _config_echo(config, test=args.test, alpha=args.alpha), results
 
 
 @dataclasses.dataclass
@@ -204,8 +204,8 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     level only, so a new dataset or a new size clears them.  Column starts
     last the whole search: levels only grow within a search, so a new
     dataset or a smaller set size, a new search, clears them.  An unknown
-    method or an alpha outside (0, 1) is rejected here, before any fit.
-    The closure's ``counters`` attribute is its :class:`CiTestCounters`.
+    method or an alpha that is not a real number in (0, 1) is rejected here,
+    before any fit.  The closure's ``counters`` attribute is its :class:`CiTestCounters`.
     """
     check_ci_test(method, alpha)
     fits: dict[tuple[str, ...], FitResult] = {}
@@ -247,8 +247,7 @@ def make_ci_test(config: FitConfig, method: str, alpha: float):
     return ci
 
 
-def cmd_discover(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_discover(args):
     dataset = _load_dataset(args.data, args)
     config = _config_from(args)
     ci = make_ci_test(config, args.test, args.alpha)
@@ -266,14 +265,12 @@ def cmd_discover(args) -> RunReport:
         results["precision"] = prec
         results["recall"] = rec
         results["true_edges"] = [list(e) for e in sorted(truth)]
-    return RunReport("discover", _config_echo(config, test=args.test, alpha=args.alpha,
-                                              max_level=args.max_level),
-                     args.seed, results, time.perf_counter() - t0)
+    return _config_echo(config, test=args.test, alpha=args.alpha,
+                        max_level=args.max_level), results
 
 
 def cmd_datagen(args) -> Dataset:
-    extra = {"k": args.k} if args.k is not None else {}
-    return generate(ScenarioSpec(id=args.scenario, n=args.n, seed=args.seed, extra=extra))
+    return _generate(args.scenario, args)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -295,14 +292,12 @@ def _parse_n_list(text: str) -> list[int]:
         raise InputError(f"bad --n value {text!r}") from e
 
 
-def cmd_benchmark(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_benchmark(args):
     config = _config_from(args)
     ns = _parse_n_list(args.n)
     rows = run_estimation_benchmark(args.scenario, ns, args.reps, args.seed, config,
                                     k=args.k)
-    return RunReport("benchmark", _config_echo(config, reps=args.reps, ns=ns),
-                     args.seed, {"rows": rows}, time.perf_counter() - t0)
+    return _config_echo(config, reps=args.reps, ns=ns), {"rows": rows}
 
 
 def _report_to_csv(report: RunReport, fh):
@@ -340,14 +335,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="histcmi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common_io = {"--out": dict(default=None, help="output path (default stdout)"),
-                 "--format": dict(choices=["json", "csv"], default="json")}
-
     def add(name, func):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k", type=int, default=None, help="scenario parameter (exp6)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
     estimate, citest, discover = (add("estimate", cmd_estimate), add("citest", cmd_citest),
@@ -365,12 +358,9 @@ def build_parser() -> _Parser:
 
     datagen = add("datagen", cmd_datagen)
     datagen.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
-    datagen.add_argument("--out", default=None)
-    for p in (estimate, citest, discover):
+    for p in (estimate, citest, discover, datagen):
         p.add_argument("--n", type=int, default=None,
                        help=f"rows drawn from a scenario id (default {_SCENARIO_N})")
-    datagen.add_argument("--n", type=int, default=_SCENARIO_N,
-                         help="rows drawn from a scenario id")
 
     benchmark = add("benchmark", cmd_benchmark)
     benchmark.add_argument("scenario")
@@ -379,15 +369,14 @@ def build_parser() -> _Parser:
     benchmark.add_argument("--reps", type=int, default=100)
     for p in (estimate, citest, discover, benchmark):
         _add_config_flags(p)
-        for flag, kw in common_io.items():
-            p.add_argument(flag, **kw)
+        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     return parser
 
 
 def _emit(args, payload):
     out = sys.stdout
-    if getattr(args, "out", None):
+    if args.out:
         try:
             out = open(args.out, "w")
         except OSError as e:
@@ -413,7 +402,12 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        t0 = time.perf_counter()
         payload = args.func(args)
+        if not isinstance(payload, Dataset):
+            config, results = payload
+            payload = RunReport(args.command, config, args.seed, results,
+                                time.perf_counter() - t0)
         _emit(args, payload)
         return EXIT_OK
     except InputError as e:

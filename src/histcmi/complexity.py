@@ -13,7 +13,7 @@ import threading
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data_model import cell_ids
+from .data_model import cell_ids, unique_ids
 from .errors import InputError, ModelError
 
 _LN2 = math.log(2.0)
@@ -134,10 +134,11 @@ def neg_log_likelihood(grid, dims=None) -> float:
     if len(dims) < len(grid.dims):
         # a grid's cells are distinct and sorted, so only a projection merges
         cells = cells[:, dims]
-        ids = cell_ids(cells, [grid.dims[j].n_bins for j in dims])
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        distinct, inverse, _ = unique_ids(cell_ids(cells, [grid.dims[j].n_bins for j in dims]))
         counts = np.bincount(inverse, weights=counts)
-        cells = cells[first]
+        row = np.empty(len(distinct), dtype=np.intp)
+        row[inverse] = np.arange(len(inverse))  # any cell merged into one spells it
+        cells = cells[row]
     log_v = np.zeros(len(counts))
     for j, v in enumerate(vols):
         log_v += np.log2(v)[cells[:, j]]

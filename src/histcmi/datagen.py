@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -201,7 +202,7 @@ def _collider4(rng, n, extra):
     return {"X": x, "Y": y, "Z": z}, ("X",), ("Y",), ("Z",)
 
 
-def _collider_xor(rng, n, scaled: bool):
+def _collider_xor(rng, n, extra, scaled: bool):
     x = rng.integers(0, 2, size=n).astype(np.float64)
     y = rng.integers(0, 2, size=n).astype(np.float64)
     z_ind = np.logical_xor(x == 1.0, y == 1.0)
@@ -209,14 +210,6 @@ def _collider_xor(rng, n, scaled: bool):
     pois = rng.poisson(5.0, size=n).astype(np.float64)
     z = np.where(z_ind, pois * noise if scaled else pois + noise, noise)
     return {"X": x, "Y": y, "Z": z}, ("X",), ("Y",), ("Z",)
-
-
-def _collider5(rng, n, extra):
-    return _collider_xor(rng, n, scaled=True)
-
-
-def _collider6(rng, n, extra):
-    return _collider_xor(rng, n, scaled=False)
 
 
 def _noncollider1(rng, n, extra):
@@ -233,10 +226,6 @@ def _noncollider2(rng, n, extra):
     x = f(z) + rng.normal(scale=_NOISE_SD, size=n)
     y = g(z) + rng.normal(scale=_NOISE_SD, size=n)
     return {"X": x, "Y": y, "Z": z}, ("X",), ("Y",), ("Z",)
-
-
-def _noncollider3(rng, n, extra):
-    return _exp4(rng, n, extra)
 
 
 def _noncollider4(rng, n, extra):
@@ -259,11 +248,11 @@ SCENARIOS = {
     "collider2": (_collider2, "dependent"),
     "collider3": (_collider3, "dependent"),
     "collider4": (_collider4, "dependent"),
-    "collider5": (_collider5, "dependent"),
-    "collider6": (_collider6, "dependent"),
+    "collider5": (partial(_collider_xor, scaled=True), "dependent"),
+    "collider6": (partial(_collider_xor, scaled=False), "dependent"),
     "noncollider1": (_noncollider1, "independent"),
     "noncollider2": (_noncollider2, "independent"),
-    "noncollider3": (_noncollider3, "independent"),
+    "noncollider3": (_exp4, "independent"),
     "noncollider4": (_noncollider4, "independent"),
 }
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the number checks that raise one."""
 
 import numpy as np
 
@@ -21,3 +21,11 @@ def require_integer(name: str, value) -> None:
     or break the code that reads it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Refuse anything but a Python or NumPy real number, bools included:
+    ``True`` would silently mean 1.0, and a string or None fail deep in a
+    comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be a real number, got {value!r}")

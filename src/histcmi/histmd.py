@@ -50,7 +50,7 @@ from .data_model import (
     cell_ids,
     unique_ids,
 )
-from .errors import InputError, require_integer
+from .errors import InputError, require_integer, require_real
 from .hist1d import (
     SegmentTable,
     bin_budget,
@@ -83,11 +83,7 @@ class FitConfig:
         if self.t < 2:
             raise InputError("t must be >= 2")
         for name in ("k_init_factor", "k_max_factor"):
-            # True would silently mean 1.0, and a string or None fail deep in a comparison
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                                 np.floating)):
-                raise InputError(f"{name} must be a real number, got {value!r}")
+            require_real(name, getattr(self, name))
         if not all(math.isfinite(f) and f > 0 for f in (self.k_init_factor, self.k_max_factor)):
             raise InputError("k_init_factor and k_max_factor must be finite and > 0")
         if self.k_max_factor > self.k_init_factor:

@@ -95,6 +95,54 @@ class TestPCStableMechanics:
             pc_stable_skeleton(["A", "B"], broken)
 
 
+class TestPCStableCallSequence:
+    # the diamond A -> B -> D <- C <- A with D -> E
+    EDGES = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "E")]
+    F, T = False, True
+    CALLS = [
+        # level 0: every pair, all dependent
+        ("A", "B", (), F), ("A", "C", (), F), ("A", "D", (), F), ("A", "E", (), F),
+        ("B", "C", (), F), ("B", "D", (), F), ("B", "E", (), F), ("C", "D", (), F),
+        ("C", "E", (), F), ("D", "E", (), F),
+        # level 1: both sides of each edge offer the same three subsets, each
+        # tested once; B-C falls on its first, (A,), and the rest are skipped
+        ("A", "B", ("C",), F), ("A", "B", ("D",), F), ("A", "B", ("E",), F),
+        ("A", "C", ("B",), F), ("A", "C", ("D",), F), ("A", "C", ("E",), F),
+        ("A", "D", ("B",), F), ("A", "D", ("C",), F), ("A", "D", ("E",), F),
+        ("A", "E", ("B",), F), ("A", "E", ("C",), F), ("A", "E", ("D",), T),
+        ("B", "C", ("A",), T),
+        ("B", "D", ("A",), F), ("B", "D", ("C",), F), ("B", "D", ("E",), F),
+        ("B", "E", ("A",), F), ("B", "E", ("C",), F), ("B", "E", ("D",), T),
+        ("C", "D", ("A",), F), ("C", "D", ("B",), F), ("C", "D", ("E",), F),
+        ("C", "E", ("A",), F), ("C", "E", ("B",), F), ("C", "E", ("D",), T),
+        ("D", "E", ("A",), F), ("D", "E", ("B",), F), ("D", "E", ("C",), F),
+        # level 2, over the adjacencies frozen after level 1: side a has no
+        # pair for B-D or C-D, so their subsets come from side b
+        ("A", "B", ("C", "D"), F), ("A", "C", ("B", "D"), F), ("A", "D", ("B", "C"), T),
+        ("B", "D", ("A", "C"), F), ("B", "D", ("A", "E"), F), ("B", "D", ("C", "E"), F),
+        ("C", "D", ("A", "B"), F), ("C", "D", ("A", "E"), F), ("C", "D", ("B", "E"), F),
+        ("D", "E", ("A", "B"), F), ("D", "E", ("A", "C"), F), ("D", "E", ("B", "C"), F),
+        # level 3: no edge has a side with three other neighbours, so the search ends
+    ]
+
+    def test_ci_tests_run_in_a_fixed_order_once_each(self):
+        nodes = list("ABCDE")
+        oracle = make_dsep_oracle(self.EDGES, nodes)
+        calls = []
+
+        def recorder(dataset, a, b, cond):
+            verdict = oracle(dataset, a, b, cond)
+            calls.append((a, b, tuple(cond), verdict))
+            return verdict
+
+        skel = pc_stable_skeleton(nodes, recorder)
+        assert calls == self.CALLS
+        assert skel.edges == _skeleton_edges(self.EDGES)
+        assert skel.separating_sets == {("A", "D"): ("B", "C"), ("A", "E"): ("D",),
+                                        ("B", "C"): ("A",), ("B", "E"): ("D",),
+                                        ("C", "E"): ("D",)}
+
+
 class TestPrecisionRecall:
     def test_perfect(self):
         truth = {("A", "B"), ("B", "C")}

@@ -41,11 +41,15 @@ class TestChi2Critical:
                     scipy_chi2.ppf(1 - alpha, df), abs=1e-7)
 
     def test_rejects_bad_inputs(self):
-        for alpha in (0.0, 1.0, -0.2, 1.7):
+        for alpha in (0.0, 1.0, -0.2, 1.7, "0.01", None, [0.01], True):
             with pytest.raises(InputError):
                 chi2_critical(alpha, 3)
         with pytest.raises(InputError):
             chi2_critical(0.05, 0)
+
+    def test_numpy_alpha_reads_as_its_value(self):
+        for alpha in (np.float64(0.05), np.float32(0.05)):
+            assert chi2_critical(alpha, 2) == pytest.approx(chi2_critical(0.05, 2), rel=1e-6)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -113,10 +117,11 @@ class TestChi2Test:
         assert (r1.raw, r1.correction, r1.corrected, r1.independent) == \
                (r2.raw, r2.correction, r2.corrected, r2.independent)
 
-    def test_rejects_bad_alpha(self):
+    @pytest.mark.parametrize("alpha", [1.5, "0.01", None, True])
+    def test_rejects_bad_alpha(self, alpha):
         ds = generate(ScenarioSpec("exp4", 100, 0))
-        with pytest.raises(InputError):
-            citest_chi2(ds.data, X, Y, Z, alpha=1.5)
+        with pytest.raises(InputError, match="alpha"):
+            citest_chi2(ds.data, X, Y, Z, alpha=alpha)
 
 
 class TestScTest:

@@ -65,6 +65,18 @@ def test_negative_seed_is_data_error(argv, capsys):
     assert ">= 0" in err
 
 
+@pytest.mark.parametrize("argv", [["estimate", "--x", "X", "--y", "Y"],
+                                  ["citest", "--x", "X", "--y", "Y"], ["discover"]],
+                         ids=["estimate", "citest", "discover"])
+def test_negative_seed_with_a_csv_path_is_data_error(argv, tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    run(["datagen", "exp1", "--n", "50", "--out", str(p)], capsys)
+    code, out, err = run([argv[0], str(p), *argv[1:], "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
 class TestEstimate:
     def test_self_information(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
@@ -505,7 +517,10 @@ class TestCiTestFitReuse:
     @pytest.mark.parametrize("method,alpha,match", [("chi-2", 0.01, "unknown CI test"),
                                                     ("chi2", 0.0, "alpha"),
                                                     ("sc", 5.0, "alpha"),
-                                                    ("sc", float("nan"), "alpha")])
+                                                    ("sc", float("nan"), "alpha"),
+                                                    ("chi2", "0.01", "real number"),
+                                                    ("sc", None, "real number"),
+                                                    ("chi2", [0.01], "real number")])
     def test_factory_rejects_bad_method_or_alpha_before_any_fit(self, method, alpha, match,
                                                                 monkeypatch):
         calls = _count_fits(monkeypatch)
