@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import chdtri
-
 from .complexity import log_regret
-from .errors import InputError, require_real
+from .errors import InputError, require_integer, require_real
 from .estimators import EstimateResult, VariableGroup, cmi_estimate
 from .histmd import FitConfig, FitResult
 
@@ -39,12 +37,16 @@ def check_ci_test(method: str, alpha: float):
 def chi2_critical(alpha: float, df: int) -> float:
     """(1-alpha) quantile of the chi-squared distribution with df degrees of freedom.
 
-    ``scipy.special.chdtri`` inverts the upper tail directly, which keeps
-    ``scipy.optimize`` out of the import path.
+    ``scipy.special.chdtri`` inverts the upper tail directly.  It is imported
+    here, after the input checks, so that ``import histcmi`` loads no scipy
+    and only a process's first chi2 test pays for ``scipy.special``.
+    ``df`` must be an integer >= 1.
     """
     check_ci_test("chi2", alpha)
+    require_integer("df", df)
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
+    from scipy.special import chdtri
     return float(chdtri(df, alpha))
 
 

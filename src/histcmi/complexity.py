@@ -3,6 +3,11 @@
 All quantities here are code lengths in bits (base-2 logarithms, with
 0·log 0 = 0).  Information-theoretic outputs in nats live in
 :mod:`histcmi.estimators`; conversion happens only at that boundary.
+
+The module needs numpy alone.  ln k! follows Cephes ``lgam`` (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989) and the log-sum-exp
+follows ``scipy.special.logsumexp``'s steps for real input, so both give
+scipy's bits without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .data_model import cell_ids, unique_ids
 from .errors import InputError, ModelError
@@ -20,12 +24,64 @@ _LN2 = math.log(2.0)
 
 # per-n cache of ln R(n, K); _cache[n][k-1] = ln R(n, k)
 _regret_cache: dict[int, np.ndarray] = {}
+# _ln_factorials[k] = ln k!, grown by _ln_factorial_table
+_ln_factorials = np.zeros(1)
 _regret_lock = threading.Lock()
 
 # Above this K, ln R(n, K) comes from the O(n) sum instead of the table, whose
 # cost and size grow with K.  It lies above every K the benchmark workloads
 # and the golden fits reach (at most 234,000), whose values stay the table's.
+# model_cost's table of ln k! stops at the same size.
 _TABLE_MAX_K = 2 ** 18
+
+# Cephes lgam: ln sqrt(2 pi) and the Stirling-series coefficients used below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+
+
+def _ln_factorial(k: int) -> float:
+    """ln k! for an integer k >= 0, bit for bit ``scipy.special.gammaln(k + 1)``:
+    Cephes lgam's steps for the integer argument x = k + 1."""
+    if k < 12:  # x < 13: lgam takes the log of the exact product (x - 1)!
+        return math.log(math.factorial(k))
+    x = float(k + 1)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
+def _ln_factorial_table(k: int) -> np.ndarray:
+    """The table of ln j!, grown under the lock to hold j = 0..k at least."""
+    global _ln_factorials
+    table = _ln_factorials
+    if len(table) > k:
+        return table
+    with _regret_lock:
+        table = _ln_factorials
+        if len(table) <= k:
+            table = np.concatenate([table, [_ln_factorial(j) for j in range(len(table), k + 1)]])
+            _ln_factorials = table
+    return table
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) for a finite 1-D ``a``, in ``scipy.special.logsumexp``'s
+    steps for real input: the maxima are taken out of the shifted sum."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top) * 1.0
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    s = s / m if s != 0 else s
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _ln_regret_sum(n: int, K: int) -> float:
@@ -34,7 +90,7 @@ def _ln_regret_sum(n: int, K: int) -> float:
     i = np.arange(1, n + 1, dtype=np.float64)
     # ln of term_i / term_{i-1} = ln((n - i + 1) / n) + ln((K - 2 + i) / i); term_0 = 1
     log_ratios = np.log((n - i + 1.0) / n) + np.log((K - 2.0 + i) / i)
-    return float(logsumexp(np.concatenate([[0.0], np.cumsum(log_ratios)])))
+    return _logsumexp(np.concatenate([[0.0], np.cumsum(log_ratios)]))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -100,14 +156,22 @@ def model_cost(num_candidates: int | np.ndarray,
 
     Either argument may be an integer array; they broadcast and give an
     array, while two scalars give a float.  A non-integer argument is an
-    ``InputError``.
+    ``InputError``.  ln k! is read from a per-process table up to
+    ``_TABLE_MAX_K`` candidates and computed per entry above it; either way
+    it equals ``scipy.special.gammaln(k + 1)`` bit for bit.
     """
     e = _integer_array("num_candidates", num_candidates)
     m = _integer_array("num_chosen", num_chosen)
     if e.size == 0 or m.size == 0 or np.any(m < 0) or np.any(m > e):
         raise InputError(
             f"model_cost needs 0 <= chosen <= candidates, got ({num_candidates}, {num_chosen})")
-    out = (gammaln(e + 1) - gammaln(m + 1) - gammaln(e - m + 1)) / _LN2
+    top = int(e.max())
+    if top <= _TABLE_MAX_K:
+        ln_fact = _ln_factorial_table(top).take
+    else:
+        ln_fact = np.vectorize(_ln_factorial, otypes=[np.float64])
+    # int64 difference: numpy would make uint64 - int64 a float
+    out = (ln_fact(e) - ln_fact(m) - ln_fact(np.subtract(e, m, dtype=np.int64))) / _LN2
     return float(out) if out.ndim == 0 else out
 
 

@@ -209,8 +209,8 @@ def run_estimation_benchmark(scenario: str, ns: Sequence[int], reps: int, seed: 
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     extra = {"k": k} if k is not None else {}
-    # every size is checked before the first replicate runs
-    specs = [ScenarioSpec(id=scenario, n=n, seed=0, extra=extra) for n in ns]
+    # every size and the seed are checked before the first replicate runs
+    specs = [ScenarioSpec(id=scenario, n=n, seed=seed, extra=extra) for n in ns]
     truth = ground_truth(specs[0])
     if truth is None:
         raise InputError(f"scenario {scenario!r} has no ground-truth value to benchmark")

@@ -51,16 +51,38 @@ class TestChi2Critical:
         for alpha in (np.float64(0.05), np.float32(0.05)):
             assert chi2_critical(alpha, 2) == pytest.approx(chi2_critical(0.05, 2), rel=1e-6)
 
+    @pytest.mark.parametrize("df", [2.5, True, "3", None, 3.0])
+    def test_rejects_a_non_integer_df(self, df):
+        with pytest.raises(InputError, match="df must be an integer"):
+            chi2_critical(0.05, df)
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize alone took most of the package import time
+    def test_numpy_integer_df_reads_as_its_value(self):
+        assert chi2_critical(0.05, np.int64(3)) == chi2_critical(0.05, 3)
+
+
+_SCIPY_PROBE = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from histcmi import ScenarioSpec, VariableGroup, citest_chi2, citest_sc, cmi_estimate, generate
+print(scipy_modules())
+data = generate(ScenarioSpec("exp5", 300, 1)).data
+X, Y, Z = (VariableGroup(name, (j,)) for j, name in enumerate("XYZ"))
+cmi_estimate(data, X, Y, Z)
+citest_sc(data, X, Y, Z)
+print(scipy_modules())
+print(citest_chi2(data, X, Y, Z).detail["df"] > 0, "scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_with_the_first_chi2_test():
+    # scipy.special took 60% of the package import time; only chi2's quantile needs it
     src = str(Path(histcmi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, histcmi; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                         capture_output=True, text=True, check=True, env=env, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "[]", "True True"]
 
 
 class TestChi2Test:

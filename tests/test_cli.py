@@ -62,7 +62,7 @@ def test_negative_seed_is_data_error(argv, capsys):
     code, out, err = run(argv + ["--n", "10", "--seed", "-1"], capsys)
     assert code == 2
     assert out == ""
-    assert ">= 0" in err
+    assert "seed must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize("argv", [["estimate", "--x", "X", "--y", "Y"],

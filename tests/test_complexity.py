@@ -1,11 +1,14 @@
 import itertools
 import math
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from histcmi import FitConfig, InputError, ModelError
 from histcmi.complexity import log_regret, model_cost, neg_log_likelihood, total_score
@@ -135,6 +138,75 @@ class TestModelCost:
         c = model_cost(n, k)
         assert c >= -1e-12
         assert c == pytest.approx(model_cost(n, n - k), abs=1e-9)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestScipyBits:
+    """ln k! and the log-sum-exp repeat scipy.special's algorithms, so their
+    bits, and every code length built on them, are scipy's."""
+
+    def test_ln_factorial_table_equals_gammaln(self):
+        k = np.arange(200_001)
+        assert _hex(complexity._ln_factorial_table(200_000)[k]) == _hex(gammaln(k + 1))
+
+    @pytest.mark.parametrize("k", [10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1, 3 * 10**8, 2**40])
+    def test_ln_factorial_above_1e8_equals_gammaln(self, k):
+        assert _hex(complexity._ln_factorial(k)) == _hex(gammaln(k + 1))
+
+    def test_logsumexp_equals_scipy_on_the_regret_sums(self, monkeypatch):
+        seen = []
+        own = complexity._logsumexp
+        monkeypatch.setattr(complexity, "_logsumexp", lambda a: seen.append(a) or own(a))
+        for n in (1, 2, 1000, 10000):
+            for K in (2, 3, 2**18 + 1):
+                value = complexity._ln_regret_sum(n, K)
+                assert _hex(value) == _hex(logsumexp(seen[-1])), (n, K)
+
+    @pytest.mark.parametrize("e", [0, 1, 11, 12, 13, 998, 999, 1000, 4000, 2**18])
+    def test_model_cost_equals_the_gammaln_formula(self, e):
+        m = np.arange(e + 1)
+        reference = (gammaln(e + 1) - gammaln(m + 1) - gammaln(e - m + 1)) / math.log(2.0)
+        assert _hex(model_cost(e, m)) == _hex(reference)
+        assert _hex(model_cost(e, e // 3)) == _hex(reference[e // 3])
+
+    def test_model_cost_above_the_table_equals_the_gammaln_formula(self):
+        e, m = 2**40, np.array([0, 1, 3, 2**20, 2**39])
+        before = len(complexity._ln_factorials)
+        reference = (gammaln(e + 1) - gammaln(m + 1) - gammaln(e - m + 1)) / math.log(2.0)
+        assert _hex(model_cost(e, m)) == _hex(reference)
+        assert _hex(model_cost(np.uint64(e), 3)) == _hex(reference[2])
+        assert len(complexity._ln_factorials) == before
+
+    def test_threads_grow_the_table_once_per_entry(self, monkeypatch):
+        # under the lock each ln k! is computed once and the table only grows
+        monkeypatch.setattr(complexity, "_ln_factorials", np.zeros(1))
+        calls = []
+        own = complexity._ln_factorial
+        monkeypatch.setattr(complexity, "_ln_factorial", lambda k: calls.append(k) or own(k))
+        sizes = list(range(4250, 250, -250))
+        start = threading.Barrier(len(sizes))
+
+        def grow(e):
+            start.wait(timeout=60)
+            model_cost(e, np.arange(e + 1))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(e,)) for e in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == list(range(1, max(sizes) + 1))
+        table = complexity._ln_factorials
+        assert _hex(table) == _hex(gammaln(np.arange(max(sizes) + 1) + 1))
 
 
 def _single_interval_grid(values, width):

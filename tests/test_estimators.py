@@ -253,3 +253,12 @@ class TestRunEstimationBenchmark:
         monkeypatch.setattr(estimators, "cmi_estimate", refuse)
         with pytest.raises(InputError, match=match):
             run_estimation_benchmark("exp1", ns, reps=reps, seed=0, config=FitConfig())
+
+    @pytest.mark.parametrize("seed,match", [(-1, "seed must be >= 0, got -1"),
+                                            (1.5, "seed must be an integer")])
+    def test_rejects_a_bad_seed_before_any_estimate(self, seed, match, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimated before checking its seed")
+        monkeypatch.setattr(estimators, "cmi_estimate", refuse)
+        with pytest.raises(InputError, match=match):
+            run_estimation_benchmark("exp1", [100], reps=1, seed=seed, config=FitConfig())
