@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import sys
 import time
 
@@ -28,6 +29,11 @@ from .histmd import ColumnStart, FitConfig, FitResult
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 SCHEMA_VERSION = 1
 _SCENARIO_N = 1000  # rows drawn from a scenario id when --n is not given
+# A CSV number: ASCII decimal or exponent syntax with optional surrounding
+# spaces.  float() also reads "1_0" as 10.0 and non-ASCII digits such as "３";
+# nan and inf pass here and are refused as non-finite values.
+_CSV_NUMBER = re.compile(r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|nan|inf(?:inity)?)\s*",
+                         re.ASCII | re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -94,10 +100,11 @@ def read_csv_dataset(path: str) -> Dataset:
         if len(row) != len(names):
             raise InputError(f"{path}: ragged rows: data row {i} has {len(row)} cells "
                              f"but the header has {len(names)}")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError as e:
-        raise InputError(f"{path}: non-numeric cell: {e}") from e
+        for j, (name, v) in enumerate(zip(names, row), start=1):
+            if not _CSV_NUMBER.fullmatch(v):
+                raise InputError(f"{path}: non-numeric cell {v!r} in data row {i}, "
+                                 f"column {j} ({name!r})")
+    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise InputError(f"{path}: non-finite values")
     return Dataset(names=names, data=data, x=(), y=(), z=(), scenario=path, seed=0)

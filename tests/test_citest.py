@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 from scipy.stats import chi2 as scipy_chi2
 
 import histcmi
@@ -18,6 +19,7 @@ from histcmi import (
     generate,
     replicate_seed,
 )
+from histcmi import citest
 from histcmi.citest import chi2_critical
 
 X = VariableGroup("X", (0,))
@@ -33,12 +35,49 @@ class TestChi2Critical:
 
     def test_alpha_near_one_gives_zero_quantile(self):
         assert chi2_critical(1.0 - 1e-9, 3) < 1e-2
+        value = chi2_critical(1.0 - 1e-9, 1)
+        assert math.isfinite(value) and value >= 0.0
 
     def test_matches_scipy_ppf(self):
         for alpha in (0.2, 0.05, 0.01, 0.001):
             for df in (1, 2, 5, 30, 240):
                 assert chi2_critical(alpha, df) == pytest.approx(
                     scipy_chi2.ppf(1 - alpha, df), abs=1e-7)
+
+    # alpha from the median down to 1e-300, and two values above 1/2 where
+    # the lower tail P = 1 - alpha is solved instead
+    GRID_ALPHAS = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001, 1e-6, 1e-12, 1e-300, 0.9, 0.99)
+    GRID_DFS = (*range(1, 2001), 10**4, 10**5, 10**6, 2**31, 2**53, 2**63 - 1)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return {(df, alpha): chi2_critical(alpha, df)
+                for df in self.GRID_DFS for alpha in self.GRID_ALPHAS}
+
+    def test_matches_chdtri_over_the_grid(self, grid):
+        for (df, alpha), value in grid.items():
+            rel = 1e-12 if df <= 10**6 else 1e-10
+            assert value == pytest.approx(chdtri(df, alpha), rel=rel, abs=0.0), (df, alpha)
+
+    def test_strictly_monotone_over_the_grid(self, grid):
+        alphas = sorted(self.GRID_ALPHAS)
+        for df in self.GRID_DFS:
+            row = [grid[df, alpha] for alpha in alphas]
+            assert all(a > b for a, b in zip(row, row[1:])), df
+        for alpha in alphas:
+            column = [grid[df, alpha] for df in self.GRID_DFS]
+            assert all(a < b for a, b in zip(column, column[1:])), alpha
+
+    def test_temme_expansion_agrees_with_the_series_and_fraction(self, monkeypatch):
+        # from df = 10^5 on the quantile comes from Temme's expansion, where the
+        # series and the continued fraction still converge; its C1 term alone
+        # moves df = 10^5 by 8e-13
+        dfs = (10**5, 10**5 + 1, 10**6)
+        temme = {(df, alpha): chi2_critical(alpha, df)
+                 for df in dfs for alpha in self.GRID_ALPHAS}
+        monkeypatch.setattr(citest, "_TEMME_MIN_A", math.inf)
+        for (df, alpha), value in temme.items():
+            assert value == pytest.approx(chi2_critical(alpha, df), rel=1e-14, abs=0.0)
 
     def test_rejects_bad_inputs(self):
         for alpha in (0.0, 1.0, -0.2, 1.7, "0.01", None, [0.01], True):
@@ -60,29 +99,32 @@ class TestChi2Critical:
         assert chi2_critical(0.05, np.int64(3)) == chi2_critical(0.05, 3)
 
 
-_SCIPY_PROBE = """
+_NO_SCIPY_PROBE = """
 import sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from histcmi import ScenarioSpec, VariableGroup, citest_chi2, citest_sc, cmi_estimate, generate
-print(scipy_modules())
+from histcmi.cli import main
 data = generate(ScenarioSpec("exp5", 300, 1)).data
 X, Y, Z = (VariableGroup(name, (j,)) for j, name in enumerate("XYZ"))
 cmi_estimate(data, X, Y, Z)
 citest_sc(data, X, Y, Z)
-print(scipy_modules())
-print(citest_chi2(data, X, Y, Z).detail["df"] > 0, "scipy.special" in sys.modules)
+print(citest_chi2(data, X, Y, Z).detail["df"] > 0)
+codes = [main(["discover", "network", "--n", "500", "--max-level", "1"]),
+         main(["citest", "exp1", "--n", "300"])]
+print(codes, file=sys.stderr)
 """
 
 
-def test_scipy_loads_only_with_the_first_chi2_test():
-    # scipy.special took 60% of the package import time; only chi2's quantile needs it
+def test_no_scipy_at_run_time():
+    # estimates, both CI tests and the CLI run with every scipy import refused
     src = str(Path(histcmi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
-                         capture_output=True, text=True, check=True, env=env, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[]", "True True"]
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "True"
+    assert out.stderr.splitlines()[-1] == "[0, 0]"
 
 
 class TestChi2Test:

@@ -112,6 +112,32 @@ class TestEstimate:
         code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff13", "\u0663", "0x10", "1e", "."],
+                             ids=["underscore", "fullwidth", "arabic-indic", "hex", "exponent",
+                                  "dot"])
+    def test_cell_that_float_reads_but_is_no_csv_number_is_data_error(self, tmp_path, capsys,
+                                                                       cell):
+        # float() reads "1_0" as 10.0 and "\uff13" or "\u0663" as 3.0
+        p = tmp_path / "cells.csv"
+        p.write_text(f"A,B\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+        code, out, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert (code, out) == (2, "")
+        assert f"non-numeric cell {cell!r} in data row 2, column 2 ('B')" in err
+
+    def test_csv_number_syntax_reads_as_float_does(self, tmp_path):
+        cells = [" 1.5e3 ", "+2", "-.5", "5.", "7E-1", "\t3\t"]
+        p = tmp_path / "cells.csv"
+        p.write_text("A\n" + "".join(f"{c}\n" for c in cells))
+        assert read_csv_dataset(str(p)).data[:, 0].tolist() == [float(c) for c in cells]
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        p = tmp_path / "cells.csv"
+        p.write_text(f"A,B\n1.0,2.0\n3.0,{cell}\n")
+        code, _, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert code == 2
+        assert "non-finite values" in err
+
     @pytest.mark.parametrize("text, row", [("A,B\n1,2\n3\n", 2), ("A,B\n1,2,3\n4,5\n", 1)])
     def test_ragged_rows_are_data_error(self, tmp_path, capsys, text, row):
         p = tmp_path / "ragged.csv"
