@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -45,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass
-class RunReport:
-    command: str
-    config: dict
-    seed: int | None
-    results: dict
-    wall_clock_sec: float
-    schema_version: int = SCHEMA_VERSION
-
-
 def _add_config_flags(p: argparse.ArgumentParser):
     default = FitConfig()
     p.add_argument("--t", type=int, default=default.t, help="discreteness detection threshold")
@@ -68,18 +59,14 @@ def _config_from(args) -> FitConfig:
                      k_max_factor=args.kmax_factor)
 
 
-def _config_echo(config: FitConfig, **extra) -> dict:
-    d = dataclasses.asdict(config)
-    d.update(extra)
-    return d
-
-
 def read_csv_dataset(path: str) -> Dataset:
     """Read a numeric UTF-8 CSV (optional byte-order mark and leading # comments,
-    then a header row)."""
+    then a header row); blank lines are skipped, and a # row after the header
+    is a data row."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            rows = list(itertools.dropwhile(lambda r: r[0].startswith("#"),
+                                            (r for r in csv.reader(fh) if r)))
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -166,7 +153,7 @@ def cmd_estimate(args):
         "n": est.n,
         "columns": columns,
     }
-    return _config_echo(config), results
+    return dataclasses.asdict(config), results
 
 
 def cmd_citest(args):
@@ -184,7 +171,7 @@ def cmd_citest(args):
         "columns": columns,
         "n": res.estimate.n,
     }
-    return _config_echo(config, test=args.test, alpha=args.alpha), results
+    return {**dataclasses.asdict(config), "test": args.test, "alpha": args.alpha}, results
 
 
 @dataclasses.dataclass
@@ -272,8 +259,8 @@ def cmd_discover(args):
         results["precision"] = prec
         results["recall"] = rec
         results["true_edges"] = [list(e) for e in sorted(truth)]
-    return _config_echo(config, test=args.test, alpha=args.alpha,
-                        max_level=args.max_level), results
+    return {**dataclasses.asdict(config), "test": args.test, "alpha": args.alpha,
+            "max_level": args.max_level}, results
 
 
 def cmd_datagen(args) -> Dataset:
@@ -304,25 +291,26 @@ def cmd_benchmark(args):
     ns = _parse_n_list(args.n)
     rows = run_estimation_benchmark(args.scenario, ns, args.reps, args.seed, config,
                                     k=args.k)
-    return _config_echo(config, reps=args.reps, ns=ns), {"rows": rows}
+    return {**dataclasses.asdict(config), "reps": args.reps, "ns": ns}, {"rows": rows}
 
 
-def _report_to_csv(report: RunReport, fh):
+def _report_to_csv(report: dict, fh):
     w = csv.writer(fh, lineterminator="\n")
-    if report.command == "benchmark":
+    results = report["results"]
+    if report["command"] == "benchmark":
         cols = ["scenario", "n", "replicate_count", "mean_estimate", "mse", "truth"]
         w.writerow(cols)
-        for row in report.results["rows"]:
+        for row in results["rows"]:
             w.writerow([row[c] for c in cols])
-    elif report.command == "discover":
+    elif report["command"] == "discover":
         for key in ("precision", "recall"):
-            if key in report.results:
-                fh.write(f"# {key}={report.results[key]}\n")
+            if key in results:
+                fh.write(f"# {key}={results[key]}\n")
         w.writerow(["node_a", "node_b"])
-        for a, b in report.results["edges"]:
+        for a, b in results["edges"]:
             w.writerow([a, b])
     else:
-        flat = _flatten(report.results)
+        flat = _flatten(results)
         w.writerow(list(flat))
         w.writerow([flat[k] for k in flat])
 
@@ -394,8 +382,7 @@ def _emit(args, payload):
         elif getattr(args, "format", "json") == "csv":
             _report_to_csv(payload, out)
         else:
-            json.dump(dataclasses.asdict(payload), out, indent=2,
-                      default=lambda o: o.item() if hasattr(o, "item") else str(o))
+            json.dump(payload, out, indent=2)
             out.write("\n")
     finally:
         if out is not sys.stdout:
@@ -413,8 +400,9 @@ def main(argv=None) -> int:
         payload = args.func(args)
         if not isinstance(payload, Dataset):
             config, results = payload
-            payload = RunReport(args.command, config, args.seed, results,
-                                time.perf_counter() - t0)
+            payload = {"command": args.command, "config": config, "seed": args.seed,
+                       "results": results, "wall_clock_sec": time.perf_counter() - t0,
+                       "schema_version": SCHEMA_VERSION}
         _emit(args, payload)
         return EXIT_OK
     except InputError as e:

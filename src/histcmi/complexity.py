@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .data_model import cell_ids, unique_ids
+from .data_model import count_cells
 from .errors import InputError, ModelError
 
 _LN2 = math.log(2.0)
@@ -198,10 +198,10 @@ def neg_log_likelihood(grid, dims=None) -> float:
     if len(dims) < len(grid.dims):
         # a grid's cells are distinct and sorted, so only a projection merges
         cells = cells[:, dims]
-        distinct, inverse, _ = unique_ids(cell_ids(cells, [grid.dims[j].n_bins for j in dims]))
-        counts = np.bincount(inverse, weights=counts)
-        row = np.empty(len(distinct), dtype=np.intp)
-        row[inverse] = np.arange(len(inverse))  # any cell merged into one spells it
+        merged = count_cells(cells, [grid.dims[j].n_bins for j in dims])[0]
+        counts = np.bincount(merged, weights=counts)
+        row = np.empty(len(counts), dtype=np.intp)
+        row[merged] = np.arange(len(merged))  # any cell merged into one spells it
         cells = cells[row]
     log_v = np.zeros(len(counts))
     for j, v in enumerate(vols):

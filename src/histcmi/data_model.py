@@ -11,16 +11,18 @@ joint model over several variables is the Cartesian product of
 per-dimension bin sets, held as a sparse :class:`Grid`: an array of
 occupied cells and an array of their row counts.
 
-Every joint cell is named by one int64 id from :func:`cell_ids`, the single
-mixed-radix encoding of the package.  It refuses to wrap: ids that would
-pass int64 are first compacted to their order-preserving ranks.  Ids are
-compacted by :func:`unique_ids`, which counts them in one ``bincount`` when
-their span is at most ``_COUNT_SPAN`` times their number and sorts them
-above that; either way it returns exactly what ``np.unique`` returns.
+Every joint cell is counted by :func:`count_cells`, which holds the single
+mixed-radix encoding of the package: it names each label row by one int64
+id and ranks the ids, which numbers the cells in the rows' lexicographic
+order exactly as ``np.unique`` does.  It refuses to wrap: ids that would
+pass int64 are first replaced by their order-preserving ranks.  Either rank
+step counts the ids in one ``bincount`` when their span is at most
+``_COUNT_SPAN`` times their number and sorts them above that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +186,8 @@ def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
 
 # every cell id must stay below this to fit in int64
 _ID_LIMIT = 2 ** 63
+# ids spanning at most this many times their number are counted, not sorted
+_COUNT_SPAN = 2
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -195,14 +199,30 @@ def _integer_labels(labels) -> np.ndarray:
     return labels
 
 
-def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
-    """Encode each label row as one int64 id, first column most significant.
+def _rank(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True, return_counts=True)[1:]`` of
+    nonnegative int64 ids: each id's index among the sorted distinct ids and
+    the count of each.  Ids spanning at most ``_COUNT_SPAN`` times their
+    number are counted in O(n + span) instead of sorted in O(n log n)."""
+    span = int(ids.max(initial=-1)) + 1
+    if span > _COUNT_SPAN * len(ids):
+        return np.unique(ids, return_inverse=True, return_counts=True)[1:]
+    counts = np.bincount(ids, minlength=span)
+    distinct = np.flatnonzero(counts)
+    rank = np.empty(span, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return rank[ids], counts[distinct]
 
-    Column j holds labels in [0, radices[j]).  Ids order like the rows do
-    lexicographically, so equal rows share an id and distinct rows never do.
+
+def count_cells(labels: np.ndarray, radices) -> tuple[np.ndarray, np.ndarray]:
+    """Each label row's cell and each cell's row count, as
+    ``np.unique(labels, axis=0, return_inverse=True, return_counts=True)[1:]``
+    numbers them: cells in the rows' lexicographic order.
+
+    Column j holds labels in [0, radices[j]).  Each row is encoded as one
+    int64 id, first column most significant, so ids order like the rows.
     Before the next column would carry an id past int64, the running ids are
-    replaced by their ranks, which keeps their order: the ids then stop being
-    the plain mixed-radix value but sort and compare exactly as it would.
+    replaced by their ranks, which keeps their order.
     """
     labels = _integer_labels(labels)
     if labels.ndim != 2 or labels.shape[1] != len(radices):
@@ -215,32 +235,13 @@ def cell_ids(labels: np.ndarray, radices) -> np.ndarray:
         if col.size and (col.min() < 0 or col.max() >= r):
             raise InputError(f"labels of column {j} outside [0, {r})")
         if span * r > _ID_LIMIT:
-            distinct, ids = np.unique(ids, return_inverse=True)
-            span = len(distinct)
+            ids, counts = _rank(ids)
+            span = len(counts)
             if span * r > _ID_LIMIT:
                 raise InputError("too many distinct cells to encode in int64")
         ids = ids * r + col.astype(np.int64, copy=False)  # uint64 would make ids float64
         span *= r
-    return ids
-
-
-# ids spanning at most this many times their number are counted, not sorted
-_COUNT_SPAN = 2
-
-
-def unique_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(ids, return_inverse=True, return_counts=True)`` of nonnegative
-    int64 ids: the sorted distinct ids, each id's index among them and the
-    count of each.  Ids spanning at most ``_COUNT_SPAN`` times their number
-    are counted in O(n + span) instead of sorted in O(n log n)."""
-    span = int(ids.max(initial=-1)) + 1
-    if span > _COUNT_SPAN * len(ids):
-        return np.unique(ids, return_inverse=True, return_counts=True)
-    counts = np.bincount(ids, minlength=span)
-    distinct = np.flatnonzero(counts)
-    rank = np.empty(span, dtype=np.intp)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[ids], counts[distinct]
+    return _rank(ids)
 
 
 @dataclass(frozen=True)
@@ -265,10 +266,7 @@ class Grid:
 
     @property
     def K(self) -> int:
-        k = 1
-        for d in self.dims:
-            k *= d.n_bins
-        return k
+        return math.prod(d.n_bins for d in self.dims)
 
 
 def build_grid(labels: np.ndarray, bins: list[BinSet]) -> Grid:
@@ -276,8 +274,8 @@ def build_grid(labels: np.ndarray, bins: list[BinSet]) -> Grid:
     column j holds bin indices of ``bins[j]``; the grid keeps its own copy."""
     mat = _integer_labels(labels).astype(np.int64, copy=False)
     n = len(mat)
-    distinct, inverse, counts = unique_ids(cell_ids(mat, [b.n_bins for b in bins]))
+    cell, counts = count_cells(mat, [b.n_bins for b in bins])
     # any row of a cell spells that cell
-    row = np.empty(len(distinct), dtype=np.intp)
-    row[inverse] = np.arange(n)
+    row = np.empty(len(counts), dtype=np.intp)
+    row[cell] = np.arange(n)
     return Grid(dims=tuple(bins), cells=mat[row], counts=counts, n=n)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexity import neg_log_likelihood
-from .data_model import Grid, cell_ids, detect_discrete_points, unique_ids
+from .data_model import Grid, count_cells, detect_discrete_points
 from .datagen import Dataset, ScenarioSpec, generate, ground_truth, replicate_seed
 from .errors import InputError, ModelError, require_integer
 from .histmd import ColumnStart, FitConfig, FitResult, greedy_fit, start_column
@@ -39,10 +39,16 @@ class VariableGroup:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        for d in self.dims:
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise InputError(f"group {self.name!r} dimensions must be a sequence of "
+                             f"integers, got {self.dims!r}") from None
+        for d in dims:
             require_integer(f"group {self.name!r} dimension", d)
-        if len(set(self.dims)) != len(self.dims):
+        if len(set(dims)) != len(dims):
             raise InputError(f"group {self.name!r} repeats a dimension")
+        object.__setattr__(self, "dims", dims)  # a list or array would not concatenate
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def plugin_entropy(labels: np.ndarray) -> float:
         raise InputError("plugin entropy of an empty sample is undefined")
     # cells counted in the order of ids with the last column most significant
     radices = labels.max(axis=0, initial=0).astype(np.int64) + 1
-    counts = unique_ids(cell_ids(labels[:, ::-1], radices[::-1]))[2]
+    counts = count_cells(labels[:, ::-1], radices[::-1])[1]
     p = counts / n
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for one cell
 

@@ -47,8 +47,7 @@ from .data_model import (
     _interval_index,
     assign_labels,
     build_grid,
-    cell_ids,
-    unique_ids,
+    count_cells,
 )
 from .errors import InputError, require_integer, require_real
 from .hist1d import (
@@ -278,11 +277,10 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
         ops = 0
     else:
         # the other dimensions' cells over all rows, as compact ids
-        cells, other_ids, _ = unique_ids(cell_ids(labels[:, others], radices))
+        other_ids, other_counts = count_cells(labels[:, others], radices)
         disc = start.column.discrete_mask
-        pair = cell_ids(np.column_stack([labels[disc, j], other_ids[disc]]),
-                        [binset.n_bins, len(cells)])
-        c = unique_ids(pair)[2].astype(np.float64)
+        c = count_cells(np.column_stack([labels[disc, j], other_ids[disc]]),
+                        [binset.n_bins, len(other_counts)])[1].astype(np.float64)
         pair_bits = float(np.sum(c * np.log2(c)))
         res = solve_segmentation(
             n_total=n,

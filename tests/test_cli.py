@@ -124,6 +124,20 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert f"non-numeric cell {cell!r} in data row 2, column 2 ('B')" in err
 
+    def test_hash_row_after_the_header_is_a_non_numeric_cell(self, tmp_path, capsys):
+        p = tmp_path / "hash.csv"
+        p.write_text("# rng=x\nA,B\n1,2\n#3,4\n5,6\n")
+        code, out, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+        assert (code, out) == (2, "")
+        assert "non-numeric cell '#3' in data row 2, column 1 ('A')" in err
+
+    def test_comments_before_the_header_and_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "commented.csv"
+        p.write_text("# rng=x\n\n# scenario=y\nA,B\n\n1,2\n3,4\n\n")
+        ds = read_csv_dataset(str(p))
+        assert ds.names == ("A", "B")
+        assert ds.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_csv_number_syntax_reads_as_float_does(self, tmp_path):
         cells = [" 1.5e3 ", "+2", "-.5", "5.", "7E-1", "\t3\t"]
         p = tmp_path / "cells.csv"
@@ -370,6 +384,22 @@ class TestDiscover:
         assert code == 2
         assert out == ""
         assert "max_level must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["estimate", "exp1", "--n", "200"], []),
+    (["citest", "exp1", "--n", "200"], ["test", "alpha"]),
+    (["discover", "network", "--n", "200", "--max-level", "0"], ["test", "alpha", "max_level"]),
+    (["benchmark", "exp1", "--n", "100", "--reps", "1"], ["reps", "ns"]),
+], ids=["estimate", "citest", "discover", "benchmark"])
+def test_json_report_keys_and_config_echo_in_order(argv, extra, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["command", "config", "seed", "results", "wall_clock_sec",
+                            "schema_version"]
+    assert (report["command"], report["seed"], report["schema_version"]) == (argv[0], 0, 1)
+    assert list(report["config"]) == ["i_max", "t", "k_init_factor", "k_max_factor", *extra]
 
 
 def _count_fits(monkeypatch) -> list:

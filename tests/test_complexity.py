@@ -315,7 +315,7 @@ class TestProjectedNegLogLikelihood:
 
         def refuse(*args, **kwargs):
             raise AssertionError("merged the cells of a whole grid")
-        monkeypatch.setattr(complexity, "cell_ids", refuse)
+        monkeypatch.setattr(complexity, "count_cells", refuse)
         assert neg_log_likelihood(fit.grid, tuple(reversed(range(k)))) == whole
 
 

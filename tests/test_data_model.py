@@ -11,10 +11,9 @@ from histcmi.data_model import (
     BinSet,
     assign_labels,
     build_grid,
-    cell_ids,
+    count_cells,
     degenerate_width,
     detect_discrete_points,
-    unique_ids,
 )
 
 
@@ -227,19 +226,20 @@ class TestGrid:
         assert np.array_equal(grid.counts, counts)
 
 
-def _assert_same_as_np_unique(ids):
-    got = unique_ids(ids)
-    want = np.unique(ids, return_inverse=True, return_counts=True)
+def _assert_same_as_np_unique(labels, radices):
+    got = count_cells(labels, radices)
+    want = np.unique(labels, axis=0, return_inverse=True, return_counts=True)[1:]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
 
 
-class TestUniqueIds:
+class TestCountCells:
     @staticmethod
     @st.composite
     def _ids(draw):
-        # a span at or under the counting bound, or a largest id past it
+        # one column of ids: a span at or under the counting bound, or a
+        # largest id past it
         counted = draw(st.booleans())
         n = draw(st.integers(0 if counted else 1, 200))
         bound = data_model._COUNT_SPAN * n
@@ -255,7 +255,7 @@ class TestUniqueIds:
     def test_equals_np_unique_on_both_sides_of_the_span_bound(self, case):
         ids, counted = case
         assert (int(ids.max(initial=-1)) + 1 <= data_model._COUNT_SPAN * len(ids)) == counted
-        _assert_same_as_np_unique(ids)
+        _assert_same_as_np_unique(ids[:, None], [2 ** 62 + 1])
 
     @pytest.mark.parametrize("ids", [
         np.empty(0, dtype=np.int64),                            # no rows
@@ -267,24 +267,40 @@ class TestUniqueIds:
         np.array([0, 1, 2, 4 * data_model._COUNT_SPAN]),        # span one past it
     ])
     def test_edge_cases_equal_np_unique(self, ids):
-        _assert_same_as_np_unique(ids.astype(np.int64))
+        _assert_same_as_np_unique(ids.astype(np.int64)[:, None], [2 ** 62 + 1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(TestGrid._label_matrices())
+    def test_matrices_equal_np_unique_past_int64(self, case):
+        radices, mat = case
+        _assert_same_as_np_unique(mat, radices)
 
-class TestCellIds:
+    def test_ids_past_int64_are_compacted_once(self, monkeypatch):
+        # 47**12 > 2**63: the running ids are ranked before the last column,
+        # then ranked once more for the cells
+        wrap = [7, 21, 33, 4, 41, 43, 23, 16, 26, 40, 3, 25]
+        rows = np.array([wrap, [0] * 12, [46] * 12, wrap])
+        calls = []
+        rank = data_model._rank
+        monkeypatch.setattr(data_model, "_rank", lambda ids: calls.append(ids) or rank(ids))
+        _assert_same_as_np_unique(rows, [47] * 12)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
     def test_non_integer_labels_rejected(self, dtype):
         with pytest.raises(InputError, match="integers"):
-            cell_ids(np.array([[0, 1], [1, 0]], dtype=dtype), [2, 2])
+            count_cells(np.array([[0, 1], [1, 0]], dtype=dtype), [2, 2])
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64])
     def test_integer_and_bool_labels_accepted(self, dtype):
-        ids = cell_ids(np.array([[0, 1], [1, 0]], dtype=dtype), [2, 2])
-        assert ids.tolist() == [1, 2]
+        cell, counts = count_cells(np.array([[0, 1], [1, 0], [0, 1]], dtype=dtype), [2, 2])
+        assert cell.tolist() == [0, 1, 0]
+        assert counts.tolist() == [2, 1]
 
-    def test_uint64_labels_keep_int64_ids(self):
+    def test_uint64_labels_near_2_to_60_stay_distinct(self):
         # int64 ids plus uint64 labels would promote to float64, where
         # 2**60 and 2**60 + 1 are one value
-        labels = np.array([[2 ** 60], [2 ** 60 + 1]], dtype=np.uint64)
-        ids = cell_ids(labels, [2 ** 60 + 2])
-        assert ids.dtype == np.int64
-        assert ids.tolist() == [2 ** 60, 2 ** 60 + 1]
+        labels = np.array([[2 ** 60 + 1], [2 ** 60], [2 ** 60 + 1]], dtype=np.uint64)
+        cell, counts = count_cells(labels, [2 ** 60 + 2])
+        assert cell.tolist() == [1, 0, 1]
+        assert counts.tolist() == [1, 2]

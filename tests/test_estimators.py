@@ -102,6 +102,22 @@ class TestVariableGroups:
         groups = [VariableGroup(name, (d,)) for name, d in zip("XYZ", dims)]
         assert cmi_estimate(data, *groups).value == cmi_estimate(data, X, Y, Z).value
 
+    def test_list_and_array_dimensions_give_the_tuple_result(self):
+        data = np.random.default_rng(1).normal(size=(80, 4))
+        want = cmi_estimate(data, X, Y, VariableGroup("Z", (2, 3)))
+        for as_dims in (list, np.array):
+            groups = [VariableGroup(name, as_dims(d))
+                      for name, d in (("X", [0]), ("Y", [1]), ("Z", [2, 3]))]
+            assert all(type(g.dims) is tuple for g in groups)
+            got = cmi_estimate(data, *groups)
+            assert (got.value, got.h_xz, got.h_yz, got.h_xyz, got.h_z) == \
+                (want.value, want.h_xz, want.h_yz, want.h_xyz, want.h_z)
+
+    @pytest.mark.parametrize("dims", [0, None])
+    def test_dimensions_that_are_no_sequence_rejected(self, dims):
+        with pytest.raises(InputError, match="must be a sequence of integers"):
+            VariableGroup("X", dims)
+
     def test_groups_must_cover_dataset(self):
         data = np.random.default_rng(0).normal(size=(50, 3))
         with pytest.raises(InputError):
