@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import re
 import sys
 import time
@@ -118,6 +119,9 @@ def _generate(scenario: str, args) -> Dataset:
 
 def _load_dataset(target: str, args) -> Dataset:
     if target in SCENARIOS:
+        if os.path.isfile(target):
+            raise InputError(f"{target!r} names both a scenario id and a file here; "
+                             f"give ./{target} to read the file")
         return _generate(target, args)
     for flag, value in (("--k", args.k), ("--n", args.n)):
         if value is not None:

@@ -11,7 +11,7 @@ m whose score is smallest and walks its cuts back as grid indices, which a
 
 The solver is conditional: the per-segment likelihood aggregates counts across
 the fixed cells of all other dimensions of the joint fit, and a 1-D histogram
-is the case with no other dimension (``histmd.optimal_histogram_1d``).  The
+is the case with no other dimension, the first re-cut of a one-column fit.  The
 code length of a re-cut splits into what its cuts change and one constant,
 ``fixed_bits``, which the solve leaves out and the caller adds: a segment of width w holding n
 rows costs ``-G + n·log2 w``, its conditional histogram cost, where G sums

@@ -19,7 +19,7 @@ dimension is re-cut.  A re-cut reads the other dimensions' cells from the
 matrix; a dimension with no candidate cut re-cuts to +inf bits, so it is
 never accepted.  After each accepted re-cut the grid is rebuilt from the
 matrix and its score checked against the one the segmentation DP
-reported.  A column's 1-D histogram, :func:`optimal_histogram_1d`, is the
+reported.  A column's 1-D MDL histogram is no separate routine: it is the
 first re-cut of a one-column fit of its start.
 
 A re-cut's cuts depend only on its column's start and on the other
@@ -174,10 +174,6 @@ class ColumnStart:
     serial: int = field(init=False, default_factory=lambda: next(_SERIALS), compare=False)
     recuts: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.column.n
-
 
 def start_column(column: MixedColumn, config: FitConfig) -> ColumnStart:
     """The start of ``column``, whose discrete points were detected with
@@ -201,8 +197,8 @@ def init_discretization(starts: list[ColumnStart],
     """
     if not starts:
         raise InputError("empty dataset")
-    n = starts[0].n
-    if any(s.n != n for s in starts):
+    n = starts[0].column.n
+    if any(s.column.n != n for s in starts):
         raise InputError("columns disagree on sample size")
     want = (config.t, config.k_init(n), config.k_max(n))
     for s in starts:
@@ -298,14 +294,6 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     # singleton bins, and the other dimensions' log2 volumes and model costs
     fixed_bits = n * math.log2(n) - pair_bits + sum(state.dim_bits[d] for d in others)
     return RefineResult(replace(binset, cuts=res.cut_indices), fixed_bits + res.cut_bits, ops)
-
-
-def optimal_histogram_1d(start: ColumnStart) -> BinSet:
-    """MDL-optimal bin set for the column of ``start`` over its candidate
-    grid, into at most its K_max intervals: the first re-cut of a
-    one-column fit of the start."""
-    state = FitState([start], [start.binset], start.labels.astype(np.int64)[:, None])
-    return refine_dimension(0, state).binset
 
 
 def greedy_fit(starts: list[ColumnStart], config: FitConfig) -> FitResult:

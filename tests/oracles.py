@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
+from histcmi import histmd
 from histcmi.complexity import log_regret, model_cost, total_score
 from histcmi.data_model import BinSet, assign_labels, build_grid
 from histcmi.hist1d import _xlogx_segment_sums
@@ -65,6 +66,14 @@ def grid_start(column, grid, K_max: int) -> ColumnStart:
     labels.setflags(write=False)
     return ColumnStart(column=column, binset=binset, labels=labels,
                        table=column_table(column, grid, K_max), t=0, K_init=0, K_max=K_max)
+
+
+def first_recut(start: ColumnStart) -> BinSet:
+    """The column's 1-D MDL histogram: the first re-cut of a one-column fit
+    of ``start``.  It calls ``histmd.refine_dimension`` through the module,
+    so a test that patches that name sees the call."""
+    state = histmd.FitState([start], [start.binset], start.labels.astype(np.int64)[:, None])
+    return histmd.refine_dimension(0, state).binset
 
 
 def exhaustive_best_total(column, grid, K_max: int, others=()) -> float:

@@ -35,11 +35,11 @@ from histcmi.estimators import (
     run_estimation_benchmark,
 )
 from histcmi.hist1d import candidate_cuts
-from histcmi.histmd import optimal_histogram_1d, start_column
+from histcmi.histmd import start_column
 from histcmi.cli import make_ci_test
 
 from dsep import enumerate_dags, make_dsep_oracle
-from oracles import exhaustive_best_total, grid_start, multinomial_regret
+from oracles import exhaustive_best_total, first_recut, grid_start, multinomial_regret
 
 X = VariableGroup("X", (0,))
 Y = VariableGroup("Y", (1,))
@@ -141,7 +141,7 @@ def test_criterion_06_dp_matches_exhaustive():
         E = int(rng.integers(4, 13))  # interior candidates, <= 12
         K_max = int(rng.integers(2, 6)) if trial < 15 else E + 1  # capped and free
         cand = candidate_cuts(col, E + 1)
-        bs = optimal_histogram_1d(grid_start(col, cand, K_max))
+        bs = first_recut(grid_start(col, cand, K_max))
         labs = assign_labels(col, bs)
         dp = total_score(build_grid(labs[:, None], [bs]))
         best = exhaustive_best_total(col, cand, K_max)
@@ -168,7 +168,7 @@ def test_criterion_08_bin_growth_below_sqrt_n():
         for rep in range(20):
             rng = np.random.default_rng(replicate_seed(800 + n, rep))
             col = detect_discrete_points(rng.normal(size=n), 5)
-            bs = optimal_histogram_1d(start_column(col, cfg))
+            bs = first_recut(start_column(col, cfg))
             counts.append(bs.n_bins)
         medians.append(float(np.median(counts)))
     increasing = all(b > a for a, b in zip(medians, medians[1:]))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -75,6 +76,87 @@ def test_negative_seed_with_a_csv_path_is_data_error(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv, written", [(["estimate", "exp1", "--x", "X", "--y", "Y"], "exp2"),
+                                           (["citest", "exp1", "--x", "X", "--y", "Y"], "exp2"),
+                                           (["discover", "network"], "network")],
+                         ids=["estimate", "citest", "discover"])
+def test_scenario_id_that_names_a_file_is_data_error(argv, written, tmp_path, monkeypatch,
+                                                     capsys):
+    # the scenario would answer in the file's stead, and the file never be read
+    monkeypatch.chdir(tmp_path)
+    run(["datagen", written, "--n", "60", "--out", argv[1]], capsys)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"{argv[1]!r} names both a scenario id and a file" in err
+    assert f"./{argv[1]} to read the file" in err
+    code, out, _ = run([argv[0], f"./{argv[1]}", *argv[2:]], capsys)
+    assert code == 0
+    if argv[0] != "discover":
+        assert json.loads(out)["results"]["n"] == 60
+
+
+def test_missing_csv_path_is_data_error(tmp_path, capsys):
+    code, out, err = run(["estimate", str(tmp_path / "none.csv"), "--x", "A", "--y", "B"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert "cannot read" in err
+
+
+def test_header_only_csv_is_data_error(tmp_path, capsys):
+    p = tmp_path / "header.csv"
+    p.write_text("# rng=x\nA,B\n")
+    code, out, err = run(["estimate", str(p), "--x", "A", "--y", "B"], capsys)
+    assert (code, out) == (2, "")
+    assert "need a header row and at least one data row" in err
+
+
+@pytest.mark.parametrize("roles", [[], ["--x", "A"], ["--y", "B"]], ids=["none", "x", "y"])
+def test_csv_without_x_and_y_is_data_error(roles, tmp_path, capsys):
+    # a CSV declares no roles, so there is nothing to fall back on
+    p = tmp_path / "d.csv"
+    p.write_text("A,B\n1,2\n3,4\n5,6\n")
+    code, out, err = run(["estimate", str(p), *roles], capsys)
+    assert (code, out) == (2, "")
+    assert "--x and --y are required" in err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_estimate", boom)
+    code, out, err = run(["estimate", "exp1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["estimate", "exp1", "--n", "200"],
+     "estimate_nats,entropies_nats.h_xz,entropies_nats.h_yz,entropies_nats.h_xyz,"
+     "entropies_nats.h_z,domain_sizes.X,domain_sizes.Y,domain_sizes.Z,bins_per_column.X,"
+     "bins_per_column.Y,n,columns.x,columns.y,columns.z"),
+    (["citest", "exp4", "--n", "200"],
+     "independent,raw_nats,correction_nats,corrected_nats,method,detail.df,detail.critical,"
+     "detail.alpha,columns.x,columns.y,columns.z,n"),
+], ids=["estimate", "citest"])
+def test_csv_report_is_the_json_results_flattened(argv, header, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    code, out, _ = run([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == header
+    row = dict(zip(header.split(","), next(csv.reader(lines[1:]))))
+    assert len(row) == len(header.split(","))
+    for key, cell in row.items():
+        # columns.* cells hold Python list reprs, which no reader should rely on
+        if not key.startswith("columns."):
+            assert cell == str(functools.reduce(dict.__getitem__, key.split("."), results)), key
+    if argv[0] == "estimate":
+        assert row["estimate_nats"] == repr(results["estimate_nats"])
 
 
 class TestEstimate:
@@ -346,6 +428,20 @@ class TestBenchmark:
     def test_bad_n_value_is_data_error(self, capsys):
         code, _, _ = run(["benchmark", "exp1", "--n", "abc", "--reps", "2"], capsys)
         assert code == 2
+
+    def test_two_part_range_steps_by_100(self, capsys):
+        code, out, _ = run(["benchmark", "exp1", "--n", "100..300", "--reps", "1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["ns"] == [r["n"] for r in report["results"]["rows"]] == [
+            100, 200, 300]
+
+    @pytest.mark.parametrize("text", ["1..2..3..4", "9..1", "1..9..0"],
+                             ids=["four-parts", "descending", "zero-step"])
+    def test_malformed_range_is_data_error(self, text, capsys):
+        code, out, err = run(["benchmark", "exp1", "--n", text, "--reps", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert f"bad --n value {text!r}" in err
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_reps_below_one_is_data_error(self, reps, capsys):

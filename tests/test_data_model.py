@@ -286,6 +286,16 @@ class TestCountCells:
         _assert_same_as_np_unique(rows, [47] * 12)
         assert len(calls) == 2
 
+    def test_cells_past_int64_after_compaction_are_refused(self):
+        # two distinct first labels rank to ids 0 and 1, and 2 * 2**62 ids
+        # still fit; three need 3 * 2**62, past int64
+        radices = [2 ** 62, 2 ** 62]
+        cell, counts = count_cells(np.array([[0, 0], [1, 1]]), radices)
+        assert cell.tolist() == [0, 1]
+        assert counts.tolist() == [1, 1]
+        with pytest.raises(InputError, match="too many distinct cells to encode in int64"):
+            count_cells(np.array([[0, 0], [1, 1], [2, 2]]), radices)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
     def test_non_integer_labels_rejected(self, dtype):
         with pytest.raises(InputError, match="integers"):

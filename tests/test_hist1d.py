@@ -21,10 +21,11 @@ from histcmi.hist1d import (
     segment_table,
     solve_segmentation,
 )
-from histcmi.histmd import optimal_histogram_1d, start_column
+from histcmi.histmd import start_column
 
 from oracles import (
     exhaustive_best_total,
+    first_recut,
     full_dp,
     full_segmentation,
     grid_start,
@@ -144,7 +145,7 @@ class TestPrefixCountType:
         grid = start.binset.grid
         cuts, _ = full_segmentation(n, grid, _interval_index(x, grid), start.K_max, 0, 1,
                                     np.zeros(n, dtype=np.int64))
-        assert optimal_histogram_1d(start).cuts.tolist() == cuts.tolist()
+        assert first_recut(start).cuts.tolist() == cuts.tolist()
         est = cmi_estimate(np.column_stack([x, y]), VariableGroup("X", (0,)),
                            VariableGroup("Y", (1,)))
         assert est.value.hex() == self.ESTIMATES[n]
@@ -450,7 +451,7 @@ class TestOptimalHistogram1D:
     def test_uniform_data_keeps_single_bin(self):
         rng = np.random.default_rng(1)
         col = detect_discrete_points(rng.uniform(0, 1, 300), t=5)
-        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 20), 5))
+        bs = first_recut(grid_start(col, candidate_cuts(col, 20), 5))
         assert bs.n_intervals == 1
         assert bs.cuts.size == 0
 
@@ -459,7 +460,7 @@ class TestOptimalHistogram1D:
         vals = np.concatenate([rng.uniform(0, 1, 100), rng.uniform(9, 10, 100)])
         col = detect_discrete_points(vals, t=5)
         cand = candidate_cuts(col, 20)
-        bs = optimal_histogram_1d(grid_start(col, cand, 5))
+        bs = first_recut(grid_start(col, cand, 5))
         assert bs.n_intervals == 3  # dense, empty middle, dense
         assert _total_of(col, bs) == pytest.approx(exhaustive_best_total(col, cand, 5), abs=1e-9)
         lo_cut, hi_cut = cand[bs.cuts]
@@ -468,7 +469,7 @@ class TestOptimalHistogram1D:
     def test_k_max_one_forces_single_bin(self):
         rng = np.random.default_rng(2)
         col = detect_discrete_points(rng.normal(size=400), t=5)
-        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 30), 1))
+        bs = first_recut(grid_start(col, candidate_cuts(col, 30), 1))
         assert bs.n_intervals == 1
 
     def test_matches_exhaustive_search(self):
@@ -481,7 +482,7 @@ class TestOptimalHistogram1D:
             K_init = int(rng.integers(4, 13))  # <= 12 interior candidates
             K_max = int(rng.integers(2, 5))
             cand = candidate_cuts(col, K_init)
-            bs = optimal_histogram_1d(grid_start(col, cand, K_max))
+            bs = first_recut(grid_start(col, cand, K_max))
             assert bs.n_intervals <= K_max
             dp = _total_of(col, bs)
             assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
@@ -491,7 +492,7 @@ class TestOptimalHistogram1D:
             col = detect_discrete_points(rng.exponential(size=int(rng.integers(30, 90))), t=5)
             cand = candidate_cuts(col, int(rng.integers(2, 8)))
             K_max = len(cand) - 1 + int(rng.integers(0, 3))
-            bs = optimal_histogram_1d(grid_start(col, cand, K_max))
+            bs = first_recut(grid_start(col, cand, K_max))
             dp = _total_of(col, bs)
             assert dp == pytest.approx(exhaustive_best_total(col, cand, K_max), abs=1e-9)
 
@@ -503,15 +504,15 @@ class TestOptimalHistogram1D:
         grid = np.array([0.0, 1.0, 2.0, 3.0])
         left, right = (BinSet(col.atoms, grid, np.array([c])) for c in (1, 2))
         assert _total_of(col, left) == _total_of(col, right)
-        assert optimal_histogram_1d(grid_start(col, grid, 2)).cuts.tolist() == [1]
+        assert first_recut(grid_start(col, grid, 2)).cuts.tolist() == [1]
 
     def test_never_worse_than_single_bin(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             col = detect_discrete_points(rng.exponential(size=200), t=5)
             cand = candidate_cuts(col, 25)
-            best = optimal_histogram_1d(grid_start(col, cand, 6))
-            single = optimal_histogram_1d(grid_start(col, cand, 1))
+            best = first_recut(grid_start(col, cand, 6))
+            single = first_recut(grid_start(col, cand, 1))
             assert _total_of(col, best) <= _total_of(col, single) + 1e-9
 
     def test_bin_count_grows_sublinearly(self):
@@ -522,6 +523,6 @@ class TestOptimalHistogram1D:
             counts = []
             for _ in range(5):
                 col = detect_discrete_points(rng.normal(size=n), t=5)
-                counts.append(optimal_histogram_1d(start_column(col, FitConfig())).n_bins)
+                counts.append(first_recut(start_column(col, FitConfig())).n_bins)
             medians.append(np.median(counts))
         assert medians[0] < medians[1] < math.sqrt(2000)

@@ -14,12 +14,11 @@ from histcmi.hist1d import candidate_cuts
 from histcmi.histmd import (
     greedy_fit,
     init_discretization,
-    optimal_histogram_1d,
     refine_dimension,
     start_column,
 )
 
-from oracles import exhaustive_best_total, grid_start
+from oracles import exhaustive_best_total, first_recut, grid_start
 
 
 def _starts(cols, cfg):
@@ -159,7 +158,7 @@ class TestRefineDimension:
         cfg = FitConfig()
         _, binsets, _ = _init([col], cfg)
         res = _refine(0, [col], binsets, cfg.k_max(600))
-        unc = optimal_histogram_1d(start_column(col, cfg))
+        unc = first_recut(start_column(col, cfg))
         assert np.array_equal(res.binset.cuts, unc.cuts)
         labs = assign_labels(col, unc)
         assert res.total_bits == pytest.approx(
@@ -179,7 +178,7 @@ class TestRefineDimension:
         binsets = list(binsets)
         binsets[1] = fit1.grid.dims[0]
         res = _refine(0, cols, binsets, cfg.k_max(n))
-        unc = optimal_histogram_1d(start_column(cols[0], cfg))
+        unc = first_recut(start_column(cols[0], cfg))
         assert np.array_equal(res.binset.cuts, unc.cuts)
 
     def test_conditioning_beats_unconditional_cuts(self):
@@ -198,7 +197,7 @@ class TestRefineDimension:
         binsets[0] = BinSet(cols[0].atoms, gridx, np.array([cut0]))
         res = _refine(1, cols, binsets, cfg.k_max(n))
 
-        unc = optimal_histogram_1d(start_column(cols[1], cfg))
+        unc = first_recut(start_column(cols[1], cfg))
         alt = list(binsets)
         alt[1] = unc
         labs = np.column_stack([assign_labels(c, b) for c, b in zip(cols, alt)])
@@ -267,12 +266,12 @@ class TestRefineDimension:
 
     def test_1d_histogram_builds_and_scores_no_grid(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("optimal_histogram_1d must not build or score a grid")
+            raise AssertionError("a 1-D re-cut must not build or score a grid")
 
         monkeypatch.setattr(histmd, "build_grid", refuse)
         monkeypatch.setattr(histmd, "total_score", refuse)
         col = detect_discrete_points(np.random.default_rng(9).normal(size=300), 5)
-        bs = optimal_histogram_1d(grid_start(col, candidate_cuts(col, 40), 8))
+        bs = first_recut(grid_start(col, candidate_cuts(col, 40), 8))
         assert bs.cuts.size > 0
 
     def test_1d_histogram_is_the_first_recut_of_a_one_column_fit(self, monkeypatch):
@@ -292,7 +291,7 @@ class TestRefineDimension:
                      np.repeat([0.0, 1.0], 20)):
             col = detect_discrete_points(vals, cfg.t)
             recuts.clear()
-            bs = optimal_histogram_1d(start_column(col, cfg))
+            bs = first_recut(start_column(col, cfg))
             fit = greedy_fit([start_column(col, cfg)], cfg)
             alone, first_round = recuts[:2]
             assert bs.cuts.tolist() == first_round.binset.cuts.tolist()
