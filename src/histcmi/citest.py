@@ -14,6 +14,7 @@ do (ACM TOMS 12, 1986), so no CI test loads scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -167,7 +168,13 @@ def chi2_critical(alpha: float, df: int) -> float:
     require_integer("df", df)
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
-    alpha, df = float(alpha), int(df)
+    return _chi2_quantile(float(alpha), int(df))
+
+
+@functools.lru_cache(maxsize=256)
+def _chi2_quantile(alpha: float, df: int) -> float:
+    """:func:`chi2_critical` of checked arguments, computed once per process
+    for each (alpha, df)."""
     a = df / 2
     upper = alpha <= 0.5
     ln_target = math.log(alpha if upper else 1.0 - alpha)

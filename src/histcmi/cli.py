@@ -1,7 +1,9 @@
 """Command-line interface: estimation, CI testing, discovery, data generation, benchmarks.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal error.
-Reports are JSON (schema_version 1) or CSV; datasets are CSV with a leading
+Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal error, 141 when
+the reader of the output closes it early (128 + SIGPIPE, as a shell reports a
+process the signal ended).  Reports are JSON (schema_version 1) or CSV, whose
+list and boolean cells hold JSON text; datasets are CSV with a leading
 ``#``-comment header naming the RNG stream and scenario, then a column-name
 header row.  Floats are written with ``repr`` so files round-trip exactly.
 """
@@ -28,7 +30,7 @@ from .estimators import (VariableGroup, cmi_estimate, fit_columns, prepare_colum
                          run_estimation_benchmark, select_groups, stack_columns)
 from .histmd import ColumnStart, FitConfig, FitResult
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL, EXIT_PIPE = 0, 1, 2, 3, 141
 SCHEMA_VERSION = 1
 _SCENARIO_N = 1000  # rows drawn from a scenario id when --n is not given
 # A CSV number: ASCII decimal or exponent syntax with optional surrounding
@@ -316,7 +318,8 @@ def _report_to_csv(report: dict, fh):
     else:
         flat = _flatten(results)
         w.writerow(list(flat))
-        w.writerow([flat[k] for k in flat])
+        # a list or boolean cell as the JSON report writes it, not as a Python repr
+        w.writerow([json.dumps(v) if isinstance(v, (list, bool)) else v for v in flat.values()])
 
 
 def _flatten(d, prefix=""):
@@ -407,7 +410,13 @@ def main(argv=None) -> int:
             payload = {"command": args.command, "config": config, "seed": args.seed,
                        "results": results, "wall_clock_sec": time.perf_counter() - t0,
                        "schema_version": SCHEMA_VERSION}
-        _emit(args, payload)
+        try:
+            _emit(args, payload)
+        except BrokenPipeError:
+            if not args.out:
+                # the flush at exit would raise again on the closed pipe
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PIPE
         return EXIT_OK
     except InputError as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -136,6 +136,11 @@ def log_regret(n: int, K: int | np.ndarray) -> float | np.ndarray:
     an array of the same shape; a scalar gives a float.  A non-integer ``n``
     or ``K`` is an ``InputError``.
     """
+    if type(n) is int and type(K) is int:  # the same lookups and divisions, on scalars
+        if n < 1 or K < 1:
+            raise InputError(f"log_regret needs n >= 1 and K >= 1, got ({n}, {K})")
+        ln_r = _extend_regret(n, K)[K - 1] if K <= _TABLE_MAX_K else _ln_regret_sum(n, K)
+        return float(ln_r) / _LN2
     _integer_array("n", n)
     K_arr = _integer_array("K", K)
     if n < 1 or K_arr.size == 0 or K_arr.min() < 1:
@@ -160,6 +165,15 @@ def model_cost(num_candidates: int | np.ndarray,
     ``_TABLE_MAX_K`` candidates and computed per entry above it; either way
     it equals ``scipy.special.gammaln(k + 1)`` bit for bit.
     """
+    if type(num_candidates) is int and type(num_chosen) is int:  # as below, on scalars
+        e, m = num_candidates, num_chosen
+        if not 0 <= m <= e:
+            raise InputError(
+                f"model_cost needs 0 <= chosen <= candidates, got ({e}, {m})")
+        if e <= _TABLE_MAX_K:
+            table = _ln_factorial_table(e)
+            return (float(table[e]) - float(table[m]) - float(table[e - m])) / _LN2
+        return (_ln_factorial(e) - _ln_factorial(m) - _ln_factorial(e - m)) / _LN2
     e = _integer_array("num_candidates", num_candidates)
     m = _integer_array("num_chosen", num_chosen)
     if e.size == 0 or m.size == 0 or np.any(m < 0) or np.any(m > e):

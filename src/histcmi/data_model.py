@@ -1,15 +1,22 @@
 """Columns, bins, grids and label assignments for mixed discrete-continuous data.
 
-A variable is represented by a :class:`MixedColumn`: its raw sample plus a
-boolean mask marking the values treated as discrete atoms.  A discretization
-of one variable is a :class:`BinSet`: one singleton bin per atom (volume 1)
-plus consecutive half-open interval bins partitioning the continuous range
-(volume = width).  It is the one record of that partition: the candidate
-grid of interval boundaries and the grid indices chosen as cuts, from which
-the edges, bin counts and the model cost's candidate count all derive.  A
-joint model over several variables is the Cartesian product of
-per-dimension bin sets, held as a sparse :class:`Grid`: an array of
-occupied cells and an array of their row counts.
+A variable is represented by a :class:`MixedColumn`: its raw sample, sorted
+once by :func:`detect_discrete_points`.  It keeps the sorted distinct values,
+each row's index into them and which distinct values are discrete atoms, from
+which the boolean mask of discrete rows derives.  Whatever later needs the
+column's order reads it from that sort, one distinct value at a time: its
+atoms, the range of its continuous values, each row's bin
+(:func:`assign_labels`) and each continuous row's interval of a grid
+(:meth:`MixedColumn.interval_index`).  A discretization of one variable is a
+:class:`BinSet`: one singleton bin per atom (volume 1) plus consecutive
+half-open interval bins partitioning the continuous range (volume = width).
+It is the one record of that partition: the candidate grid of interval
+boundaries and the grid indices chosen as cuts, from which the edges, bin
+counts and the model cost's candidate count all derive; the edges, volumes
+and bin count are computed once, on first use, and the arrays are read-only.
+A joint model over several variables is the Cartesian product of
+per-dimension bin sets, held as a sparse :class:`Grid`: an array of occupied
+cells and an array of their row counts.
 
 Every joint cell is counted by :func:`count_cells`, which holds the single
 mixed-radix encoding of the package: it names each label row by one int64
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,18 +40,29 @@ from .errors import InputError, LabelingError, require_integer
 
 @dataclass(frozen=True)
 class MixedColumn:
-    """One variable's sample with detected discrete points flagged."""
+    """One variable's sample, sorted once, with its discrete atoms flagged.
+
+    ``distinct`` holds the sorted distinct values, ``inverse`` each row's
+    index into them and ``atom`` whether each distinct value is an atom, so
+    a row is masked (discrete) exactly when its value is an atom.
+    :func:`detect_discrete_points` builds it from one ``np.unique``; every
+    other read of the column's order comes from that sort.
+    """
 
     values: np.ndarray
-    discrete_mask: np.ndarray
+    distinct: np.ndarray
+    inverse: np.ndarray
+    atom: np.ndarray
+    discrete_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise InputError("column must contain at least one value")
-        if len(self.values) != len(self.discrete_mask):
-            raise InputError("values and discrete_mask lengths differ")
-        self.values.setflags(write=False)
-        self.discrete_mask.setflags(write=False)
+        if len(self.inverse) != len(self.values) or len(self.atom) != len(self.distinct):
+            raise InputError("a column needs one index per row and one atom flag per distinct value")
+        object.__setattr__(self, "discrete_mask", self.atom[self.inverse])
+        for arr in (self.values, self.distinct, self.inverse, self.atom, self.discrete_mask):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -56,7 +75,18 @@ class MixedColumn:
     @property
     def atoms(self) -> np.ndarray:
         """Sorted distinct masked values."""
-        return np.unique(self.values[self.discrete_mask])
+        return self.distinct[self.atom]
+
+    @property
+    def continuous(self) -> np.ndarray:
+        """Sorted distinct unmasked values."""
+        return self.distinct[~self.atom]
+
+    def interval_index(self, edges: np.ndarray) -> np.ndarray:
+        """The interval [edges[i], edges[i+1]) of each unmasked row, in row
+        order, as :func:`_sorted_interval_index` gives it for the row's
+        value, read from the sorted distinct values."""
+        return _sorted_interval_index(self.distinct, edges)[self.inverse[~self.discrete_mask]]
 
 
 def detect_discrete_points(column, t: int = 5) -> MixedColumn:
@@ -76,9 +106,8 @@ def detect_discrete_points(column, t: int = 5) -> MixedColumn:
         raise InputError("column must contain at least one value")
     if not np.all(np.isfinite(values)):
         raise InputError("column contains non-finite values")
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    mask = counts[inverse] >= t
-    return MixedColumn(values=values, discrete_mask=mask)
+    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return MixedColumn(values=values, distinct=distinct, inverse=inverse, atom=counts >= t)
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -124,10 +153,12 @@ class BinSet:
         """Selectable interior cut positions of the grid."""
         return max(0, len(self.grid) - 2)
 
-    @property
+    @cached_property
     def boundaries(self) -> np.ndarray:
-        """Interval edges: the grid ends and the chosen cuts."""
-        return self.grid[[0, *self.cuts, -1]] if self.grid.size else self.grid
+        """Interval edges, read-only: the grid ends and the chosen cuts."""
+        b = self.grid[[0, *self.cuts, -1]] if self.grid.size else self.grid
+        b.setflags(write=False)
+        return b
 
     @property
     def n_singletons(self) -> int:
@@ -137,51 +168,60 @@ class BinSet:
     def n_intervals(self) -> int:
         return len(self.cuts) + 1 if self.grid.size else 0
 
-    @property
+    @cached_property
     def n_bins(self) -> int:
         return self.n_singletons + self.n_intervals
 
-    @property
+    @cached_property
     def volumes(self) -> np.ndarray:
-        """Per-bin volume in label order (singletons then intervals)."""
-        return np.concatenate([np.ones(self.n_singletons), np.diff(self.boundaries)])
+        """Per-bin volume in label order (singletons then intervals), read-only."""
+        v = np.concatenate([np.ones(self.n_singletons), np.diff(self.boundaries)])
+        v.setflags(write=False)
+        return v
 
 
-def _interval_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Interval [edges[i], edges[i+1]) of each value; the maximum folds into the last."""
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
+def _sorted_interval_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Interval [edges[i], edges[i+1]) of each of the ascending ``values``,
+    a value past either end taken into the interval at that end, so the
+    maximum folds into the last.  It is one merge with the edges: edge k
+    lies at or below values[i] exactly when i >= the count of values below
+    edge k, so a running count of those positions counts the edges at or
+    below each value."""
+    below = np.searchsorted(values, edges)
+    at_or_below = np.cumsum(np.bincount(below, minlength=len(values) + 1)[:len(values)])
+    return np.clip(at_or_below - 1, 0, len(edges) - 2)
 
 
 def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
     """Map every row to its bin index (singletons first, intervals after).
 
     Masked values map to their singleton; unmasked values to the unique
-    interval containing them (last interval right-closed).
+    interval containing them (last interval right-closed).  Each distinct
+    value is labelled once, in sorted order, and each row reads its value's.
     """
-    labels = np.empty(column.n, dtype=np.int64)
-    mask = column.discrete_mask
+    atom = column.atom
+    labels = np.empty(len(column.distinct), dtype=np.int64)
 
-    if mask.any():
-        vals = column.values[mask]
+    if atom.any():
+        vals = column.atoms
         idx = np.searchsorted(bins.singletons, vals)
         ok = (idx < bins.n_singletons) & (bins.singletons[np.minimum(idx, bins.n_singletons - 1)] == vals) \
             if bins.n_singletons else np.zeros(len(vals), dtype=bool)
         if not np.all(ok):
             bad = vals[~ok][0]
             raise LabelingError(f"masked value {bad!r} has no singleton bin")
-        labels[mask] = idx
+        labels[atom] = idx
 
-    if (~mask).any():
+    if not atom.all():
         if bins.n_intervals == 0:
             raise LabelingError("column has continuous values but bins have no intervals")
-        vals = column.values[~mask]
+        vals = column.continuous
         b = bins.boundaries
-        if vals.min() < b[0] or vals.max() > b[-1]:
+        if vals[0] < b[0] or vals[-1] > b[-1]:
             raise LabelingError("continuous value outside the interval range")
-        labels[~mask] = bins.n_singletons + _interval_index(vals, b)
+        labels[~atom] = bins.n_singletons + _sorted_interval_index(vals, b)
 
-    return labels
+    return labels[column.inverse]
 
 
 # every cell id must stay below this to fit in int64
@@ -232,14 +272,15 @@ def count_cells(labels: np.ndarray, radices) -> tuple[np.ndarray, np.ndarray]:
     for j, r in enumerate(radices):
         r = int(r)
         col = labels[:, j]
-        if col.size and (col.min() < 0 or col.max() >= r):
+        if col.size and ((col.dtype.kind == "i" and col.min() < 0) or col.max() >= r):
             raise InputError(f"labels of column {j} outside [0, {r})")
         if span * r > _ID_LIMIT:
             ids, counts = _rank(ids)
             span = len(counts)
             if span * r > _ID_LIMIT:
                 raise InputError("too many distinct cells to encode in int64")
-        ids = ids * r + col.astype(np.int64, copy=False)  # uint64 would make ids float64
+        col = col.astype(np.int64, copy=False)  # uint64 would make ids float64
+        ids = col if span == 1 else ids * r + col  # with span 1 every id is 0
         span *= r
     return _rank(ids)
 

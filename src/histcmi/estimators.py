@@ -77,8 +77,11 @@ def plugin_entropy(labels: np.ndarray) -> float:
     n = len(labels)
     if n == 0:
         raise InputError("plugin entropy of an empty sample is undefined")
-    # cells counted in the order of ids with the last column most significant
-    radices = labels.max(axis=0, initial=0).astype(np.int64) + 1
+    if labels.shape[1] == 0:  # one cell holding every row
+        return 0.0
+    # cells counted in the order of ids with the last column most significant;
+    # one max per column, as numpy reduces an (n, d) matrix over axis 0 far slower
+    radices = [int(col.max(initial=0)) + 1 for col in labels.T]
     counts = count_cells(labels[:, ::-1], radices[::-1])[1]
     p = counts / n
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for one cell
@@ -93,7 +96,8 @@ def continuous_entropy_terms(grid: Grid, groups: Mapping[str, Sequence[int]]) ->
     """
     if len(grid.counts) == 0:
         raise InputError("empty grid")
-    return {name: neg_log_likelihood(grid, dims) * math.log(2.0) / grid.n
+    # the empty projection is one cell of volume 1 holding every row
+    return {name: neg_log_likelihood(grid, dims) * math.log(2.0) / grid.n if dims else 0.0
             for name, dims in groups.items()}
 
 

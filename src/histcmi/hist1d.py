@@ -22,7 +22,9 @@ integer type whose maximum holds n_total.  Each cell adds into the
 contiguous leading rows of G whose segments can hold two or more of its
 rows, where the entries left of its first count of two add exactly +0.0; a
 cell whose first count of two lies past half the width adds into that
-block alone.  Every c·log2 c is read from a table over the integer counts.
+block alone.  Every c·log2 c is read from one per-process table over the
+integer counts, grown on first use to the largest count seen
+(:func:`_xlogx_table`), as :mod:`histcmi.complexity` keeps ln k!.
 The DP's rounds, too, write and reduce whole contiguous rows.  The
 recursion over interval counts is the MDL-histogram DP of Kontkanen &
 Myllymäki (AISTATS 2007).
@@ -61,6 +63,7 @@ keep the result and add its own ``fixed_bits``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +92,42 @@ def candidate_cuts(column: MixedColumn, K_init: int) -> np.ndarray:
     over their range."""
     if K_init < 1:
         raise InputError("K_init must be >= 1")
-    unmasked = column.unmasked
-    if unmasked.size == 0:
+    values = column.continuous
+    if values.size == 0:
         return np.empty(0)
-    lo, hi = float(unmasked.min()), float(unmasked.max())
+    lo, hi = float(values[0]), float(values[-1])
     if lo == hi:
         width = degenerate_width(lo)
         return np.array([lo, lo + width] if math.isfinite(lo + width) else [lo - width, lo])
     if not math.isfinite(hi - lo):
         raise InputError(f"continuous range [{lo!r}, {hi!r}] is wider than float64 can hold")
-    return np.unique(np.linspace(lo, hi, K_init + 1))  # collapse cells lost to float rounding
+    # near ±max float linspace can overflow its last entry before it sets it to hi
+    with np.errstate(over="ignore"):
+        grid = np.linspace(lo, hi, K_init + 1)
+    return np.unique(grid)  # collapse cells lost to float rounding
+
+
+# _xlogx[c] = c·log2 c, and 0 for c = 0; grown by _xlogx_table
+_xlogx = np.zeros(2)
+_xlogx_lock = threading.Lock()
+
+
+def _xlogx_table(c_max: int) -> np.ndarray:
+    """The read-only table of c·log2 c, grown under the lock to hold c =
+    0..c_max at least.  Each entry is the float that ``c * log2(c)`` gives
+    whatever the table's length, so a longer table reads the same bits."""
+    global _xlogx
+    table = _xlogx
+    if len(table) > c_max:
+        return table
+    with _xlogx_lock:
+        table = _xlogx
+        if len(table) <= c_max:
+            table = np.maximum(np.arange(max(c_max + 1, 2 * len(table)), dtype=np.float64), 1.0)
+            table *= np.log2(table)
+            table.setflags(write=False)
+            _xlogx = table
+    return table
 
 
 def _xlogx_segment_sums(P):
@@ -111,15 +140,14 @@ def _xlogx_segment_sums(P):
     write than that strided block, since every entry left of j_start gets
     exactly +0.0; a row whose block starts past half the width keeps the
     block, as most of such a row would be zeros.  Every c·log2(c) is read
-    from one table over 0..the largest row total, which holds the very float
-    the product gives, and 0 for c <= 1, where the clip sends every negative
-    c.
+    from the per-process table of :func:`_xlogx_table`, which holds the very
+    float the product gives, and 0 for c <= 1, where the clip sends every
+    negative c.
     """
     n_bounds = P.shape[1]
     G = np.zeros((n_bounds, n_bounds))
     # a Python int: the largest total of a narrow type plus 1 would wrap
-    xlogx = np.maximum(np.arange(int(P[:, -1].max(initial=0)) + 1, dtype=np.float64), 1.0)
-    xlogx *= np.log2(xlogx)
+    xlogx = _xlogx_table(int(P[:, -1].max(initial=0)))
     # per row, the count of entries <= row[-1] - 2 and of entries < 2
     i_ends = (P <= P[:, -1:] - 2).sum(axis=1)
     j_starts = (P < 2).sum(axis=1)
@@ -189,10 +217,11 @@ def segment_table(boundaries: np.ndarray, cell_idx: np.ndarray, K_max: int) -> S
     C = np.zeros(len(pos))
     np.cumsum(np.bincount(kept_idx, minlength=len(pos) - 1), out=C[1:])
     b = boundaries[pos]
-    width = b[None, :] - b[:, None]
+    width = b - b[:, None]
     segment = width > 0
     log2w = np.log2(width, where=segment, out=np.zeros_like(width))
-    seg_cost = (C[None, :] - C[:, None]) * log2w
+    seg_cost = C - C[:, None]
+    seg_cost *= log2w
     seg_cost[~segment] = np.inf
     return SegmentTable(cell_idx=kept_idx, pos=pos, seg_cost=seg_cost,
                         mcost=model_cost(B - 1, np.arange(m_cap)))

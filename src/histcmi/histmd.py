@@ -9,12 +9,15 @@ re-cut helps or after ``i_max`` iterations.
 A fit starts from one :class:`ColumnStart` per column, which
 :func:`start_column` builds from the column and the config alone: the
 column, its cut-free bin set over the candidate grid, its start labels, its
-segmentation table for K_max (none when the grid offers no cut) and its
-memo of solved re-cuts.  No fit builds a table, so every fit and every
-re-cut that enters a column shares its start.  A :class:`FitState` holds
-the starts, the fit's only per-column record, beside what the fit changes:
-the per-dimension bin sets, one (n, k) int64 label matrix, and each
-dimension's log2-volume and model-cost bits, which change only when that
+segmentation table for K_max (none when the grid offers no cut), the
+log2-volume and model-cost bits of its start, and its memo of solved
+re-cuts.  Its grid's range, start labels and every row's candidate cell
+are read from the column's one sort (:class:`data_model.MixedColumn`).
+No fit builds a table, so every fit and every re-cut that enters a column
+shares its start.  A :class:`FitState` holds the starts, the fit's only
+per-column record, beside what the fit changes: the per-dimension bin
+sets, one (n, k) int64 label matrix, and each dimension's log2-volume and
+model-cost bits, which start as its start's and change only when that
 dimension is re-cut.  A re-cut reads the other dimensions' cells from the
 matrix; a dimension with no candidate cut re-cuts to +inf bits, so it is
 never accepted.  After each accepted re-cut the grid is rebuilt from the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .data_model import (
     BinSet,
     Grid,
     MixedColumn,
-    _interval_index,
     assign_labels,
     build_grid,
     count_cells,
@@ -142,7 +144,7 @@ def column_table(column: MixedColumn, grid: np.ndarray, K_max: int) -> SegmentTa
     for at most K_max intervals, or None when the grid offers no cut."""
     if len(grid) <= 2:
         return None
-    return segment_table(grid, _interval_index(column.unmasked, grid), K_max)
+    return segment_table(grid, column.interval_index(grid), K_max)
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,11 @@ class ColumnStart:
     """Everything one column's fit starts from, fixed by the column and the
     config: the column, its bin set of atoms and one interval over the
     candidate grid, the read-only label of each row under that bin set in
-    the narrowest integer type that holds its bin count, and its
-    :func:`column_table` for K_max.  It records the config values it was
-    built for, ``t``, ``K_init`` and ``K_max``, and is fitted under no other
-    config; :func:`start_column` builds it.
+    the narrowest integer type that holds its bin count, its
+    :func:`column_table` for K_max, and ``bits``, the :func:`_dim_bits` of
+    that bin set, with which every fit from it begins.  It records the
+    config values it was built for, ``t``, ``K_init`` and ``K_max``, and is
+    fitted under no other config; :func:`start_column` builds it.
 
     Its ``recuts`` memo fills as fits re-cut the column, and lives as long
     as the start.  It maps a key, each other dimension with more than one
@@ -173,6 +176,10 @@ class ColumnStart:
     K_max: int
     serial: int = field(init=False, default_factory=lambda: next(_SERIALS), compare=False)
     recuts: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    bits: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", _dim_bits(self.labels, self.binset))
 
 
 def start_column(column: MixedColumn, config: FitConfig) -> ColumnStart:
@@ -235,7 +242,9 @@ class FitState:
     recut_hits: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.dim_bits = [_dim_bits(self.labels[:, d], b) for d, b in enumerate(self.binsets)]
+        # a dimension at its start's bin set has its start's labels and bits
+        self.dim_bits = [s.bits if b is s.binset else _dim_bits(self.labels[:, d], b)
+                         for d, (s, b) in enumerate(zip(self.starts, self.binsets))]
 
     def accept(self, j: int, binset: BinSet) -> None:
         """Make ``binset``, a re-cut of dimension j, its bin set: its rows'
@@ -274,10 +283,14 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     else:
         # the other dimensions' cells over all rows, as compact ids
         other_ids, other_counts = count_cells(labels[:, others], radices)
-        disc = start.column.discrete_mask
-        c = count_cells(np.column_stack([labels[disc, j], other_ids[disc]]),
-                        [binset.n_bins, len(other_counts)])[1].astype(np.float64)
-        pair_bits = float(np.sum(c * np.log2(c)))
+        if binset.n_singletons:
+            disc = start.column.discrete_mask
+            c = count_cells(np.column_stack([labels[disc, j], other_ids[disc]]),
+                            [binset.n_bins, len(other_counts)])[1].astype(np.float64)
+            pair_bits = float(np.sum(c * np.log2(c)))
+            other_ids = other_ids[~disc]
+        else:  # no row lies in a singleton bin
+            pair_bits = 0.0
         res = solve_segmentation(
             n_total=n,
             boundaries=binset.grid,
@@ -285,7 +298,7 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
             K_max=start.K_max,
             n_singletons=binset.n_singletons,
             K_other=math.prod(radices),
-            other_cell_ids=other_ids[~disc],
+            other_cell_ids=other_ids,
         )
         start.recuts[key] = (pair_bits, res)
         ops = res.ops
@@ -293,7 +306,8 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
     # what no cut can change: n·log2 n, the rows in this dimension's
     # singleton bins, and the other dimensions' log2 volumes and model costs
     fixed_bits = n * math.log2(n) - pair_bits + sum(state.dim_bits[d] for d in others)
-    return RefineResult(replace(binset, cuts=res.cut_indices), fixed_bits + res.cut_bits, ops)
+    return RefineResult(BinSet(binset.singletons, binset.grid, res.cut_indices),
+                        fixed_bits + res.cut_bits, ops)
 
 
 def greedy_fit(starts: list[ColumnStart], config: FitConfig) -> FitResult:
@@ -334,7 +348,7 @@ def greedy_fit(starts: list[ColumnStart], config: FitConfig) -> FitResult:
             bins_per_dim=tuple(b.n_bins for b in state.binsets),
             ops=sum(r.ops for r in results)))
         score = after
-        accepted = (j, replace(best, ops=0))
+        accepted = (j, RefineResult(best.binset, best.total_bits, 0))
 
     trace.recut_hits = state.recut_hits
     labels = state.labels.astype(np.min_scalar_type(state.labels.max()))

@@ -57,6 +57,23 @@ def xlogx_segment_sums(P: np.ndarray) -> np.ndarray:
     return G
 
 
+def interval_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Interval [edges[i], edges[i+1]) of each value, searched value by value
+    in any order; values past either end go to the interval at that end."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
+
+
+def row_labels(column, bins: BinSet) -> np.ndarray:
+    """Each row's bin, searched row by row over the unsorted values: its
+    atom's singleton, else its interval of the bin set's boundaries."""
+    labels = np.empty(column.n, dtype=np.int64)
+    mask = column.discrete_mask
+    labels[mask] = np.searchsorted(bins.singletons, column.values[mask])
+    labels[~mask] = bins.n_singletons + interval_index(column.unmasked, bins.boundaries)
+    return labels
+
+
 def grid_start(column, grid, K_max: int) -> ColumnStart:
     """A start of ``column`` over the candidate boundaries ``grid`` for at
     most K_max intervals, for tests that choose the grid or K_max rather

@@ -98,6 +98,14 @@ class TestChi2Critical:
     def test_numpy_integer_df_reads_as_its_value(self):
         assert chi2_critical(0.05, np.int64(3)) == chi2_critical(0.05, 3)
 
+    def test_memo_keeps_the_input_checks(self):
+        # the quantile is kept per (alpha, df), and only checked arguments reach it
+        first = chi2_critical(0.01, 1)
+        assert chi2_critical(np.float64(0.01), np.int64(1)) == first
+        for alpha, df in ((0.01, True), (0.01, 1.0), (True, 1), (1.01, 1), (0.01, 0)):
+            with pytest.raises(InputError):
+                chi2_critical(alpha, df)
+
 
 _NO_SCIPY_PROBE = """
 import sys

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import histcmi
 from histcmi import (
     FitConfig,
     InputError,
@@ -131,6 +136,24 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_reader_that_closes_the_pipe_ends_the_run_as_sigpipe_would():
+    # 141 = 128 + SIGPIPE, with nothing on stderr: not an internal error
+    src = str(Path(histcmi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "histcmi.cli", "datagen", "exp1",
+                             "--n", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # far more than a pipe buffer is still to be written
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith(b"# rng=")
+    assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.mark.parametrize("argv, header", [
     (["estimate", "exp1", "--n", "200"],
      "estimate_nats,entropies_nats.h_xz,entropies_nats.h_yz,entropies_nats.h_xyz,"
@@ -152,9 +175,9 @@ def test_csv_report_is_the_json_results_flattened(argv, header, capsys):
     row = dict(zip(header.split(","), next(csv.reader(lines[1:]))))
     assert len(row) == len(header.split(","))
     for key, cell in row.items():
-        # columns.* cells hold Python list reprs, which no reader should rely on
-        if not key.startswith("columns."):
-            assert cell == str(functools.reduce(dict.__getitem__, key.split("."), results)), key
+        value = functools.reduce(dict.__getitem__, key.split("."), results)
+        # list and boolean cells hold the JSON report's text, other cells print as they are
+        assert cell == (json.dumps(value) if isinstance(value, (list, bool)) else str(value)), key
     if argv[0] == "estimate":
         assert row["estimate_nats"] == repr(results["estimate_nats"])
 

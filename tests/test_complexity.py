@@ -144,6 +144,40 @@ def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+class TestScalarPath:
+    """Python-int arguments take a scalar path; it reads the same tables with
+    the same float operations as the array path, so the bits agree."""
+
+    def test_model_cost_equals_the_array_path(self):
+        e, m = np.tril_indices(401)  # every 0 <= m <= e <= 400
+        want = _hex(model_cost(e, m))
+        assert [model_cost(a, b).hex() for a, b in zip(e.tolist(), m.tolist())] == want
+        top = complexity._TABLE_MAX_K + 7  # past the table, per-entry ln k!
+        for chosen in (0, 3, top):
+            assert model_cost(top, chosen).hex() == _hex(model_cost(np.array([top]), chosen))[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 10000])
+    def test_log_regret_equals_the_array_path(self, n):
+        K = np.arange(1, 2**12 + 1)
+        assert [log_regret(n, k).hex() for k in K.tolist()] == _hex(log_regret(n, K))
+
+    def test_log_regret_past_the_table_equals_the_array_path(self):
+        k = complexity._TABLE_MAX_K + 1
+        assert log_regret(50, k).hex() == _hex(log_regret(50, np.array([k])))[0]
+
+    @pytest.mark.parametrize("args", [(True, 1), (3, True), (3.0, 1), (3, 1.0), (-1, 0),
+                                      (3, -1), (2, 3)])
+    def test_model_cost_input_checks_hold(self, args):
+        with pytest.raises(InputError):
+            model_cost(*args)
+
+    @pytest.mark.parametrize("args", [(True, 1), (10, True), (10.0, 1), (10, 2.0), (0, 1),
+                                      (10, 0), (-3, 2), (10, -1)])
+    def test_log_regret_input_checks_hold(self, args):
+        with pytest.raises(InputError):
+            log_regret(*args)
+
+
 class TestScipyBits:
     """ln k! and the log-sum-exp repeat scipy.special's algorithms, so their
     bits, and every code length built on them, are scipy's."""

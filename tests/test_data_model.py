@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histcmi import InputError, LabelingError
+from histcmi import FitConfig, InputError, LabelingError
 from histcmi import data_model
 from histcmi.data_model import (
     BinSet,
@@ -15,6 +15,10 @@ from histcmi.data_model import (
     degenerate_width,
     detect_discrete_points,
 )
+from histcmi.hist1d import candidate_cuts
+from histcmi.histmd import start_column
+
+from oracles import interval_index, row_labels
 
 
 class TestDetectDiscretePoints:
@@ -90,6 +94,18 @@ class TestBins:
         with pytest.raises(InputError):
             BinSet(col.atoms, np.array([0.1, 0.4, 0.6, 0.9]), np.array(cuts))
 
+    def test_derived_arrays_are_read_only_and_computed_once(self):
+        col = detect_discrete_points([0.0] * 6 + [0.1, 0.4, 0.9, 1.3], t=5)
+        for bs in (BinSet(col.atoms, np.array([0.1, 0.5, 0.7, 1.3]), np.array([1])),
+                   BinSet(col.atoms, np.empty(0))):
+            assert bs.boundaries is bs.boundaries and bs.volumes is bs.volumes
+            for arr in (bs.boundaries, bs.volumes):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                bs.volumes[0] = 2.0
+        for arr in (col.values, col.distinct, col.inverse, col.atom, col.discrete_mask):
+            assert not arr.flags.writeable
+
     def test_degenerate_width_positive(self):
         for x in (0.0, 1.0, -3.4, 1e12, np.finfo(float).max, -np.finfo(float).max):
             assert 0 < degenerate_width(x) < np.inf
@@ -133,6 +149,58 @@ class TestAssignLabels:
         perm = rng.permutation(len(vals))
         col_p = detect_discrete_points(vals[perm], t=5)
         assert np.array_equal(assign_labels(col_p, bs), labs[perm])
+
+
+# value pools whose range float64 holds: subnormals about zero, each end of
+# the float range, and ordinary values; a column draws from one of them
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_POOLS = (
+    (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308),
+    (1e308, 1.5e308, _FLOAT_MAX),
+    (-_FLOAT_MAX, -1.5e308, -1e308),
+    (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0),
+)
+
+
+@st.composite
+def _pooled_columns(draw):
+    """(values, t, K_init, edges): atoms and ties from the pool, other values
+    between its ends, and ascending edges that need not cover the values."""
+    pool = draw(st.sampled_from(_POOLS))
+    values = st.sampled_from(pool) | st.floats(min(pool), max(pool))
+    vals = np.asarray(draw(st.lists(values, min_size=1, max_size=60)), dtype=np.float64)
+    edges = np.unique(draw(st.lists(values, min_size=2, max_size=8)))
+    return vals, draw(st.integers(2, 6)), draw(st.integers(1, 40)), edges
+
+
+class TestSharedSort:
+    """Column preparation reads the column's order from its one sort; each
+    read equals the row-by-row search over the unsorted values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pooled_columns())
+    def test_cells_and_labels_equal_the_row_searches(self, case):
+        vals, t, K_init, edges = case
+        col = detect_discrete_points(vals, t=t)
+        grid = candidate_cuts(col, K_init)
+        if len(edges) >= 2:
+            assert np.array_equal(col.interval_index(edges), interval_index(col.unmasked, edges))
+        if len(grid):
+            assert np.array_equal(col.interval_index(grid), interval_index(col.unmasked, grid))
+        for cuts in (np.empty(0, dtype=np.int64), np.arange(1, len(grid) - 1, 2)):
+            bs = BinSet(col.atoms, grid, cuts)
+            assert np.array_equal(assign_labels(col, bs), row_labels(col, bs))
+        start = start_column(col, FitConfig(t=t))
+        assert np.array_equal(start.labels, row_labels(col, start.binset))
+
+    def test_single_distinct_value(self):
+        for v in (0.0, 5e-324, -_FLOAT_MAX, _FLOAT_MAX):
+            for n in (1, 3):
+                col = detect_discrete_points([v] * n, t=5)
+                grid = candidate_cuts(col, 4)
+                assert np.array_equal(col.interval_index(grid), np.zeros(n, dtype=np.intp))
+                bs = BinSet(col.atoms, grid)
+                assert np.array_equal(assign_labels(col, bs), row_labels(col, bs))
 
 
 class TestGrid:

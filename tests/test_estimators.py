@@ -40,6 +40,13 @@ class TestPluginEntropy:
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0
 
+    def test_empty_projection_is_positive_zero(self):
+        for n in (1, 7):
+            h = plugin_entropy(np.zeros((n, 0), dtype=np.int64))
+            assert h.hex() == "0x0.0p+0"
+        with pytest.raises(InputError):
+            plugin_entropy(np.zeros((0, 0), dtype=np.int64))
+
     def test_three_one_split(self):
         labels = np.array([0, 0, 0, 1])
         expected = 0.75 * math.log(4 / 3) + 0.25 * math.log(4)
@@ -240,6 +247,13 @@ class TestContinuousEntropyTerms:
             terms = continuous_entropy_terms(est.fit.grid, groups)
             i_cont = terms["xz"] + terms["yz"] - terms["xyz"] - terms["z"]
             assert i_cont == pytest.approx(est.value, abs=1e-9)
+
+    def test_empty_projection_is_zero_and_h_z_keeps_its_bits(self):
+        # Z = ∅: one cell of volume 1 holds every row, so both sides read +0.0
+        ds = generate(ScenarioSpec("exp1", 300, 4))
+        est = cmi_estimate(ds.data, X, Y)
+        assert est.h_z.hex() == "0x0.0p+0"
+        assert continuous_entropy_terms(est.fit.grid, {"z": ()})["z"].hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grid_that_disagrees_with_the_labels_is_caught(self, seed):

@@ -7,7 +7,6 @@ from histcmi import FitConfig, InputError, VariableGroup, cmi_estimate, hist1d
 from histcmi.complexity import total_score
 from histcmi.data_model import (
     BinSet,
-    _interval_index,
     assign_labels,
     build_grid,
     degenerate_width,
@@ -29,6 +28,7 @@ from oracles import (
     full_dp,
     full_segmentation,
     grid_start,
+    interval_index,
     xlogx_segment_sums,
 )
 
@@ -143,7 +143,7 @@ class TestPrefixCountType:
         y = x + rng.normal(size=n)
         start = start_column(detect_discrete_points(x, t=5), FitConfig())
         grid = start.binset.grid
-        cuts, _ = full_segmentation(n, grid, _interval_index(x, grid), start.K_max, 0, 1,
+        cuts, _ = full_segmentation(n, grid, interval_index(x, grid), start.K_max, 0, 1,
                                     np.zeros(n, dtype=np.int64))
         assert first_recut(start).cuts.tolist() == cuts.tolist()
         est = cmi_estimate(np.column_stack([x, y]), VariableGroup("X", (0,)),
@@ -384,7 +384,7 @@ class TestSegmentTable:
                                    np.full(6, 0.5)])
             col = detect_discrete_points(vals, t=5)
             grid = candidate_cuts(col, int(rng.integers(2, 40)))
-            table = segment_table(grid, _interval_index(col.unmasked, grid),
+            table = segment_table(grid, interval_index(col.unmasked, grid),
                                   int(rng.integers(1, len(grid) + 2)))
             inner = table.pos[1:-1]
             cuts = np.sort(rng.choice(inner, size=int(rng.integers(0, inner.size + 1)),
