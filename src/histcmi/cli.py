@@ -148,14 +148,15 @@ def _select(args):
 
 
 def cmd_estimate(args):
-    config, columns, (sub, x, y, z, picked) = _select(args)
+    config, columns, (sub, x, y, z) = _select(args)
     est = cmi_estimate(sub, x, y, z, config)
     results = {
         "estimate_nats": est.value,
         "entropies_nats": {"h_xz": est.h_xz, "h_yz": est.h_yz,
                            "h_xyz": est.h_xyz, "h_z": est.h_z},
         "domain_sizes": {"X": est.dom_x, "Y": est.dom_y, "Z": est.dom_z},
-        "bins_per_column": dict(zip(picked, est.bins_per_dim)),
+        "bins_per_column": {role: [est.bins_per_dim[d] for d in g.dims]
+                            for role, g in zip(columns, (x, y, z))},
         "n": est.n,
         "columns": columns,
     }
@@ -164,7 +165,7 @@ def cmd_estimate(args):
 
 def cmd_citest(args):
     check_ci_test(args.test, args.alpha)
-    config, columns, (sub, x, y, z, _) = _select(args)
+    config, columns, (sub, x, y, z) = _select(args)
     res = (citest_chi2(sub, x, y, z, alpha=args.alpha, config=config) if args.test == "chi2"
            else citest_sc(sub, x, y, z, config=config))
     results = {

@@ -1,22 +1,22 @@
 """Columns, bins, grids and label assignments for mixed discrete-continuous data.
 
-A variable is represented by a :class:`MixedColumn`: its raw sample, sorted
-once by :func:`detect_discrete_points`.  It keeps the sorted distinct values,
-each row's index into them and which distinct values are discrete atoms, from
-which the boolean mask of discrete rows derives.  Whatever later needs the
-column's order reads it from that sort, one distinct value at a time: its
-atoms, the range of its continuous values, each row's bin
-(:func:`assign_labels`) and each continuous row's interval of a grid
-(:meth:`MixedColumn.interval_index`).  A discretization of one variable is a
-:class:`BinSet`: one singleton bin per atom (volume 1) plus consecutive
-half-open interval bins partitioning the continuous range (volume = width).
-It is the one record of that partition: the candidate grid of interval
-boundaries and the grid indices chosen as cuts, from which the edges, bin
-counts and the model cost's candidate count all derive; the edges, volumes
-and bin count are computed once, on first use, and the arrays are read-only.
-A joint model over several variables is the Cartesian product of
-per-dimension bin sets, held as a sparse :class:`Grid`: an array of occupied
-cells and an array of their row counts.
+A variable is represented by a :class:`MixedColumn`: the one sort of its
+sample by :func:`detect_discrete_points`, not the sample.  It keeps the
+sorted distinct values, each row's index into them and which distinct
+values are discrete atoms, from which the boolean mask of discrete rows
+derives.  Whatever later needs the column's order reads it from that sort,
+one distinct value at a time: its atoms, the range of its continuous
+values, each row's bin (:func:`assign_labels`) and each continuous row's
+interval of a grid (:meth:`MixedColumn.interval_index`).  A discretization
+of one variable is a :class:`BinSet`: one singleton bin per atom (volume 1)
+plus consecutive half-open interval bins partitioning the continuous range
+(volume = width).  It is the one record of that partition: the candidate
+grid of interval boundaries and the grid indices chosen as cuts, from which
+the edges, bin counts and the model cost's candidate count all derive; the
+edges, volumes and bin count are computed once, on first use, and the
+arrays are read-only.  A joint model over several variables is the
+Cartesian product of per-dimension bin sets, held as a sparse
+:class:`Grid`: an array of occupied cells and an array of their row counts.
 
 Every joint cell is counted by :func:`count_cells`, which holds the single
 mixed-radix encoding of the package: it names each label row by one int64
@@ -30,6 +30,7 @@ step counts the ids in one ``bincount`` when their span is at most
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,28 +50,23 @@ class MixedColumn:
     other read of the column's order comes from that sort.
     """
 
-    values: np.ndarray
     distinct: np.ndarray
     inverse: np.ndarray
     atom: np.ndarray
     discrete_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        if len(self.inverse) == 0:
             raise InputError("column must contain at least one value")
-        if len(self.inverse) != len(self.values) or len(self.atom) != len(self.distinct):
-            raise InputError("a column needs one index per row and one atom flag per distinct value")
+        if len(self.atom) != len(self.distinct):
+            raise InputError("a column needs one atom flag per distinct value")
         object.__setattr__(self, "discrete_mask", self.atom[self.inverse])
-        for arr in (self.values, self.distinct, self.inverse, self.atom, self.discrete_mask):
+        for arr in (self.distinct, self.inverse, self.atom, self.discrete_mask):
             arr.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def unmasked(self) -> np.ndarray:
-        return self.values[~self.discrete_mask]
+        return len(self.inverse)
 
     @property
     def atoms(self) -> np.ndarray:
@@ -99,7 +95,11 @@ def detect_discrete_points(column, t: int = 5) -> MixedColumn:
     require_integer("t", t)
     if t < 2:
         raise InputError(f"discreteness threshold must be >= 2, got {t}")
-    values = np.asarray(column, dtype=np.float64).copy()
+    values = np.asarray(column)  # cast once known real: numpy would drop a complex part
+    if not (values.dtype.kind in "biuf" or values.dtype.kind == "O"
+            and all(isinstance(v, (numbers.Real, np.bool_)) for v in values.flat)):
+        raise InputError(f"column must hold real numbers, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
     if values.ndim != 1:
         raise InputError("column must be one-dimensional")
     if values.size == 0:
@@ -107,7 +107,7 @@ def detect_discrete_points(column, t: int = 5) -> MixedColumn:
     if not np.all(np.isfinite(values)):
         raise InputError("column contains non-finite values")
     distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return MixedColumn(values=values, distinct=distinct, inverse=inverse, atom=counts >= t)
+    return MixedColumn(distinct=distinct, inverse=inverse, atom=counts >= t)
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -205,11 +205,9 @@ def assign_labels(column: MixedColumn, bins: BinSet) -> np.ndarray:
     if atom.any():
         vals = column.atoms
         idx = np.searchsorted(bins.singletons, vals)
-        ok = (idx < bins.n_singletons) & (bins.singletons[np.minimum(idx, bins.n_singletons - 1)] == vals) \
-            if bins.n_singletons else np.zeros(len(vals), dtype=bool)
-        if not np.all(ok):
-            bad = vals[~ok][0]
-            raise LabelingError(f"masked value {bad!r} has no singleton bin")
+        found = np.append(bins.singletons, np.nan)[idx] == vals  # nan equals no value
+        if not found.all():
+            raise LabelingError(f"masked value {vals[~found][0]!r} has no singleton bin")
         labels[atom] = idx
 
     if not atom.all():

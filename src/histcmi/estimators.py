@@ -72,6 +72,8 @@ def plugin_entropy(labels: np.ndarray) -> float:
     ``labels`` is (n,) or (n, d); d = 0 means the empty projection (entropy 0).
     """
     labels = np.asarray(labels)
+    if labels.ndim not in (1, 2):
+        raise InputError(f"labels must be (n,) or (n, d), got a {labels.ndim}-D {labels.dtype}")
     if labels.ndim == 1:
         labels = labels[:, None]
     n = len(labels)
@@ -141,9 +143,10 @@ def cmi_estimate(
     A fit whose row or column count differs from ``dataset`` is rejected.
     """
     config = config or FitConfig()
-    data = np.asarray(dataset, dtype=np.float64)
+    data = np.asarray(dataset)  # each column's values are checked as it is prepared
     if data.ndim != 2:
-        raise InputError("dataset must be a 2-D (rows, columns) array")
+        raise InputError(f"dataset must be a 2-D (rows, columns) array, got a {data.ndim}-D "
+                         f"array of dtype {data.dtype}")
     z = z or VariableGroup("Z", ())
     _check_groups(data.shape[1], x, y, z)
 
@@ -202,7 +205,7 @@ def select_groups(dataset: Dataset, xs, ys, zs):
     x = VariableGroup("X", tuple(range(len(xs))))
     y = VariableGroup("Y", tuple(range(len(xs), len(xs) + len(ys))))
     z = VariableGroup("Z", tuple(range(len(xs) + len(ys), len(picked))))
-    return sub, x, y, z, tuple(picked)
+    return sub, x, y, z
 
 
 def run_estimation_benchmark(scenario: str, ns: Sequence[int], reps: int, seed: int,
@@ -230,7 +233,7 @@ def run_estimation_benchmark(scenario: str, ns: Sequence[int], reps: int, seed: 
         values = []
         for _ in range(reps):
             ds = generate(replace(spec, seed=replicate_seed(seed, task)))
-            sub, x, y, z, _ = select_groups(ds, ds.x, ds.y, ds.z)
+            sub, x, y, z = select_groups(ds, ds.x, ds.y, ds.z)
             values.append(cmi_estimate(sub, x, y, z, config).value)
             task += 1
         values = np.asarray(values)

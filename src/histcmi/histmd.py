@@ -7,14 +7,11 @@ single re-cut with the largest drop in total code length.  Stops when no
 re-cut helps or after ``i_max`` iterations.
 
 A fit starts from one :class:`ColumnStart` per column, which
-:func:`start_column` builds from the column and the config alone: the
-column, its cut-free bin set over the candidate grid, its start labels, its
-segmentation table for K_max (none when the grid offers no cut), the
-log2-volume and model-cost bits of its start, and its memo of solved
-re-cuts.  Its grid's range, start labels and every row's candidate cell
-are read from the column's one sort (:class:`data_model.MixedColumn`).
-No fit builds a table, so every fit and every re-cut that enters a column
-shares its start.  A :class:`FitState` holds the starts, the fit's only
+:func:`start_column` builds from the column and the config alone.  It is
+the one reader of the column's sort (:class:`data_model.MixedColumn`); of
+the column, the start keeps only the mask of its discrete rows.  No fit
+builds a table, so every fit and every re-cut that enters a column shares
+its start.  A :class:`FitState` holds the starts, the fit's only
 per-column record, beside what the fit changes: the per-dimension bin
 sets, one (n, k) int64 label matrix, and each dimension's log2-volume and
 model-cost bits, which start as its start's and change only when that
@@ -150,9 +147,9 @@ def column_table(column: MixedColumn, grid: np.ndarray, K_max: int) -> SegmentTa
 @dataclass(frozen=True)
 class ColumnStart:
     """Everything one column's fit starts from, fixed by the column and the
-    config: the column, its bin set of atoms and one interval over the
-    candidate grid, the read-only label of each row under that bin set in
-    the narrowest integer type that holds its bin count, its
+    config: the read-only mask of its discrete rows, its bin set of atoms
+    and one interval over the candidate grid, each row's read-only label
+    under that bin set in the narrowest integer type of its bin count, its
     :func:`column_table` for K_max, and ``bits``, the :func:`_dim_bits` of
     that bin set, with which every fit from it begins.  It records the
     config values it was built for, ``t``, ``K_init`` and ``K_max``, and is
@@ -167,7 +164,7 @@ class ColumnStart:
     not built from.
     """
 
-    column: MixedColumn
+    discrete_mask: np.ndarray
     binset: BinSet
     labels: np.ndarray
     table: SegmentTable | None
@@ -189,7 +186,7 @@ def start_column(column: MixedColumn, config: FitConfig) -> ColumnStart:
     binset = BinSet(column.atoms, candidate_cuts(column, K_init))
     labels = assign_labels(column, binset).astype(np.min_scalar_type(binset.n_bins))
     labels.setflags(write=False)
-    return ColumnStart(column=column, binset=binset, labels=labels,
+    return ColumnStart(discrete_mask=column.discrete_mask, binset=binset, labels=labels,
                        table=column_table(column, binset.grid, K_max),
                        t=config.t, K_init=K_init, K_max=K_max)
 
@@ -204,8 +201,8 @@ def init_discretization(starts: list[ColumnStart],
     """
     if not starts:
         raise InputError("empty dataset")
-    n = starts[0].column.n
-    if any(s.column.n != n for s in starts):
+    n = len(starts[0].labels)
+    if any(len(s.labels) != n for s in starts):
         raise InputError("columns disagree on sample size")
     want = (config.t, config.k_init(n), config.k_max(n))
     for s in starts:
@@ -228,8 +225,8 @@ def _dim_bits(labels: np.ndarray, binset: BinSet) -> float:
 class FitState:
     """What a re-cut reads, for one fit.
 
-    Per column: its :class:`ColumnStart`, whose column, table, K_max and
-    ``recuts`` memo are fixed for the fit.  Per dimension: its bin set over
+    Per column: its :class:`ColumnStart`, whose discrete rows, table, K_max
+    and ``recuts`` memo are fixed for the fit.  Per dimension: its bin set over
     its start's grid, its column of the (n, k) int64 label matrix and its
     :func:`_dim_bits`, computed here and replaced together by
     :meth:`accept`.  ``recut_hits`` counts the re-cuts taken from a memo.
@@ -250,7 +247,7 @@ class FitState:
         """Make ``binset``, a re-cut of dimension j, its bin set: its rows'
         labels come from the table's cell of each row."""
         start = self.starts[j]
-        cont = ~start.column.discrete_mask
+        cont = ~start.discrete_mask
         self.binsets[j] = binset
         self.labels[cont, j] = binset.n_singletons + start.table.intervals(binset.cuts)
         self.dim_bits[j] = _dim_bits(self.labels[:, j], binset)
@@ -284,7 +281,7 @@ def refine_dimension(j: int, state: FitState) -> RefineResult:
         # the other dimensions' cells over all rows, as compact ids
         other_ids, other_counts = count_cells(labels[:, others], radices)
         if binset.n_singletons:
-            disc = start.column.discrete_mask
+            disc = start.discrete_mask
             c = count_cells(np.column_stack([labels[disc, j], other_ids[disc]]),
                             [binset.n_bins, len(other_counts)])[1].astype(np.float64)
             pair_bits = float(np.sum(c * np.log2(c)))

@@ -64,13 +64,14 @@ def interval_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def row_labels(column, bins: BinSet) -> np.ndarray:
-    """Each row's bin, searched row by row over the unsorted values: its
-    atom's singleton, else its interval of the bin set's boundaries."""
-    labels = np.empty(column.n, dtype=np.int64)
+def row_labels(values: np.ndarray, column, bins: BinSet) -> np.ndarray:
+    """Each row's bin, searched row by row over the unsorted sample
+    ``values`` that ``column`` was detected from: its atom's singleton,
+    else its interval of the bin set's boundaries."""
+    labels = np.empty(len(values), dtype=np.int64)
     mask = column.discrete_mask
-    labels[mask] = np.searchsorted(bins.singletons, column.values[mask])
-    labels[~mask] = bins.n_singletons + interval_index(column.unmasked, bins.boundaries)
+    labels[mask] = np.searchsorted(bins.singletons, values[mask])
+    labels[~mask] = bins.n_singletons + interval_index(values[~mask], bins.boundaries)
     return labels
 
 
@@ -81,7 +82,7 @@ def grid_start(column, grid, K_max: int) -> ColumnStart:
     binset = BinSet(column.atoms, grid)
     labels = assign_labels(column, binset)
     labels.setflags(write=False)
-    return ColumnStart(column=column, binset=binset, labels=labels,
+    return ColumnStart(discrete_mask=column.discrete_mask, binset=binset, labels=labels,
                        table=column_table(column, grid, K_max), t=0, K_init=0, K_max=K_max)
 
 

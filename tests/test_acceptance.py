@@ -136,7 +136,7 @@ def test_criterion_06_dp_matches_exhaustive():
             np.full(int(rng.integers(0, 14)), float(rng.integers(-1, 2))),
         ])
         col = detect_discrete_points(vals, 5)
-        if len(np.unique(col.unmasked)) < 2:
+        if len(np.unique(vals[~col.discrete_mask])) < 2:
             continue
         E = int(rng.integers(4, 13))  # interior candidates, <= 12
         K_max = int(rng.integers(2, 6)) if trial < 15 else E + 1  # capped and free

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,8 +158,8 @@ def test_reader_that_closes_the_pipe_ends_the_run_as_sigpipe_would():
 @pytest.mark.parametrize("argv, header", [
     (["estimate", "exp1", "--n", "200"],
      "estimate_nats,entropies_nats.h_xz,entropies_nats.h_yz,entropies_nats.h_xyz,"
-     "entropies_nats.h_z,domain_sizes.X,domain_sizes.Y,domain_sizes.Z,bins_per_column.X,"
-     "bins_per_column.Y,n,columns.x,columns.y,columns.z"),
+     "entropies_nats.h_z,domain_sizes.X,domain_sizes.Y,domain_sizes.Z,bins_per_column.x,"
+     "bins_per_column.y,bins_per_column.z,n,columns.x,columns.y,columns.z"),
     (["citest", "exp4", "--n", "200"],
      "independent,raw_nats,correction_nats,corrected_nats,method,detail.df,detail.critical,"
      "detail.alpha,columns.x,columns.y,columns.z,n"),
@@ -195,6 +196,24 @@ class TestEstimate:
         r = report["results"]["entropies_nats"]
         assert r["h_xz"] + r["h_yz"] - r["h_xyz"] - r["h_z"] == pytest.approx(
             report["results"]["estimate_nats"])
+
+    @pytest.mark.parametrize("picks", [("X", "X", ""), ("X", "Y", "X"), ("X,Y", "Y", "")],
+                             ids=["self", "x-as-z", "y-twice"])
+    def test_bins_per_column_has_one_count_per_selection(self, picks, capsys):
+        # a column selected twice is two fitted dimensions, each with its own count
+        xs, ys, zs = picks
+        code, out, _ = run(["estimate", "exp1", "--n", "500", "--x", xs, "--y", ys,
+                            "--z", zs], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        bins = results["bins_per_column"]
+        assert {k: len(v) for k, v in bins.items()} == {
+            k: len(v) for k, v in results["columns"].items()}
+        domain = {"x": "X", "y": "Y", "z": "Z"}
+        for role, counts in bins.items():
+            assert math.prod(counts) == results["domain_sizes"][domain[role]]
+        if xs == ys:
+            assert bins["x"] == bins["y"]
 
     def test_exp5_value_near_benchmark(self, tmp_path, capsys):
         p = tmp_path / "exp5.csv"

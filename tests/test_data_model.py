@@ -69,6 +69,35 @@ class TestDetectDiscretePoints:
         col = detect_discrete_points([1.0, 1.0, 1.0, 2.0], t=np.int64(3))
         assert col.discrete_mask.tolist() == [True, True, True, False]
 
+    @pytest.mark.parametrize("column, dtype", [
+        (["a", "b"], "<U1"),
+        ([{}], "object"),
+        ([1 + 2j, 3], "complex128"),
+        (np.array([1.0, "2"], dtype=object), "object"),
+    ], ids=["strings", "dicts", "complex", "object-with-a-string"])
+    def test_non_real_column_rejected_naming_its_dtype(self, column, dtype):
+        with pytest.raises(InputError, match=f"column must hold real numbers, got dtype {dtype}"):
+            detect_discrete_points(column, t=2)
+
+    @pytest.mark.parametrize("column", [
+        [2, 2, 3, 5], [True, True, False, True], np.array([2, 2, 3, 5], dtype=np.uint8),
+        np.array([2, 2.0, np.float32(3), np.int64(5), True, np.bool_(True)], dtype=object),
+    ], ids=["ints", "bools", "uint8", "object-reals"])
+    def test_real_columns_read_as_floats(self, column):
+        col = detect_discrete_points(column, t=2)
+        want = detect_discrete_points(np.array(column, dtype=np.float64), t=2)
+        for a, b in ((col.distinct, want.distinct), (col.inverse, want.inverse),
+                     (col.atom, want.atom)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_column_shares_no_memory_with_the_sample(self):
+        vals = np.array([1.0, 1.0, 2.0, 3.0])
+        col = detect_discrete_points(vals, t=2)
+        for arr in (col.distinct, col.inverse, col.atom, col.discrete_mask):
+            assert not np.shares_memory(arr, vals)
+        vals[:] = 7.0
+        assert col.distinct.tolist() == [1.0, 2.0, 3.0]
+
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
            st.integers(min_value=2, max_value=6))
     def test_mask_monotone_in_threshold(self, ints, t):
@@ -103,7 +132,7 @@ class TestBins:
                 assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 bs.volumes[0] = 2.0
-        for arr in (col.values, col.distinct, col.inverse, col.atom, col.discrete_mask):
+        for arr in (col.distinct, col.inverse, col.atom, col.discrete_mask):
             assert not arr.flags.writeable
 
     def test_degenerate_width_positive(self):
@@ -142,7 +171,8 @@ class TestAssignLabels:
         vals = np.concatenate([np.full(7, 2.0), rng.uniform(0, 1, 40)])
         rng.shuffle(vals)
         col = detect_discrete_points(vals, t=5)
-        grid = np.array([col.unmasked.min(), 0.3, 0.6, col.unmasked.max()])
+        cont = vals[vals != 2.0]
+        grid = np.array([cont.min(), 0.3, 0.6, cont.max()])
         bs = BinSet(col.atoms, grid, np.array([1, 2]))
         labs = assign_labels(col, bs)
         assert np.array_equal(labs, assign_labels(col, bs))  # idempotent
@@ -183,24 +213,26 @@ class TestSharedSort:
         vals, t, K_init, edges = case
         col = detect_discrete_points(vals, t=t)
         grid = candidate_cuts(col, K_init)
+        cont = vals[~col.discrete_mask]
         if len(edges) >= 2:
-            assert np.array_equal(col.interval_index(edges), interval_index(col.unmasked, edges))
+            assert np.array_equal(col.interval_index(edges), interval_index(cont, edges))
         if len(grid):
-            assert np.array_equal(col.interval_index(grid), interval_index(col.unmasked, grid))
+            assert np.array_equal(col.interval_index(grid), interval_index(cont, grid))
         for cuts in (np.empty(0, dtype=np.int64), np.arange(1, len(grid) - 1, 2)):
             bs = BinSet(col.atoms, grid, cuts)
-            assert np.array_equal(assign_labels(col, bs), row_labels(col, bs))
+            assert np.array_equal(assign_labels(col, bs), row_labels(vals, col, bs))
         start = start_column(col, FitConfig(t=t))
-        assert np.array_equal(start.labels, row_labels(col, start.binset))
+        assert np.array_equal(start.labels, row_labels(vals, col, start.binset))
 
     def test_single_distinct_value(self):
         for v in (0.0, 5e-324, -_FLOAT_MAX, _FLOAT_MAX):
             for n in (1, 3):
-                col = detect_discrete_points([v] * n, t=5)
+                vals = np.full(n, v)
+                col = detect_discrete_points(vals, t=5)
                 grid = candidate_cuts(col, 4)
                 assert np.array_equal(col.interval_index(grid), np.zeros(n, dtype=np.intp))
                 bs = BinSet(col.atoms, grid)
-                assert np.array_equal(assign_labels(col, bs), row_labels(col, bs))
+                assert np.array_equal(assign_labels(col, bs), row_labels(vals, col, bs))
 
 
 class TestGrid:

@@ -84,6 +84,10 @@ class TestPluginEntropy:
         with pytest.raises(InputError):
             plugin_entropy(np.empty(0, dtype=int))
 
+    def test_scalar_rejected_naming_its_dtype(self):
+        with pytest.raises(InputError, match="got a 0-D int64"):
+            plugin_entropy(np.int64(3))
+
     def test_bounded_by_log_support(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -144,6 +148,25 @@ class TestCmiEstimate:
         h0 = plugin_entropy(est.fit.labels[:, 0])
         assert est.value == pytest.approx(h0, abs=1e-12)
         assert est.value >= 0.0
+
+    def test_complex_dataset_rejected_not_truncated(self):
+        # numpy would drop the imaginary part with only a ComplexWarning
+        data = np.column_stack([np.arange(20.0), np.arange(20.0) % 3]) + 1j
+        with pytest.raises(InputError, match="must hold real numbers, got dtype complex128"):
+            cmi_estimate(data, X, Y)
+
+    def test_dataset_object_rejected_naming_its_dtype(self):
+        ds = generate(ScenarioSpec("exp1", 50, 0))
+        with pytest.raises(InputError, match="2-D .* got a 0-D array of dtype object"):
+            cmi_estimate(ds, X, Y)
+        cmi_estimate(ds.data, X, Y)  # its data array is what the estimator reads
+
+    def test_integer_and_object_datasets_read_as_floats(self):
+        rng = np.random.default_rng(4)
+        ints = rng.integers(0, 4, size=(300, 2))
+        want = cmi_estimate(ints.astype(np.float64), X, Y).value
+        assert cmi_estimate(ints, X, Y).value == want
+        assert cmi_estimate(ints.astype(object), X, Y).value == want
 
     def test_value_is_exact_entropy_sum(self):
         ds = generate(ScenarioSpec("exp5", 400, 1))

@@ -384,7 +384,7 @@ class TestSegmentTable:
                                    np.full(6, 0.5)])
             col = detect_discrete_points(vals, t=5)
             grid = candidate_cuts(col, int(rng.integers(2, 40)))
-            table = segment_table(grid, interval_index(col.unmasked, grid),
+            table = segment_table(grid, interval_index(vals[~col.discrete_mask], grid),
                                   int(rng.integers(1, len(grid) + 2)))
             inner = table.pos[1:-1]
             cuts = np.sort(rng.choice(inner, size=int(rng.integers(0, inner.size + 1)),

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -42,9 +44,13 @@ def _refuse_work(*args):
     raise AssertionError("a rejected fit built a grid")
 
 
+def _labels(cols, binsets):
+    """The (n, k) label matrix of ``cols`` under ``binsets``."""
+    return np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
+
+
 def _refine(j, cols, binsets, K_max):
-    labels = np.column_stack([assign_labels(c, b) for c, b in zip(cols, binsets)])
-    return refine_dimension(j, _state(cols, binsets, labels, K_max))
+    return refine_dimension(j, _state(cols, binsets, _labels(cols, binsets), K_max))
 
 
 class TestFitConfig:
@@ -149,6 +155,22 @@ class TestInitDiscretization:
         monkeypatch.setattr(histmd, "build_grid", _refuse_work)
         with pytest.raises(InputError, match="disagree on sample size"):
             greedy_fit(starts, FitConfig())
+
+
+class TestColumnStart:
+    def test_start_keeps_no_reference_to_its_column(self):
+        # a search keeps every start it built; the column's sort is dropped
+        # once the start is built
+        rng = np.random.default_rng(7)
+        col = detect_discrete_points(np.append(np.repeat(1.0, 9), rng.normal(size=200)), 5)
+        start = start_column(col, FitConfig())
+        assert not start.discrete_mask.flags.writeable
+        assert np.array_equal(start.discrete_mask, col.discrete_mask)
+        refs = [weakref.ref(obj) for obj in (col, col.inverse, col.distinct)]
+        del col
+        gc.collect()
+        assert [r() for r in refs] == [None] * 3
+        assert start.discrete_mask.sum() == 9
 
 
 class TestRefineDimension:
@@ -325,43 +347,46 @@ class TestRefineDimension:
         assert ops[4] == 2 * ops[2]
 
 
-def _memo_state(starts, binsets, memos=True):
-    """A fit state over ``starts`` at ``binsets``, sharing the starts' memos
-    (or, with ``memos=False``, over copies of the starts with fresh ones)."""
-    labels = np.column_stack([assign_labels(s.column, b) for s, b in zip(starts, binsets)])
+def _memo_state(starts, binsets, labels, memos=True):
+    """A fit state over ``starts`` at ``binsets`` with a copy of the (n, k)
+    ``labels``, sharing the starts' memos (or, with ``memos=False``, over
+    copies of the starts with fresh ones)."""
     return histmd.FitState(starts if memos else [replace(s) for s in starts],
-                           list(binsets), labels)
+                           list(binsets), np.array(labels, dtype=np.int64))
 
 
 class TestRecutMemo:
     @staticmethod
-    def _starts():
+    def _columns():
         # x and y dependent; u and w continuous and uncut, one bin each
         rng = np.random.default_rng(21)
         x = rng.normal(size=400)
         vals = (x, x + 0.5 * rng.normal(size=400), rng.uniform(size=400),
                 rng.exponential(size=400))
-        return _starts([detect_discrete_points(v, 5) for v in vals], FitConfig())
+        return [detect_discrete_points(v, 5) for v in vals]
 
     def test_hit_prices_another_fits_solve_as_a_fresh_solve(self):
-        x, y, u, w = self._starts()
+        cx, cy, cu, cw = self._columns()
+        x, y, u, w = _starts([cx, cy, cu, cw], FitConfig())
         y_cut = replace(y.binset, cuts=np.array([40, 80]))
-        first = _memo_state([x, y, u], [x.binset, y_cut, u.binset])
+        binsets = [x.binset, y_cut, u.binset]
+        first = _memo_state([x, y, u], binsets, _labels([cx, cy, cu], binsets))
         solved = refine_dimension(0, first)
         assert first.recut_hits == 0 and solved.ops > 0 and len(x.recuts) == 1
         # w replaces u: one bin either way, so the other cells are the same,
         # but fixed_bits differs by their volumes
         binsets = [x.binset, y_cut, w.binset]
-        second = _memo_state([x, y, w], binsets)
+        labels = _labels([cx, cy, cw], binsets)
+        second = _memo_state([x, y, w], binsets, labels)
         hit = refine_dimension(0, second)
-        fresh = refine_dimension(0, _memo_state([x, y, w], binsets, memos=False))
+        fresh = refine_dimension(0, _memo_state([x, y, w], binsets, labels, memos=False))
         assert second.recut_hits == 1 and hit.ops == 0 and fresh.ops == solved.ops
         assert hit.binset.cuts.tolist() == fresh.binset.cuts.tolist()
         assert hit.total_bits.hex() == fresh.total_bits.hex()
         assert hit.total_bits != solved.total_bits
         # the same cuts on another column are another key
-        third = _memo_state([x, w, u], [x.binset, replace(w.binset, cuts=np.array([40, 80])),
-                                        u.binset])
+        binsets = [x.binset, replace(w.binset, cuts=np.array([40, 80])), u.binset]
+        third = _memo_state([x, w, u], binsets, _labels([cx, cw, cu], binsets))
         refine_dimension(0, third)
         assert third.recut_hits == 0 and len(x.recuts) == 2
 
@@ -376,7 +401,8 @@ class TestRecutMemo:
             before = state.recut_hits
             res = real(j, state)
             if state.recut_hits > before:
-                fresh = real(j, _memo_state(state.starts, state.binsets, memos=False))
+                fresh = real(j, _memo_state(state.starts, state.binsets, state.labels,
+                                            memos=False))
                 assert fresh.ops > 0 and res.ops == 0
                 assert res.binset.cuts.tolist() == fresh.binset.cuts.tolist()
                 assert res.total_bits.hex() == fresh.total_bits.hex()
@@ -388,7 +414,7 @@ class TestRecutMemo:
         assert len(hits) > 50
 
     def test_fit_solves_land_in_its_starts_recuts(self, monkeypatch):
-        starts = self._starts()
+        starts = _starts(self._columns(), FitConfig())
         solved = []  # the table of each solve
         real = histmd.solve_segmentation
 
