@@ -3,9 +3,10 @@
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal error, 141 when
 the reader of the output closes it early (128 + SIGPIPE, as a shell reports a
 process the signal ended).  Reports are JSON (schema_version 1) or CSV, whose
-list and boolean cells hold JSON text; datasets are CSV with a leading
-``#``-comment header naming the RNG stream and scenario, then a column-name
-header row.  Floats are written with ``repr`` so files round-trip exactly.
+list and boolean cells hold JSON text and whose null cells are empty; datasets
+are CSV with a leading ``#``-comment header naming the RNG stream and
+scenario, then a column-name header row.  Floats are written with ``repr`` so
+files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -109,8 +110,20 @@ def write_csv_dataset(dataset: Dataset, fh):
         w.writerow([repr(float(v)) for v in row])
 
 
-def _split_names(arg: str | None) -> tuple[str, ...]:
-    return tuple(s for s in (arg or "").split(",") if s)
+def _names(flag: str, arg: str | None, declared: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns a --x, --y or --z list names, or the scenario's ``declared``
+    role where the flag is not given.  An empty --z is the empty Z; any other
+    empty list, or an empty name in a list, is an error."""
+    if arg is None:
+        return declared
+    if not arg:
+        if flag == "--z":
+            return ()
+        raise InputError(f"{flag} is given but names no column")
+    names = tuple(arg.split(","))
+    if "" in names:
+        raise InputError(f"{flag} {arg!r} holds an empty column name")
+    return names
 
 
 def _generate(scenario: str, args) -> Dataset:
@@ -138,9 +151,9 @@ def _select(args):
     (config, the columns echoed as lists, select_groups' result)."""
     dataset = _load_dataset(args.data, args)
     config = _config_from(args)
-    xs = _split_names(args.x) or dataset.x
-    ys = _split_names(args.y) or dataset.y
-    zs = _split_names(args.z) if args.z is not None else dataset.z
+    xs = _names("--x", args.x, dataset.x)
+    ys = _names("--y", args.y, dataset.y)
+    zs = _names("--z", args.z, dataset.z)
     if not xs or not ys:
         raise InputError("--x and --y are required (no declared roles to fall back on)")
     columns = {"x": list(xs), "y": list(ys), "z": list(zs)}

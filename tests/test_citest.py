@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import chdtri
+from scipy.special import chdtrc, chdtri
 from scipy.stats import chi2 as scipy_chi2
 
 import histcmi
@@ -20,91 +20,72 @@ from histcmi import (
     replicate_seed,
 )
 from histcmi import citest
-from histcmi.citest import chi2_critical
 
 X = VariableGroup("X", (0,))
 Y = VariableGroup("Y", (1,))
 Z = VariableGroup("Z", (2,))
 
 
-class TestChi2Critical:
+def _upper_tail(df, x) -> float:
+    """Q(df/2, x/2), the upper tail of chi2(df) at x, as the chi2 test computes it."""
+    return math.exp(citest._ln_gamma_tail(df / 2, x / 2))
+
+
+class TestChi2UpperTail:
     def test_known_values(self):
-        assert chi2_critical(0.01, 1) == pytest.approx(6.6349, abs=1e-4)
-        # df = 2 has the closed form -2 ln(alpha)
-        assert chi2_critical(0.05, 2) == pytest.approx(-2.0 * math.log(0.05), abs=1e-9)
+        assert _upper_tail(1, 6.6349) == pytest.approx(0.01, abs=1e-7)
+        # df = 2 has the closed form Q = e^(-x/2), through the series below
+        # x = 4 and the continued fraction above
+        for x in (1.0, 3.0, 3.98, 4.0, 6.0, 20.0, 200.0, 1400.0):
+            assert citest._ln_gamma_tail(1.0, x / 2) == pytest.approx(-x / 2, rel=1e-15, abs=1e-15)
 
-    def test_alpha_near_one_gives_zero_quantile(self):
-        assert chi2_critical(1.0 - 1e-9, 3) < 1e-2
-        value = chi2_critical(1.0 - 1e-9, 1)
-        assert math.isfinite(value) and value >= 0.0
+    def test_tiny_argument_gives_a_tail_just_below_one(self):
+        # Q(1/2, y) = 1 - erf(sqrt(y)), and ln Q must keep its bits as it nears 0
+        assert citest._ln_gamma_tail(0.5, 1e-18) == pytest.approx(
+            math.log1p(-math.erf(1e-9)), rel=1e-14, abs=0.0)
 
-    def test_matches_scipy_ppf(self):
-        for alpha in (0.2, 0.05, 0.01, 0.001):
-            for df in (1, 2, 5, 30, 240):
-                assert chi2_critical(alpha, df) == pytest.approx(
-                    scipy_chi2.ppf(1 - alpha, df), abs=1e-7)
-
-    # alpha from the median down to 1e-300, and two values above 1/2 where
-    # the lower tail P = 1 - alpha is solved instead
+    # the chi2 quantiles from the median down to 1e-300, and two above 1/2
+    # where Q comes from 1 - P
     GRID_ALPHAS = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001, 1e-6, 1e-12, 1e-300, 0.9, 0.99)
     GRID_DFS = (*range(1, 2001), 10**4, 10**5, 10**6, 2**31, 2**53, 2**63 - 1)
 
     @pytest.fixture(scope="class")
     def grid(self):
-        return {(df, alpha): chi2_critical(alpha, df)
-                for df in self.GRID_DFS for alpha in self.GRID_ALPHAS}
+        """(df, alpha) -> (x, Q(df/2, x/2)) at scipy's (1 - alpha) quantile x."""
+        grid = {}
+        for df in self.GRID_DFS:
+            for alpha in self.GRID_ALPHAS:
+                x = chdtri(df, alpha)
+                grid[df, alpha] = x, _upper_tail(df, x)
+        return grid
 
-    def test_matches_chdtri_over_the_grid(self, grid):
-        for (df, alpha), value in grid.items():
-            rel = 1e-12 if df <= 10**6 else 1e-10
-            assert value == pytest.approx(chdtri(df, alpha), rel=rel, abs=0.0), (df, alpha)
+    def test_matches_chdtrc_over_the_grid(self, grid):
+        # the tolerances bound Q, measured at 5.3e-12 and 9.1e-11
+        for (df, alpha), (x, value) in grid.items():
+            rel = 6e-12 if df <= 10**6 else 1e-10
+            assert value == pytest.approx(chdtrc(df, x), rel=rel, abs=0.0), (df, alpha)
 
     def test_strictly_monotone_over_the_grid(self, grid):
-        alphas = sorted(self.GRID_ALPHAS)
+        alphas = sorted(self.GRID_ALPHAS, reverse=True)  # ascending quantiles
         for df in self.GRID_DFS:
-            row = [grid[df, alpha] for alpha in alphas]
+            row = [grid[df, alpha][1] for alpha in alphas]
             assert all(a > b for a, b in zip(row, row[1:])), df
-        for alpha in alphas:
-            column = [grid[df, alpha] for df in self.GRID_DFS]
-            assert all(a < b for a, b in zip(column, column[1:])), alpha
+        # at a fixed point, more degrees of freedom leave more mass above it
+        for df, more in zip(self.GRID_DFS, self.GRID_DFS[1:]):
+            for alpha in self.GRID_ALPHAS:
+                x, value = grid[df, alpha]
+                assert _upper_tail(more, x) > value, (df, alpha)
 
     def test_temme_expansion_agrees_with_the_series_and_fraction(self, monkeypatch):
-        # from df = 10^5 on the quantile comes from Temme's expansion, where the
-        # series and the continued fraction still converge; its C1 term alone
-        # moves df = 10^5 by 8e-13
-        dfs = (10**5, 10**5 + 1, 10**6)
-        temme = {(df, alpha): chi2_critical(alpha, df)
-                 for df in dfs for alpha in self.GRID_ALPHAS}
+        # from df = 10^5 on Q comes from Temme's expansion, where the series and
+        # the continued fraction still converge; its C1 term alone moves Q by
+        # about 1e-9 there
+        points = [(df, chdtri(df, alpha)) for df in (10**5, 10**5 + 1, 10**6)
+                  for alpha in self.GRID_ALPHAS]
+        temme = [_upper_tail(df, x) for df, x in points]
         monkeypatch.setattr(citest, "_TEMME_MIN_A", math.inf)
-        for (df, alpha), value in temme.items():
-            assert value == pytest.approx(chi2_critical(alpha, df), rel=1e-14, abs=0.0)
-
-    def test_rejects_bad_inputs(self):
-        for alpha in (0.0, 1.0, -0.2, 1.7, "0.01", None, [0.01], True):
-            with pytest.raises(InputError):
-                chi2_critical(alpha, 3)
-        with pytest.raises(InputError):
-            chi2_critical(0.05, 0)
-
-    def test_numpy_alpha_reads_as_its_value(self):
-        for alpha in (np.float64(0.05), np.float32(0.05)):
-            assert chi2_critical(alpha, 2) == pytest.approx(chi2_critical(0.05, 2), rel=1e-6)
-
-    @pytest.mark.parametrize("df", [2.5, True, "3", None, 3.0])
-    def test_rejects_a_non_integer_df(self, df):
-        with pytest.raises(InputError, match="df must be an integer"):
-            chi2_critical(0.05, df)
-
-    def test_numpy_integer_df_reads_as_its_value(self):
-        assert chi2_critical(0.05, np.int64(3)) == chi2_critical(0.05, 3)
-
-    def test_memo_keeps_the_input_checks(self):
-        # the quantile is kept per (alpha, df), and only checked arguments reach it
-        first = chi2_critical(0.01, 1)
-        assert chi2_critical(np.float64(0.01), np.int64(1)) == first
-        for alpha, df in ((0.01, True), (0.01, 1.0), (True, 1), (1.01, 1), (0.01, 0)):
-            with pytest.raises(InputError):
-                chi2_critical(alpha, df)
+        for (df, x), value in zip(points, temme):
+            assert value == pytest.approx(_upper_tail(df, x), rel=1e-13, abs=0.0), df
 
 
 _NO_SCIPY_PROBE = """
@@ -123,16 +104,29 @@ print(codes, file=sys.stderr)
 """
 
 
-def test_no_scipy_at_run_time():
-    # estimates, both CI tests and the CLI run with every scipy import refused
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this histcmi."""
     src = str(Path(histcmi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
-                         capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_no_scipy_at_run_time():
+    # estimates, both CI tests and the CLI run with every scipy import refused
+    out = _python(_NO_SCIPY_PROBE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "True"
     assert out.stderr.splitlines()[-1] == "[0, 0]"
+
+
+def test_import_loads_neither_scipy_nor_statistics():
+    # statistics would bring fractions and decimal along, for nothing the package reads
+    out = _python("import sys, histcmi.cli\n"
+                  "print(sorted({'scipy', 'statistics'} & set(sys.modules)))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestChi2Test:
@@ -148,12 +142,14 @@ class TestChi2Test:
             for data in (np.column_stack([np.zeros(300), y, z]),
                          np.column_stack([y, np.zeros(300), z])):
                 chi2 = citest_chi2(data, X, Y, Z, alpha=0.01)
+                assert chi2.independent, (s, chi2.raw)
                 assert chi2.detail["df"] == 0
-                for res in (chi2, citest_sc(data, X, Y, Z)):
-                    assert res.independent, (s, res.method, res.raw)
-                    assert repr(res.correction) == "0.0"  # never -0.0 in a report
-                    assert res.corrected == 0.0
-                    assert not res.sc_correction_clamped
+                assert chi2.detail["p_value"] == 1.0
+                sc = citest_sc(data, X, Y, Z)
+                assert sc.independent, (s, sc.raw)
+                assert repr(sc.correction) == "0.0"  # never -0.0 in a report
+                assert sc.corrected == 0.0
+                assert not sc.sc_correction_clamped
 
     def test_markov_chain_accepted_as_independent(self):
         hits = 0
@@ -169,31 +165,66 @@ class TestChi2Test:
             hits += not citest_chi2(ds.data, X, Y, Z, alpha=0.01).independent
         assert hits >= 27
 
-    def test_correction_nonpositive_and_verdict_consistent(self):
-        ds = generate(ScenarioSpec("exp5", 600, 7))
-        res = citest_chi2(ds.data, X, Y, Z, alpha=0.05)
-        assert res.correction <= 0.0
-        assert res.corrected == max(0.0, res.raw + res.correction)
-        assert res.independent == (res.corrected == 0.0)
+    def test_verdict_is_the_p_value_against_alpha(self):
+        for sid, n, seed in (("exp5", 600, 7), ("exp4", 400, 6)):
+            ds = generate(ScenarioSpec(sid, n, seed))
+            res = citest_chi2(ds.data, X, Y, Z, alpha=0.05)
+            assert 0.0 <= res.detail["p_value"] <= 1.0
+            assert res.independent == (res.detail["p_value"] >= res.detail["alpha"])
+            # the sc correction has no chi2 counterpart
+            assert res.correction is None and res.corrected is None
 
-    def test_corrected_value_monotone_in_alpha(self):
-        ds = generate(ScenarioSpec("exp5", 1000, 3))
-        values = [citest_chi2(ds.data, X, Y, Z, alpha=a).corrected
-                  for a in (0.001, 0.01, 0.05, 0.2)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+    def test_verdict_monotone_in_alpha_and_p_value_does_not_read_it(self):
+        ds = generate(ScenarioSpec("exp4", 400, 6))  # p = 0.85
+        results = [citest_chi2(ds.data, X, Y, Z, alpha=a)
+                   for a in (0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99)]
+        verdicts = [r.independent for r in results]
+        assert verdicts == sorted(verdicts, reverse=True)
+        assert verdicts[0] and not verdicts[-1]
+        assert len({r.detail["p_value"] for r in results}) == 1
+
+    def test_nonpositive_estimate_reads_as_p_one(self):
+        # Z = X makes I(X;Y|Z) 0 up to rounding: -2.2e-16 nats here, with df 40
+        ds = generate(ScenarioSpec("exp1", 300, 0))
+        res = citest_chi2(ds.data[:, [0, 1, 0]], X, Y, Z, alpha=0.01)
+        assert res.raw <= 0.0 and res.detail["df"] > 0
+        assert res.detail["p_value"] == 1.0
+        assert res.independent
 
     def test_determinism(self):
         ds = generate(ScenarioSpec("exp4", 500, 9))
         r1 = citest_chi2(ds.data, X, Y, Z, alpha=0.01)
         r2 = citest_chi2(ds.data, X, Y, Z, alpha=0.01)
-        assert (r1.raw, r1.correction, r1.corrected, r1.independent) == \
-               (r2.raw, r2.correction, r2.corrected, r2.independent)
+        assert (r1.raw, r1.detail, r1.independent) == (r2.raw, r2.detail, r2.independent)
 
-    @pytest.mark.parametrize("alpha", [1.5, "0.01", None, True])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, "0.01", None, [0.01], True])
     def test_rejects_bad_alpha(self, alpha):
         ds = generate(ScenarioSpec("exp4", 100, 0))
         with pytest.raises(InputError, match="alpha"):
             citest_chi2(ds.data, X, Y, Z, alpha=alpha)
+
+    def test_numpy_alpha_reads_as_its_value(self):
+        ds = generate(ScenarioSpec("exp4", 400, 6))
+        plain = citest_chi2(ds.data, X, Y, Z, alpha=0.05)
+        for alpha in (np.float64(0.05), np.float32(0.05)):
+            res = citest_chi2(ds.data, X, Y, Z, alpha=alpha)
+            assert (res.independent, res.detail["p_value"]) == \
+                   (plain.independent, plain.detail["p_value"])
+
+
+def test_p_value_and_verdict_match_scipy_on_the_ci_batteries():
+    # the first 25 replicates of each of acceptance criterion 9's batteries:
+    # the p-value is chi2's upper tail at 2n I_n within the Q tolerance, and
+    # the verdict is that of 2n I_n against the (1 - alpha) quantile
+    for sid, n in (("noncollider1", 1000), ("noncollider2", 1000),
+                   ("collider5", 400), ("collider6", 400)):
+        for rep in range(25):
+            ds = generate(ScenarioSpec(sid, n, replicate_seed(900, rep)))
+            res = citest_chi2(ds.data, X, Y, Z, alpha=0.01)
+            df, statistic = res.detail["df"], 2 * res.estimate.n * res.raw
+            assert res.detail["p_value"] == pytest.approx(
+                chdtrc(df, statistic), rel=6e-12, abs=0.0), (sid, rep)
+            assert res.independent == (not statistic > scipy_chi2.ppf(0.99, df)), (sid, rep)
 
 
 class TestScTest:

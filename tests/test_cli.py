@@ -128,6 +128,41 @@ def test_csv_without_x_and_y_is_data_error(roles, tmp_path, capsys):
     assert "--x and --y are required" in err
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_empty_x_or_y_on_a_scenario_is_data_error(flag, capsys):
+    # not the scenario's declared role in its place: with --x Y that would
+    # estimate I(Y; Y)
+    roles = {"--x": "Y", "--y": "X", flag: ""}
+    code, out, err = run(["estimate", "exp1", "--n", "50",
+                          *(item for pair in roles.items() for item in pair)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{flag} is given but names no column" in err
+
+
+def test_empty_y_on_a_csv_names_the_flag_given(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("A,B\n1,2\n3,4\n5,6\n")
+    code, out, err = run(["estimate", str(p), "--x", "A", "--y", ""], capsys)
+    assert (code, out) == (2, "")
+    assert "--y is given but names no column" in err
+
+
+@pytest.mark.parametrize("flag, names", [("--x", "X,,Z"), ("--y", "Y,"), ("--z", ",Z")])
+def test_empty_name_in_a_column_list_is_data_error(flag, names, capsys):
+    roles = {"--x": "X", "--y": "Y", "--z": "Z", flag: names}
+    code, out, err = run(["estimate", "exp5", "--n", "50",
+                          *(item for pair in roles.items() for item in pair)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{flag} {names!r} holds an empty column name" in err
+
+
+def test_empty_z_is_the_empty_conditioning_set(capsys):
+    code, out, _ = run(["estimate", "exp5", "--n", "200", "--x", "X", "--y", "Y", "--z", ""],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["columns"] == {"x": ["X"], "y": ["Y"], "z": []}
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")
@@ -161,7 +196,7 @@ def test_reader_that_closes_the_pipe_ends_the_run_as_sigpipe_would():
      "entropies_nats.h_z,domain_sizes.X,domain_sizes.Y,domain_sizes.Z,bins_per_column.x,"
      "bins_per_column.y,bins_per_column.z,n,columns.x,columns.y,columns.z"),
     (["citest", "exp4", "--n", "200"],
-     "independent,raw_nats,correction_nats,corrected_nats,method,detail.df,detail.critical,"
+     "independent,raw_nats,correction_nats,corrected_nats,method,detail.df,detail.p_value,"
      "detail.alpha,columns.x,columns.y,columns.z,n"),
 ], ids=["estimate", "citest"])
 def test_csv_report_is_the_json_results_flattened(argv, header, capsys):
@@ -177,10 +212,17 @@ def test_csv_report_is_the_json_results_flattened(argv, header, capsys):
     assert len(row) == len(header.split(","))
     for key, cell in row.items():
         value = functools.reduce(dict.__getitem__, key.split("."), results)
-        # list and boolean cells hold the JSON report's text, other cells print as they are
-        assert cell == (json.dumps(value) if isinstance(value, (list, bool)) else str(value)), key
+        # list and boolean cells hold the JSON report's text, a null cell is
+        # empty, and other cells print as they are
+        if isinstance(value, (list, bool)):
+            assert cell == json.dumps(value), key
+        else:
+            assert cell == ("" if value is None else str(value)), key
     if argv[0] == "estimate":
         assert row["estimate_nats"] == repr(results["estimate_nats"])
+    else:  # chi2 has no correction
+        assert results["correction_nats"] is results["corrected_nats"] is None
+        assert row["correction_nats"] == row["corrected_nats"] == ""
 
 
 class TestEstimate:
@@ -424,7 +466,9 @@ class TestCitest:
         assert set(res) >= {"independent", "raw_nats", "correction_nats",
                             "corrected_nats", "method"}
         assert res["method"] == "chi2"
-        assert res["correction_nats"] <= 0.0
+        assert res["correction_nats"] is res["corrected_nats"] is None
+        assert 0.0 <= res["detail"]["p_value"] <= 1.0
+        assert res["independent"] == (res["detail"]["p_value"] >= res["detail"]["alpha"])
 
     def test_sc_method(self, capsys):
         code, out, _ = run(["citest", "exp4", "--n", "600", "--seed", "5",
